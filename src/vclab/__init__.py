@@ -74,7 +74,6 @@ from .witness import (
     construct_witness,
     core_overlap,
     density_core_stage,
-    find_entry_shift,
     steinhaus_neighborhood,
     verify_witness,
 )

@@ -10,19 +10,32 @@ components.
 Stage-m removed middles alternate between two branches by parity: odd
 stages feed branch 0, even stages branch 1.  Both branches accumulate at
 every point of the limit set, and their closures intersect exactly in it.
+
+All walks run on an exact integer lattice and return Fractions only at the
+API boundary.  Lattice lemma: write removed_scale = p/q in lowest terms and
+u_s = 1/(q * 2^(2s+1)).  Every stage-s component endpoint and every edge of
+a stage-s removed middle is an integer multiple of u_s.  By induction on s:
+stage 0 is [0, 1] = [0, 2q] in units of u_0.  If [L, H] (integers, in units
+of u_(s-1)) is a stage-(s-1) component, then since u_(s-1) = 4 u_s its ends
+are 4L and 4H in units of u_s, its midpoint is 2(L + H), and the half-gap
+(p/q) 4^(-s) / 2 = p u_s is exactly p.  So the stage-s middle is
+(2(L+H) - p, 2(L+H) + p) and both children have integer ends.  Both
+children are 2(H - L) - p wide, so every stage-s component has the common
+width W_s = p + 2^s (2q - p) > p, and each middle fits strictly inside its
+component.  A query point x = n/d joins the walk on the lattice scaled by d,
+where it is an integer too, so no value is ever rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .constructible import ConstructibleSet, Interval
 from .staged import IN, OUT, UNDECIDED, StagedSet
 from .witness import BoundaryPair
-
-HALF = Fraction(1, 2)
 
 
 def branch_of_stage(stage: int) -> int:
@@ -70,27 +83,80 @@ class FatCantorSet:
         spread uniformly over components, so this is limit/2^m)."""
         return self.limit_measure() / 2**m
 
+    # ------------------------------------------------------------- lattice
+
+    def _frame(self, stage: int, *values) -> tuple[int, list[int]]:
+        """Place values on the stage lattice scaled by d: returns d, the
+        least positive integer for which every v * d * q * 2^(2*stage+1) is
+        an integer, and those integers."""
+        unit = self.removed_scale.denominator << (2 * stage + 1)
+        scaled = [Fraction(v) * unit for v in values]
+        d = lcm(*(f.denominator for f in scaled))
+        return d, [f.numerator * (d // f.denominator) for f in scaled]
+
+    def _value(self, n: int, d: int, stage: int) -> Fraction:
+        """The rational at integer n of the stage lattice scaled by d."""
+        return Fraction(n, d * (self.removed_scale.denominator << (2 * stage + 1)))
+
+    @staticmethod
+    def _split(lo: int, hi: int, half: int, stage: int) -> tuple[int, int, int, int]:
+        """Refine a previous-stage component [lo, hi] onto the stage lattice
+        (4x finer) and cut out its middle: returns (lo, a, b, hi) there."""
+        lo, hi = lo << 2, hi << 2
+        mid = (lo + hi) >> 1
+        a, b = mid - half, mid + half
+        if a <= lo:
+            raise ValueError(f"stage-{stage} gap does not fit inside its component")
+        return lo, a, b, hi
+
+    def _refine(self, comps, half, first: int, last: int):
+        """Split every component stage by stage from `first` to `last`,
+        yielding (stage, removed middles, components) on each stage's lattice."""
+        for s in range(first, last + 1):
+            gaps, nxt = [], []
+            for lo, hi in comps:
+                lo, a, b, hi = self._split(lo, hi, half, s)
+                gaps.append((a, b))
+                nxt += ((lo, a), (b, hi))
+            comps = nxt
+            yield s, gaps, comps
+
+    def _walk(self, x, budget: int) -> tuple:
+        """The descent behind `descend` and `component_of`: returns
+        (kind, stage, lo, hi, n, d) with kind as in `descend`, and the
+        interval and x itself (n) as integers of the stage lattice scaled by d."""
+        d, (n,) = self._frame(0, x)
+        lo, hi = 0, 2 * self.removed_scale.denominator * d
+        if not lo <= n <= hi:
+            return ("outside", 0, lo, hi, n, d)
+        half = self.removed_scale.numerator * d
+        for s in range(1, budget + 1):
+            if n == lo or n == hi:
+                return ("endpoint", s - 1, lo, hi, n, d)
+            n <<= 2
+            lo, a, b, hi = self._split(lo, hi, half, s)
+            if n <= a:
+                hi = a
+            elif n >= b:
+                lo = b
+            else:
+                return ("gap", s, a, b, n, d)
+        kind = "endpoint" if n == lo or n == hi else "component"
+        return (kind, budget, lo, hi, n, d)
+
     # -------------------------------------------------------- construction
 
     def middle_gap(self, lo: Fraction, hi: Fraction, stage: int) -> tuple[Fraction, Fraction]:
         """The open middle removed from component [lo, hi] at a stage."""
-        half = self.gap_length(stage) * HALF
-        mid = (lo + hi) * HALF
-        a, b = mid - half, mid + half
-        if not (lo < a < b < hi):
-            raise ValueError(f"stage-{stage} gap does not fit inside [{lo}, {hi}]")
-        return a, b
+        d, (lo, hi) = self._frame(stage - 1, lo, hi)
+        _, a, b, _ = self._split(lo, hi, self.removed_scale.numerator * d, stage)
+        return self._value(a, d, stage), self._value(b, d, stage)
 
     def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
-        comps = [self.window]
-        for s in range(1, m + 1):
-            nxt = []
-            for lo, hi in comps:
-                a, b = self.middle_gap(lo, hi, s)
-                nxt.append((lo, a))
-                nxt.append((b, hi))
-            comps = nxt
-        return comps
+        comps = [(0, 2 * self.removed_scale.denominator)]
+        for _, _, comps in self._refine(comps, self.removed_scale.numerator, 1, m):
+            pass
+        return [(self._value(lo, 1, m), self._value(hi, 1, m)) for lo, hi in comps]
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
@@ -100,15 +166,10 @@ class FatCantorSet:
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:
         """All removed middles of stages <= upto, in (stage, position) order."""
-        comps = [self.window]
-        for s in range(1, upto + 1):
-            nxt = []
-            for lo, hi in comps:
-                a, b = self.middle_gap(lo, hi, s)
-                yield (s, a, b)
-                nxt.append((lo, a))
-                nxt.append((b, hi))
-            comps = nxt
+        comps = [(0, 2 * self.removed_scale.denominator)]
+        for s, gaps, _ in self._refine(comps, self.removed_scale.numerator, 1, upto):
+            for a, b in gaps:
+                yield (s, self._value(a, 1, s), self._value(b, 1, s))
 
     def branch_stage_set(self, branch: int, m: int) -> ConstructibleSet:
         """Union of removed middles of one branch among stages <= m."""
@@ -130,42 +191,31 @@ class FatCantorSet:
           ("endpoint", stage, lo, hi)   x is a component endpoint (in the limit)
           ("component", budget, lo, hi) still inside a component at the budget
         """
-        x = Fraction(x)
-        lo, hi = self.window
-        if x < lo or x > hi:
+        kind, stage, lo, hi, _, d = self._walk(x, budget)
+        if kind == "outside":
             return ("outside",)
-        for s in range(1, budget + 1):
-            if x == lo or x == hi:
-                return ("endpoint", s - 1, lo, hi)
-            a, b = self.middle_gap(lo, hi, s)
-            if a < x < b:
-                return ("gap", s, a, b)
-            if x <= a:
-                hi = a
-            else:
-                lo = b
-        if x == lo or x == hi:
-            return ("endpoint", budget, lo, hi)
-        return ("component", budget, lo, hi)
+        return (kind, stage, self._value(lo, d, stage), self._value(hi, d, stage))
 
     def component_of(self, x: Fraction, m: int) -> Optional[Interval]:
         """The stage-m component containing x, without materializing stage m.
 
-        Component endpoints never fall inside a removed middle, so the plain
-        walk handles them with no special case."""
-        x = Fraction(x)
-        lo, hi = self.window
-        if x < lo or x > hi:
+        A component endpoint never falls inside a later removed middle: from
+        the stage where x first is an endpoint, every component containing it
+        keeps that end and has the common stage width W_m, so the walk stops
+        there."""
+        kind, stage, lo, hi, n, d = self._walk(x, m)
+        if kind in ("outside", "gap"):
             return None
-        for s in range(1, m + 1):
-            a, b = self.middle_gap(lo, hi, s)
-            if a < x < b:
-                return None
-            if x <= a:
-                hi = a
+        if stage < m:
+            p, q = self.removed_scale.numerator, self.removed_scale.denominator
+            shift, width = 2 * (m - stage), (p + ((2 * q - p) << m)) * d  # W_m, scaled
+            if n == lo:
+                lo <<= shift
+                hi = lo + width
             else:
-                lo = b
-        return Interval(lo, hi, True, True)
+                hi <<= shift
+                lo = hi - width
+        return Interval(self._value(lo, d, m), self._value(hi, d, m), True, True)
 
     def branch_gap_containing(self, x: Fraction, branch: int, budget: int) -> Optional[Interval]:
         """The removed middle of the given branch containing x, searched down
@@ -176,51 +226,20 @@ class FatCantorSet:
             return Interval(a, b, False, False)
         return None
 
-    def nearest_branch_gap(
-        self, x: Fraction, branch: int, max_dist: Fraction, stage_budget: int
-    ) -> Optional[tuple[Interval, int]]:
-        """A removed middle of the given branch meeting (x-d, x+d), found at
-        the shallowest possible stage (largest gaps first); the one with the
-        widest overlap wins.  Cost is O(stage) until gaps reach the search
-        scale, with a small frontier after that."""
-        x = Fraction(x)
-        wlo, whi = x - max_dist, x + max_dist
-        frontier = [self.window] if self.window[0] < whi and self.window[1] > wlo else []
-        for s in range(1, stage_budget + 1):
-            if not frontier:
-                return None
-            hits = []
-            nxt = []
-            for lo, hi in frontier:
-                a, b = self.middle_gap(lo, hi, s)
-                if branch_of_stage(s) == branch and a < whi and b > wlo:
-                    overlap = min(b, whi) - max(a, wlo)
-                    hits.append((overlap, a, b))
-                for clo, chi in ((lo, a), (b, hi)):
-                    if clo < whi and chi > wlo:
-                        nxt.append((clo, chi))
-            if hits:
-                _, a, b = max(hits)
-                return Interval(a, b, False, False), s
-            frontier = nxt
-        return None
-
     def child_gaps(
         self, lo: Fraction, hi: Fraction, from_stage: int, depth: int
     ) -> list[tuple[int, int, Interval]]:
         """Removed middles strictly inside the stage-`from_stage` component
         [lo, hi], down to relative depth `depth`, as (branch, stage, interval)
         triples.  Their edges are persistent points of the limit set."""
-        out = []
-        frontier = [(lo, hi)]
-        for s in range(from_stage + 1, from_stage + depth + 1):
-            nxt = []
-            for clo, chi in frontier:
-                a, b = self.middle_gap(clo, chi, s)
-                out.append((branch_of_stage(s), s, Interval(a, b, False, False)))
-                nxt += [(clo, a), (b, chi)]
-            frontier = nxt
-        return out
+        d, comp = self._frame(from_stage, lo, hi)
+        half = self.removed_scale.numerator * d
+        return [
+            (branch_of_stage(s), s,
+             Interval(self._value(a, d, s), self._value(b, d, s), False, False))
+            for s, gaps, _ in self._refine([comp], half, from_stage + 1, from_stage + depth)
+            for a, b in gaps
+        ]
 
     # -------------------------------------------------------- staged views
 
@@ -260,7 +279,6 @@ class FatCantorSet:
             monotone="increasing",
             decide=decide,
             component_near=lambda x, m: self.branch_gap_containing(x, branch, m),
-            nearest_component=lambda x, d, budget: self.nearest_branch_gap(x, branch, d, budget),
             name=f"fat-cantor-branch-{branch}",
         )
 

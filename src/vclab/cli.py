@@ -352,19 +352,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_tokens(path: str, args) -> list[str]:
+    """Flags for the values of a JSON config file, so that they pass through
+    the parser's own types and checks."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    tokens = []
+    for key, value in config.items():
+        attr = key.replace("-", "_")
+        if attr in ("command", "fn", "config") or not hasattr(args, attr):
+            raise ValueError(f"config {path}: {args.command} has no option {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config {path}: {key!r} must be a string or a number")
+        tokens.append(f"--{attr.replace('_', '-')}={value}")
+    return tokens
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(tokens)
     if args.config:
-        # Config supplies values for flags not given on the command line.
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        explicit = {t[2:].split("=")[0].replace("-", "_") for t in tokens if t.startswith("--")}
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if attr not in explicit and hasattr(args, attr):
-                setattr(args, attr, value)
+        # Config values go right after the subcommand, so flags given on the
+        # command line come later and win.
+        try:
+            extra = _config_tokens(args.config, args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        at = tokens.index(args.command) + 1
+        args = parser.parse_args(tokens[:at] + extra + tokens[at:])
     try:
         return args.fn(args)
     except BUDGET_ERRORS as exc:

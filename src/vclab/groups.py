@@ -127,7 +127,13 @@ class ProductGroup(GroupModel):
             raise ValueError("orders must be a nonempty tuple of positive ints")
 
     def _normalize(self, value):
-        value = tuple(int(v) for v in value)
+        try:
+            value = tuple(int(v) for v in value)
+        except TypeError:
+            raise ValueError(
+                f"elements of product group {'x'.join(map(str, self.orders))} "
+                f"are coordinate tuples, not {value!r}"
+            ) from None
         if len(value) != len(self.orders):
             raise ValueError(f"expected {len(self.orders)} coordinates")
         return tuple(v % n for v, n in zip(value, self.orders))

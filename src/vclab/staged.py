@@ -34,7 +34,6 @@ class StagedSet:
         stage_measure: Optional[Callable[[int], Fraction]] = None,
         decide: Optional[Callable[[Fraction, int], Optional[str]]] = None,
         component_near: Optional[Callable[[Fraction, int], Optional[Interval]]] = None,
-        nearest_component: Optional[Callable] = None,
         name: str = "",
     ):
         if monotone not in ("increasing", "decreasing"):
@@ -44,7 +43,6 @@ class StagedSet:
         self._stage_measure = stage_measure
         self._decide = decide
         self._component_near = component_near
-        self._nearest_component = nearest_component
         self.name = name
         self._cache: dict[int, ConstructibleSet] = {}
 
@@ -97,23 +95,4 @@ class StagedSet:
         for iv in self.stage(stage).intervals:
             if iv.contains(x):
                 return iv
-        return None
-
-    def nearest_interval(self, x, max_dist: Fraction, stage_budget: int):
-        """Some interval of a stage <= stage_budget meeting (x-d, x+d),
-        preferring larger overlap; returns (Interval, stage) or None."""
-        x = Fraction(x)
-        max_dist = Fraction(max_dist)
-        if self._nearest_component is not None:
-            return self._nearest_component(x, max_dist, stage_budget)
-        best = None
-        for m in range(stage_budget + 1):
-            for iv in self.stage(m).intervals:
-                if iv.lo >= x + max_dist or iv.hi <= x - max_dist:
-                    continue
-                overlap = min(iv.hi, x + max_dist) - max(iv.lo, x - max_dist)
-                if best is None or overlap > best[0]:
-                    best = (overlap, iv, m)
-            if best is not None:
-                return best[1], best[2]
         return None

@@ -239,55 +239,6 @@ def _component_radius(pair: BoundaryPair, m: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# shift search
-
-
-@dataclass(frozen=True)
-class EntryShift:
-    g: Fraction
-    interval: Interval
-    stage: int
-    slack: Fraction
-
-
-def find_entry_shift(
-    x,
-    target: StagedSet,
-    keeps: list[tuple[Fraction, Interval]],
-    max_shift,
-    stage_budget: int,
-) -> EntryShift:
-    """Find g with |g| < min(max_shift, all keep slacks) such that x + g lies
-    strictly inside some stage interval of the target (entered at the middle
-    of the reachable overlap, maximizing slack), while every (value, interval)
-    pair in keeps stays strictly inside its interval."""
-    x = Fraction(x)
-    d = Fraction(max_shift)
-    for val, iv in keeps:
-        d = min(d, val - iv.lo, iv.hi - val)
-    if d <= 0:
-        raise StageBudgetError("no admissible shift room left")
-    hit = target.nearest_interval(x, d, stage_budget)
-    if hit is None:
-        raise StageBudgetError(
-            f"no target interval within {d} of {x} through stage {stage_budget}"
-        )
-    iv, stage = hit
-    olo = max(iv.lo, x - d)
-    ohi = min(iv.hi, x + d)
-    t = (olo + ohi) / 2
-    g = t - x
-    slack = min(t - iv.lo, iv.hi - t)
-    if not (abs(g) < d and slack > 0):
-        raise StageBudgetError("degenerate overlap while entering target interval")
-    for val, kiv in keeps:
-        moved = val + g
-        if not (kiv.lo < moved < kiv.hi):
-            raise StageBudgetError("shift would break a keep condition")
-    return EntryShift(g, iv, stage, slack)
-
-
-# --------------------------------------------------------------------------
 # construction
 
 

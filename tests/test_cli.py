@@ -129,6 +129,43 @@ def test_config_mirrors_flags(tmp_path):
     assert out.read_bytes() == direct.read_bytes()
 
 
+EPS_ARGS = ["eps-approx", "--group", "cyclic:100", "--arc", "30", "--epsilon", "1/5",
+            "--schedule", "50,100"]
+
+
+def test_config_values_pass_through_flag_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "5", "seed": 9}))
+    # a string "5" becomes the int --trials takes; --seed on the command line wins
+    code, out = run(tmp_path, "c.csv", EPS_ARGS + ["--seed", "3", "--config", str(cfg)])
+    assert code == 0
+    _, direct = run(tmp_path, "d.csv", EPS_ARGS + ["--trials", "5", "--seed", "3"])
+    assert out.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config", [[{"trials": 5}], {"trails": 5}, {"config": "other.json"}], ids=["list", "unknown", "nested"]
+)
+def test_config_rejects_bad_shape_with_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(EPS_ARGS + ["--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and err.count("\n") == 1
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vcdim", "--group", "product:4x3", "--set", "arc:2"], ["eps-approx", "--group", "product:2x3"]],
+    ids=lambda a: a[0],
+)
+def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "coordinate tuples" in err and err.count("\n") == 1
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("VCLAB_OUT_DIR", str(tmp_path))
     assert main(["witness", "--depth", "1", "--seed", "0"]) == 0

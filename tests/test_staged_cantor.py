@@ -96,29 +96,6 @@ def test_branch_membership(fc):
     assert v0.membership(F(0), 5) == OUT
 
 
-def test_nearest_branch_gap_is_valid(fc):
-    rng = random.Random("near")
-    removed = list(fc.removed_intervals(9))
-    for _ in range(120):
-        x = F(rng.randrange(0, 961), 960)
-        branch = rng.randrange(2)
-        d = F(1, 2 ** rng.randrange(2, 7))
-        hit = fc.nearest_branch_gap(x, branch, d, 9)
-        oracle = [
-            (s, a, b)
-            for s, a, b in removed
-            if branch_of_stage(s) == branch and a < x + d and b > x - d
-        ]
-        if hit is None:
-            assert not oracle
-        else:
-            iv, stage = hit
-            assert branch_of_stage(stage) == branch
-            assert (stage, iv.lo, iv.hi) in oracle
-            # shallowest-stage hits are preferred
-            assert stage == min(s for s, _, _ in oracle)
-
-
 def test_child_gaps_edges_persist(fc):
     gaps = fc.child_gaps(F(0), F(1), 0, 3)
     assert len(gaps) == 1 + 2 + 4
@@ -142,5 +119,3 @@ def test_generic_staged_defaults():
     assert const.membership(F(0), 0) == IN
     assert const.membership(F(2), 5) == UNDECIDED
     assert const.component_containing(F(0), 0) == window.intervals[0]
-    hit = const.nearest_interval(F(2), F(3), 2)
-    assert hit == (window.intervals[0], 0)

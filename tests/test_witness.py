@@ -8,7 +8,6 @@ from vclab.errors import (
     BudgetExceededError,
     InsufficientStageError,
     QuantitativeRegimeError,
-    StageBudgetError,
 )
 from vclab.staged import StagedSet
 from vclab.witness import (
@@ -17,7 +16,6 @@ from vclab.witness import (
     construct_witness,
     core_overlap,
     density_core_stage,
-    find_entry_shift,
     steinhaus_neighborhood,
     verify_witness,
 )
@@ -178,31 +176,6 @@ def test_steinhaus_quantitative_regime_error():
     )
     with pytest.raises(QuantitativeRegimeError):
         steinhaus_neighborhood(small_floor, 3)
-
-
-def test_find_entry_shift_examples(pair):
-    fc = FatCantorSet()
-    # x = 0, target = the even-stage branch, small budget: lands strictly
-    # inside an even-stage removed interval with a small shift
-    res = find_entry_shift(F(0), pair.v1, [], F(1, 20), 10)
-    assert abs(res.g) <= F(1, 20)
-    assert res.interval.lo < res.g < res.interval.hi
-    assert res.stage % 2 == 0 and res.slack > 0
-    # x already strictly inside the target: shift stays admissible and small
-    res2 = find_entry_shift(F(1, 2), pair.v0, [], F(1, 100), 3)
-    assert res2.interval == fc.branch_gap_containing(F(1, 2), 0, 3)
-    assert abs(res2.g) < F(1, 100)
-    # max_shift 0 is an immediate budget error
-    with pytest.raises(StageBudgetError):
-        find_entry_shift(F(0), pair.v1, [], F(0), 10)
-
-
-def test_find_entry_shift_keeps(pair):
-    held = pair.v0.component_containing(F(1, 2), 1)
-    keeps = [(F(1, 2), held)]
-    res = find_entry_shift(F(2, 5), pair.v1, keeps, F(1, 50), 12)
-    assert held.lo < F(1, 2) + res.g < held.hi
-    assert res.interval.lo < F(2, 5) + res.g < res.interval.hi
 
 
 def test_validate_stages(pair):
