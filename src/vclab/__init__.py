@@ -21,7 +21,7 @@ from .border import (
     random_closed_union,
     random_constructible,
 )
-from .cantor import FatCantorSet, branch_of_stage
+from .cantor import IN, OUT, UNDECIDED, FatCantorSet, branch_of_stage
 from .constructible import ConstructibleSet, Interval, locally_positive_measure, parse_set
 from .counterexample import (
     CounterexamplePoints,
@@ -34,10 +34,7 @@ from .counterexample import (
 from .errors import (
     BudgetExceededError,
     HittingSetError,
-    InsufficientStageError,
     ModelMismatchError,
-    QuantitativeRegimeError,
-    StageBudgetError,
     UndecidedMembershipError,
     UnsampleableError,
     VCLabError,
@@ -52,7 +49,6 @@ from .groups import (
     parse_model_spec,
 )
 from .rational import format_rational, parse_rational
-from .staged import IN, OUT, UNDECIDED, StagedSet
 from .vc import (
     SetSystem,
     ShatterReport,
@@ -67,13 +63,11 @@ from .vc import (
     vc_dimension_naive,
 )
 from .witness import (
-    BoundaryPair,
     ShatterWitness,
     VerificationResult,
     WitnessCondition,
     construct_witness,
     core_overlap,
-    density_core_stage,
     steinhaus_neighborhood,
     verify_witness,
 )

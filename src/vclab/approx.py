@@ -31,7 +31,7 @@ class FiniteTranslateFamily:
     base: tuple
 
     def __post_init__(self):
-        vals = sorted({self.model._normalize(v) for v in self.base})
+        vals = sorted({self.model.normalize(v) for v in self.base})
         self.base = tuple(vals)
         if isinstance(self.model, CyclicGroup):
             self._arcs = _circular_arcs(vals, self.model.n)
@@ -62,7 +62,7 @@ class FiniteTranslateFamily:
         mu = self.member_measure()
         n_samp = len(sample)
         for row in self._rows:
-            hits = sum(1 for p in sample if self.model._normalize(p) in row)
+            hits = sum(1 for p in sample if self.model.normalize(p) in row)
             best = max(best, abs(Fraction(hits, n_samp) - mu))
         return best
 
@@ -71,7 +71,7 @@ class FiniteTranslateFamily:
         n_samp = len(sample)
         hist = [0] * n
         for p in sample:
-            hist[self.model._normalize(p)] += 1
+            hist[self.model.normalize(p)] += 1
         # Prefix sums over two periods so any arc read is a single difference.
         prefix = [0] * (2 * n + 1)
         for i in range(2 * n):
@@ -90,7 +90,7 @@ class FiniteTranslateFamily:
         """Independent recount: translate-by-translate membership loop."""
         mu = self.member_measure()
         n_samp = len(sample)
-        vals = [self.model._normalize(p) for p in sample]
+        vals = [self.model.normalize(p) for p in sample]
         best = Fraction(0)
         base = set(self.base)
         for g in self.model.elements():
@@ -132,7 +132,7 @@ class ExplicitFamily:
 
     def __init__(self, model: GroupModel, sets: Iterable[Iterable]):
         self.model = model
-        self.sets = tuple(frozenset(model._normalize(v) for v in s) for s in sets)
+        self.sets = tuple(frozenset(model.normalize(v) for v in s) for s in sets)
 
     @property
     def is_empty(self) -> bool:
@@ -143,7 +143,7 @@ class ExplicitFamily:
         if not self.sets:
             return Fraction(0)
         n_samp = len(sample)
-        vals = [self.model._normalize(p) for p in sample]
+        vals = [self.model.normalize(p) for p in sample]
         best = Fraction(0)
         for s in self.sets:
             hits = sum(1 for p in vals if p in s)
@@ -288,8 +288,8 @@ def hitting_set_for_translates(
     measure-epsilon family to be hit with decent probability per attempt.
     """
     epsilon = Fraction(epsilon)
-    base_vals = sorted({model._normalize(v) for v in base})
-    translators = [model._normalize(g) for g in translators]
+    base_vals = sorted({model.normalize(v) for v in base})
+    translators = [model.normalize(g) for g in translators]
     if not base_vals:
         raise UnsampleableError("base subset is empty")
     if model.haar_measure(base_vals) < epsilon:
@@ -312,8 +312,8 @@ def covering_check(base: Iterable, points: Sequence, translators: Iterable, mode
     """Exactly verify that every translate g+X contains one of the points
     (equivalently, the translators are covered by the point-shifted reflected
     base sets).  Returns (ok, first failing translator or None)."""
-    base_set = {model._normalize(v) for v in base}
-    vals = [model._normalize(p) for p in points]
+    base_set = {model.normalize(v) for v in base}
+    vals = [model.normalize(p) for p in points]
     for g in translators:
         ginv = model.invert(g)
         if not any(model.compose(ginv, p) in base_set for p in vals):

@@ -34,8 +34,9 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .constructible import ConstructibleSet, Interval
-from .staged import IN, OUT, UNDECIDED, StagedSet
-from .witness import BoundaryPair
+
+# Answers of the three-valued membership queries.
+IN, OUT, UNDECIDED = "in", "out", "undecided"
 
 
 def branch_of_stage(stage: int) -> int:
@@ -160,6 +161,8 @@ class FatCantorSet:
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
+        if m < 0:
+            raise ValueError("stage must be >= 0")
         return ConstructibleSet(
             tuple(Interval(lo, hi, True, True) for lo, hi in self.stage_components(m))
         )
@@ -241,58 +244,29 @@ class FatCantorSet:
             for a, b in gaps
         ]
 
-    # -------------------------------------------------------- staged views
+    # ---------------------------------------------------------- membership
 
-    def staged(self) -> StagedSet:
-        """The decreasing stage filtration, with sound limit membership."""
+    def membership(self, x, budget: int) -> str:
+        """Sound three-valued membership in the limit set: OUT once x falls
+        outside [0, 1] or into a removed middle, IN once it is a component
+        endpoint (endpoints are never removed later), UNDECIDED if neither
+        shows within `budget` stages."""
+        kind = self.descend(x, budget)[0]
+        if kind in ("outside", "gap"):
+            return OUT
+        return IN if kind == "endpoint" else UNDECIDED
 
-        def decide(x: Fraction, budget: int) -> str:
-            res = self.descend(x, budget)
-            if res[0] in ("outside", "gap"):
-                return OUT
-            if res[0] == "endpoint":
-                return IN
-            return UNDECIDED
+    def branch_membership(self, branch: int, x, budget: int) -> str:
+        """Sound three-valued membership in one open branch: the union of
+        the removed middles of every stage of that parity."""
+        res = self.descend(x, budget)
+        if res[0] == "gap":
+            return IN if branch_of_stage(res[1]) == branch else OUT
+        if res[0] in ("outside", "endpoint"):
+            return OUT
+        return UNDECIDED
 
-        return StagedSet(
-            self.stage_set,
-            monotone="decreasing",
-            stage_measure=self.stage_measure,
-            decide=decide,
-            component_near=lambda x, m: self.component_of(x, m),
-            name="fat-cantor",
-        )
-
-    def branch_staged(self, branch: int) -> StagedSet:
-        """The increasing union of one branch's removed middles."""
-
-        def decide(x: Fraction, budget: int) -> str:
-            res = self.descend(x, budget)
-            if res[0] == "gap":
-                return IN if branch_of_stage(res[1]) == branch else OUT
-            if res[0] in ("outside", "endpoint"):
-                return OUT
-            return UNDECIDED
-
-        return StagedSet(
-            lambda m: self.branch_stage_set(branch, m),
-            monotone="increasing",
-            decide=decide,
-            component_near=lambda x, m: self.branch_gap_containing(x, branch, m),
-            name=f"fat-cantor-branch-{branch}",
-        )
-
-    def boundary_pair(self) -> BoundaryPair:
-        """The two removal branches as a pair ready for the witness engine:
-        their closures intersect exactly in the limit set, whose measure and
-        per-component density floors are known in closed form."""
-        return BoundaryPair(
-            v0=self.branch_staged(0),
-            v1=self.branch_staged(1),
-            window=self.window,
-            core=self.staged(),
-            measure_floor=self.limit_measure(),
-            component_floor=self.component_limit_measure,
-            component_length=self.component_length,
-            child_gaps=self.child_gaps,
-        )
+    def boundary_pair(self) -> "FatCantorSet":
+        """The set itself: the witness engine reads its two parity branches
+        and closed-form density data directly."""
+        return self

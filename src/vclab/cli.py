@@ -17,8 +17,8 @@ import io
 import json
 import os
 import random
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .approx import FiniteTranslateFamily, sample_complexity_sweep
@@ -26,26 +26,18 @@ from .border import (
     border_decay_experiment,
     density_report,
     random_closed_union,
-    r_border_measure,
 )
 from .cantor import FatCantorSet
-from .constructible import ConstructibleSet, parse_set
+from .constructible import parse_set
 from .counterexample import counterexample_points, matched_budget_points, no_shatter3_check
-from .errors import (
-    BudgetExceededError,
-    HittingSetError,
-    InsufficientStageError,
-    QuantitativeRegimeError,
-    StageBudgetError,
-)
+from .errors import BudgetExceededError, HittingSetError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
 from .vc import dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
-BUDGET_ERRORS = (BudgetExceededError, StageBudgetError, QuantitativeRegimeError,
-                 InsufficientStageError, HittingSetError)
+BUDGET_ERRORS = (BudgetExceededError, HittingSetError)
 
 
 def _out_path(args, default_name):
@@ -87,6 +79,13 @@ def _parse_base_set(spec: str, model):
     raise ValueError(f"unknown set spec {spec!r} (use arc:K or list:a,b,c)")
 
 
+def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"window {spec!r} must be two rationals lo,hi")
+    return parse_rational(parts[0]), parse_rational(parts[1])
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -105,7 +104,7 @@ def cmd_vcdim(args) -> int:
     }
     payload = {
         "group": model.describe(),
-        "base_set": sorted(model._normalize(v) for v in base),
+        "base_set": sorted(model.normalize(v) for v in base),
         "vc_dimension": d,
         "dual_vc_dimension": dual,
         "dual_witness_translators": [system.row_labels[i] for i in dual_witness],
@@ -134,12 +133,10 @@ def cmd_eps_approx(args) -> int:
 
 def cmd_steinhaus(args) -> int:
     fc = FatCantorSet(parse_rational(args.removed_scale))
-    pair = fc.boundary_pair()
-    radius, density = steinhaus_neighborhood(pair, args.stage)
+    radius, density = steinhaus_neighborhood(fc)
     shifts = [parse_rational(s) for s in args.shifts.split(",")]
     rows = []
-    for u in shifts:
-        exact, floor = core_overlap(pair, args.stage, u)
+    for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
         rows.append(
             {
                 "shift": format_rational(u),
@@ -157,9 +154,8 @@ def cmd_steinhaus(args) -> int:
 
 def cmd_witness(args) -> int:
     fc = FatCantorSet(parse_rational(args.removed_scale))
-    pair = fc.boundary_pair()
-    witness = construct_witness(pair, args.depth, seed=args.seed, stage_budget=args.stage_budget)
-    result = verify_witness(witness, pair)
+    witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)
+    result = verify_witness(witness, fc)
     _emit(witness.dumps(), _out_path(args, "witness.json"))
     print(
         f"depth {witness.depth}: {len(witness.conditions)} conditions, "
@@ -171,44 +167,15 @@ def cmd_witness(args) -> int:
     return 0 if result.ok else 1
 
 
-def _decay_cell(payload):
-    text, r_str, window = payload
-    a = ConstructibleSet.from_json(json.loads(text))
-    r = parse_rational(r_str)
-    from .border import boundary_point_count
-
-    value = r_border_measure(a, r, window)
-    bound = 4 * r * boundary_point_count(a)
-    return value, bound
-
-
 def cmd_border_sweep(args) -> int:
     rng = random.Random(f"{args.seed}/border-sweep")
-    window = (parse_rational(args.window.split(",")[0]), parse_rational(args.window.split(",")[1]))
+    window = _parse_window(args.window)
     sets = [random_closed_union(rng, window) for _ in range(args.sets)]
     lo_exp, hi_exp = (int(v) for v in args.r_exponents.split(":"))
     radii = [Fraction(1, 2**j) for j in range(lo_exp, hi_exp + 1)]
     pad = window[1] - window[0]
     outer = (window[0] - pad, window[1] + pad)
-    if args.jobs > 1:
-        cells = [
-            (json.dumps(a.to_json(), sort_keys=True), format_rational(r), outer)
-            for a in sets
-            for r in radii
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_decay_cell, cells))
-        from .border import BorderDecayRow
-
-        rows = []
-        idx = 0
-        for set_id, a in enumerate(sets):
-            for r in radii:
-                value, bound = results[idx]
-                idx += 1
-                rows.append(BorderDecayRow(set_id, r, value, bound, value <= bound))
-    else:
-        rows = border_decay_experiment(sets, radii, outer)
+    rows = border_decay_experiment(sets, radii, outer)
     csv_rows = [r.to_csv() for r in rows]
     fieldnames = ["set_id", "r", "r_border_measure", "r_border_measure_float",
                   "bound_4r_boundary", "within_bound"]
@@ -245,10 +212,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_theorem5_report(args) -> int:
     x = parse_set(args.set)
-    window = None
-    if args.window:
-        lo, hi = args.window.split(",")
-        window = (parse_rational(lo), parse_rational(hi))
+    window = _parse_window(args.window) if args.window else None
     report = density_report(x, window)
     _emit(_json_text(report.to_json()), _out_path(args, "theorem5_report.json"))
     print(
@@ -264,8 +228,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_translate_vcdim(args) -> int:
     x = parse_set(args.set)
-    lo, hi = args.window.split(",")
-    report = translate_vc_dimension(x, (parse_rational(lo), parse_rational(hi)))
+    report = translate_vc_dimension(x, _parse_window(args.window))
     _emit(_json_text(report.to_json()), _out_path(args, "translate_vcdim.json"))
     print(f"certified lower bound {report.lower_bound}; {report.upper_bound_status}")
     return 0
@@ -285,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="global seed; all randomness derives from it")
         p.add_argument("--out", help="output artifact path (default: stdout, or $VCLAB_OUT_DIR)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent cells")
         p.add_argument("--config", help="JSON file whose keys mirror the flags")
 
     p = sub.add_parser("vcdim", help="VC dimension of a translate family in a finite group")
@@ -373,9 +335,28 @@ def _config_tokens(path: str, args) -> list[str]:
     return tokens
 
 
+# A flag value that starts with a minus sign and a number, such as the shift
+# list "-1/100,1/20" or the window "-1,1".
+_DASH_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_dash_values(tokens: list[str]) -> list[str]:
+    """Rewrite `--flag -1,1` as `--flag=-1,1`.  argparse takes a token that
+    starts with "-" and is not a plain negative number for a flag, so such
+    values would otherwise parse only in the `=` form."""
+    out = []
+    for token in tokens:
+        prev = out[-1] if out else ""
+        if _DASH_VALUE.match(token) and prev.startswith("--") and "=" not in prev and prev != "--":
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    tokens = list(sys.argv[1:] if argv is None else argv)
+    tokens = _attach_dash_values(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(tokens)
     if args.config:
         # Config values go right after the subcommand, so flags given on the

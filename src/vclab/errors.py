@@ -14,7 +14,7 @@ class UnsampleableError(VCLabError):
 
 
 class UndecidedMembershipError(VCLabError):
-    """A staged set could not decide membership within the stage budget."""
+    """Membership in a fat Cantor set was not decided within the stage budget."""
 
     def __init__(self, point, budget):
         self.point = point
@@ -29,18 +29,6 @@ class BudgetExceededError(VCLabError):
         self.lower_bound = lower_bound
         self.partial = partial
         super().__init__(message)
-
-
-class QuantitativeRegimeError(VCLabError):
-    """The measure floor is too small for a finite-stage certificate."""
-
-
-class InsufficientStageError(VCLabError):
-    """The requested stage cannot certify a positive density floor."""
-
-
-class StageBudgetError(VCLabError):
-    """No admissible target interval appeared within the stage budget."""
 
 
 class HittingSetError(VCLabError):

@@ -38,7 +38,7 @@ class GroupModel:
     """Shared behaviour: validation, element wrapping, axioms."""
 
     def element(self, value) -> GroupElement:
-        return GroupElement(self, self._normalize(value))
+        return GroupElement(self, self.normalize(value))
 
     def _check_same(self, *elems: GroupElement):
         for e in elems:
@@ -58,11 +58,15 @@ class GroupModel:
 
     def compose(self, a, b):
         """Group operation on raw values."""
-        return self._op(self._normalize(a), self._normalize(b))
+        return self._op(self.normalize(a), self.normalize(b))
 
     def invert(self, a):
         """Group inverse on raw values."""
-        return self._inv(self._normalize(a))
+        return self._inv(self.normalize(a))
+
+    def normalize(self, value):
+        """The canonical raw value of an element given in any accepted form."""
+        raise NotImplementedError
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -81,7 +85,7 @@ class CyclicGroup(GroupModel):
         if self.n < 1:
             raise ValueError("cyclic order must be >= 1")
 
-    def _normalize(self, value):
+    def normalize(self, value):
         return int(value) % self.n
 
     def _op(self, a, b):
@@ -94,12 +98,12 @@ class CyclicGroup(GroupModel):
         return 0
 
     def haar_measure(self, subset: Iterable[int]) -> Fraction:
-        vals = {self._normalize(v) for v in subset}
+        vals = {self.normalize(v) for v in subset}
         return Fraction(len(vals), self.n)
 
     def translate_subset(self, subset: Iterable[int], g) -> frozenset:
-        g = self._normalize(getattr(g, "value", g))
-        return frozenset((self._normalize(v) + g) % self.n for v in subset)
+        g = self.normalize(getattr(g, "value", g))
+        return frozenset((self.normalize(v) + g) % self.n for v in subset)
 
     def elements(self) -> range:
         return range(self.n)
@@ -107,7 +111,7 @@ class CyclicGroup(GroupModel):
     def sample_uniform(self, region, rng: random.Random) -> GroupElement:
         if region is None:
             return GroupElement(self, rng.randrange(self.n))
-        vals = sorted({self._normalize(v) for v in region})
+        vals = sorted({self.normalize(v) for v in region})
         if not vals:
             raise UnsampleableError("cannot sample from an empty region")
         return GroupElement(self, vals[rng.randrange(len(vals))])
@@ -126,7 +130,7 @@ class ProductGroup(GroupModel):
         if not self.orders or any(n < 1 for n in self.orders):
             raise ValueError("orders must be a nonempty tuple of positive ints")
 
-    def _normalize(self, value):
+    def normalize(self, value):
         try:
             value = tuple(int(v) for v in value)
         except TypeError:
@@ -155,7 +159,7 @@ class ProductGroup(GroupModel):
         return total
 
     def haar_measure(self, subset) -> Fraction:
-        vals = {self._normalize(v) for v in subset}
+        vals = {self.normalize(v) for v in subset}
         return Fraction(len(vals), self.size)
 
     def elements(self):
@@ -171,7 +175,7 @@ class ProductGroup(GroupModel):
     def sample_uniform(self, region, rng: random.Random) -> GroupElement:
         if region is None:
             return GroupElement(self, tuple(rng.randrange(n) for n in self.orders))
-        vals = sorted({self._normalize(v) for v in region})
+        vals = sorted({self.normalize(v) for v in region})
         if not vals:
             raise UnsampleableError("cannot sample from an empty region")
         return GroupElement(self, vals[rng.randrange(len(vals))])
@@ -195,7 +199,7 @@ class RealLine(GroupModel):
         if self.lo >= self.hi:
             raise ValueError("window needs lo < hi")
 
-    def _normalize(self, value):
+    def normalize(self, value):
         return Fraction(value)
 
     def _op(self, a, b):
@@ -206,6 +210,9 @@ class RealLine(GroupModel):
 
     def _id(self):
         return Fraction(0)
+
+    def elements(self):
+        raise ValueError("the real line is not a finite group; use cyclic:N or product:AxB")
 
     def window_set(self) -> ConstructibleSet:
         return ConstructibleSet.interval(self.lo, self.hi)

@@ -17,10 +17,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
+from .cantor import IN, OUT, FatCantorSet
 from .constructible import ConstructibleSet
 from .errors import BudgetExceededError, UndecidedMembershipError
 from .rational import format_rational
-from .staged import IN, OUT, StagedSet
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SetSystem:
         finite group model."""
         ground = tuple(model.elements())
         index = {g: i for i, g in enumerate(ground)}
-        base_vals = [model._normalize(v) for v in base]
+        base_vals = [model.normalize(v) for v in base]
         seen = {}
         for g in ground:
             mask = 0
@@ -276,16 +276,16 @@ def sauer_shelah_table(system: SetSystem, d: int) -> tuple[bool, list[dict]]:
 
 def av(points: Iterable, predicate, budget: Optional[int] = None) -> Fraction:
     """Exact fraction of points lying in the set described by `predicate`
-    (a ConstructibleSet, a StagedSet with a stage budget, a plain collection,
-    or a callable).  Repeated points count with multiplicity."""
+    (a ConstructibleSet, a FatCantorSet with a stage budget, a plain
+    collection, or a callable).  Repeated points count with multiplicity."""
     points = list(points)
     if not points:
         raise ValueError("average over an empty point list")
     if isinstance(predicate, ConstructibleSet):
         member = predicate.contains
-    elif isinstance(predicate, StagedSet):
+    elif isinstance(predicate, FatCantorSet):
         if budget is None:
-            raise ValueError("a staged set needs a stage budget")
+            raise ValueError("a fat Cantor set needs a stage budget")
 
         def member(x):
             verdict = predicate.membership(x, budget)

@@ -1,21 +1,23 @@
 """Construction and independent verification of depth-n shattering
-certificates for a pair of disjoint open staged sets whose closures share a
-positive-measure core.
+certificates for the two parity branches of a fat Cantor set: disjoint open
+sets whose closures meet exactly in the positive-measure limit set.
 
 A depth-n certificate consists of translators g_0..g_{n-1} and points x_p,
 one per bit pattern p of length n, such that g_k + x_p lands strictly inside
 branch bit p[k] for every k and p.  All 2^n * n memberships are exact
-rational facts against concrete generator intervals, so a certificate can be
+rational facts against concrete removed middles, so a certificate can be
 re-checked without trusting anything the construction did.
 
 The construction proceeds level by level.  Points always stay on persistent
-core points (component endpoints): a new point for pattern p is the edge of
-a removed interval of branch p[level] lying inside its parent's component,
+limit points (component endpoints): a new point for pattern p is the edge of
+a removed middle of branch p[level] lying inside its parent's component,
 and the whole level shares one translator small enough to push every edge
-strictly into its adjacent interval.  The admissible translator range comes
-from a quantitative difference-set bound: if the core keeps measure f inside
-every length-L component and 2f > L, then for every |u| <= (2f - L)/2 the
-core meets its own u-translate inside that component in positive measure.
+strictly into its adjacent middle.  The admissible translator range comes
+from a quantitative difference-set bound: if the limit set keeps measure f
+inside every length-L component and 2f > L, then for every |u| <= (2f - L)/2
+it meets its own u-translate inside that component in positive measure.
+For removed scale s in (0, 1) the bound always applies: at stage m,
+f = (1 - s/2)/2^m and 2f - L = (1 - s/2 - s*2^-(m+1))/2^m > 0.
 Per-level slacks therefore shrink by a bounded factor per level (the next
 level's components must fit inside the current slack balls), which keeps
 stage depth singly exponential in the witness depth.
@@ -27,70 +29,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
 
-from .constructible import ConstructibleSet, Interval
-from .errors import (
-    BudgetExceededError,
-    InsufficientStageError,
-    QuantitativeRegimeError,
-    StageBudgetError,
-)
+from .cantor import FatCantorSet
+from .constructible import Interval
+from .errors import BudgetExceededError
 from .rational import format_rational, parse_rational
-from .staged import StagedSet
-
-
-@dataclass
-class BoundaryPair:
-    """Two disjoint open staged sets together with density data about the
-    shared frontier of their closures.
-
-    core is a decreasing staged over-approximation of cl(v0) ∩ cl(v1);
-    measure_floor is a certified lower bound on the limit core's measure.
-    component_floor(m) / component_length(m) describe how that measure is
-    spread over stage-m components, and child_gaps(lo, hi, from_stage, depth)
-    lists the removed intervals of both branches strictly inside a stage
-    component, as (branch, stage, interval) triples.  The last three are what
-    the witness engine needs at depth >= 2; pairs without them still support
-    depth-1 certificates.
-    """
-
-    v0: StagedSet
-    v1: StagedSet
-    window: tuple[Fraction, Fraction]
-    core: Optional[StagedSet] = None
-    measure_floor: Fraction = Fraction(0)
-    component_floor: Optional[Callable[[int], Fraction]] = None
-    component_length: Optional[Callable[[int], Fraction]] = None
-    child_gaps: Optional[Callable[[Fraction, Fraction, int, int], list]] = None
-
-    def branch(self, bit: int) -> StagedSet:
-        return self.v1 if bit else self.v0
-
-    @property
-    def window_length(self) -> Fraction:
-        return self.window[1] - self.window[0]
-
-    def engine_ready(self) -> bool:
-        return all(
-            x is not None
-            for x in (self.core, self.component_floor, self.component_length, self.child_gaps)
-        )
-
-    def validate_stages(self, upto: int) -> None:
-        """Exact sanity checks on materialized stages <= upto."""
-        for m in range(upto + 1):
-            s0, s1 = self.v0.stage(m), self.v1.stage(m)
-            for s in (s0, s1):
-                if s.points:
-                    raise AssertionError(f"branch stage {m} carries isolated points")
-                for iv in s.intervals:
-                    if iv.lo_closed or iv.hi_closed:
-                        raise AssertionError(f"branch stage {m} is not open: {iv}")
-            if not s0.intersection(s1).is_empty:
-                raise AssertionError(f"branches intersect at stage {m}")
-            if self.core is not None and self.core.stage(m).measure() < self.measure_floor:
-                raise AssertionError(f"core stage {m} dips below the measure floor")
 
 
 @dataclass(frozen=True)
@@ -179,63 +122,34 @@ class VerificationResult:
 
 
 # --------------------------------------------------------------------------
-# density / difference-set bookkeeping
+# difference-set bookkeeping
 
 
-def density_core_stage(pair: BoundaryPair, stage: int) -> tuple[ConstructibleSet, Fraction]:
-    """Stage-m over-approximation of the density core, plus the certified
-    per-component measure floor at that stage."""
-    if pair.core is None or pair.component_floor is None:
-        raise InsufficientStageError("pair declares no density core data")
-    if pair.measure_floor <= 0:
-        raise InsufficientStageError("measure floor is zero; nothing to certify")
-    floor = pair.component_floor(stage)
-    if floor <= 0:
-        raise InsufficientStageError(f"component floor at stage {stage} is not positive")
-    return pair.core.stage(stage), floor
-
-
-def steinhaus_neighborhood(pair: BoundaryPair, stage: int) -> tuple[Fraction, Fraction]:
+def steinhaus_neighborhood(fc: FatCantorSet) -> tuple[Fraction, Fraction]:
     """Quantitative difference-set neighborhood: returns (r, d) such that for
-    every |u| <= r the core meets its own u-translate in measure >= d.
+    every |u| <= r the limit set meets its own u-translate in measure >= d.
 
-    Requires the quantitative regime 2*floor > window length; outside it no
-    finite stage can certify the neighborhood.
+    With f the limit measure and w the window length, r = d = (2f - w)/2,
+    which is (1 - s)/2 > 0 for removed scale s.
     """
-    w = pair.window_length
-    f = pair.measure_floor
-    if 2 * f <= w:
-        raise QuantitativeRegimeError(
-            f"measure floor {f} is at most half the window length {w}"
-        )
-    if pair.core is not None and pair.core.stage_measure(stage) < f:
-        raise InsufficientStageError(f"core stage {stage} is below the declared floor")
-    r = (2 * f - w) / 2
+    lo, hi = fc.window
+    r = (2 * fc.limit_measure() - (hi - lo)) / 2
     return r, r
 
 
-def core_overlap(pair: BoundaryPair, stage: int, shift) -> tuple[Fraction, Fraction]:
-    """Exact measure of core-stage ∩ (core-stage + shift) together with the
-    certified floor 2*measure_floor - window - |shift| for the limit core."""
-    shift = Fraction(shift)
-    if pair.core is None:
-        raise InsufficientStageError("pair declares no core")
-    s = pair.core.stage(stage)
-    exact = s.intersection(s.translate(shift)).measure()
-    floor = 2 * pair.measure_floor - pair.window_length - abs(shift)
-    return exact, floor
-
-
-def _component_radius(pair: BoundaryPair, m: int) -> Fraction:
-    """Admissible shift radius from the per-component quantitative bound."""
-    f = pair.component_floor(m)
-    lam = pair.component_length(m)
-    rho = 2 * f - lam
-    if rho <= 0:
-        raise QuantitativeRegimeError(
-            f"component floor at stage {m} is at most half the component length"
-        )
-    return rho / 2
+def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, Fraction]]:
+    """For each shift u, the exact measure of K ∩ (K + u) for the stage set
+    K, together with the certified floor 2*limit - window - |u| for the
+    limit set.  K is built once for all shifts."""
+    core = fc.stage_set(stage)
+    lo, hi = fc.window
+    base = 2 * fc.limit_measure() - (hi - lo)
+    overlaps = []
+    for shift in shifts:
+        shift = Fraction(shift)
+        exact = core.intersection(core.translate(shift)).measure()
+        overlaps.append((exact, base - abs(shift)))
+    return overlaps
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +165,7 @@ def _cond_slack(value: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def construct_witness(
-    pair: BoundaryPair,
+    fc: FatCantorSet,
     depth: int,
     seed: int = 0,
     stage_budget: int = 2000,
@@ -259,14 +173,12 @@ def construct_witness(
 ) -> ShatterWitness:
     """Build a depth-n certificate level by level.
 
-    At each level the engine deepens the core filtration until every current
-    point's component fits strictly inside its slack ball (so old conditions
-    survive any choice within the component), then draws one small translator
-    and, per pattern, one removed-interval edge of the right branch inside
-    the parent component.  Raises BudgetExceededError with the deepest
-    completed level as partial witness when a budget runs out, and
-    QuantitativeRegimeError when depth >= 2 is requested without certifiable
-    density data.
+    At each level the engine deepens the stage until every current point's
+    component fits strictly inside its slack ball (so old conditions survive
+    any choice within the component), then draws one small translator and,
+    per pattern, one removed-middle edge of the right branch inside the
+    parent component.  Raises BudgetExceededError with the deepest completed
+    level as partial witness when a budget runs out.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -274,19 +186,9 @@ def construct_witness(
         raise ValueError("pool_depth below 2 cannot expose both branches")
     if depth == 0:
         return ShatterWitness(0, (), {}, 0, ())
-    if not pair.engine_ready() or pair.measure_floor * 2 <= pair.window_length:
-        if depth == 1:
-            return _direct_depth_one(pair, stage_budget)
-        if pair.measure_floor * 2 <= pair.window_length:
-            raise QuantitativeRegimeError(
-                "depth >= 2 needs a measure floor above half the window; "
-                f"got {pair.measure_floor} on window length {pair.window_length}"
-            )
-        raise InsufficientStageError("pair lacks local generator hooks for depth >= 2")
 
     rng = random.Random(f"witness/{seed}")
-    wlo, whi = pair.window
-    points: dict[str, Fraction] = {"": wlo}
+    points: dict[str, Fraction] = {"": fc.window[0]}
     conds: dict[tuple[int, str], tuple[Fraction, Interval, int]] = {}
     translators: list[Fraction] = []
     m = 0
@@ -305,8 +207,8 @@ def construct_witness(
             ]
             slack_by_pattern[pat] = min(slacks) if slacks else None
 
-        # Deepen until components fit inside every slack ball, are pairwise
-        # distinct, and keep the quantitative regime.
+        # Deepen until components fit inside every slack ball and are
+        # pairwise distinct.
         min_sigma = min((s for s in slack_by_pattern.values() if s is not None), default=None)
         while True:
             if m > stage_budget:
@@ -314,11 +216,11 @@ def construct_witness(
                     f"stage budget exhausted while separating level {level}",
                     partial=partial(level),
                 )
-            lam = pair.component_length(m)
+            lam = fc.component_length(m)
             if min_sigma is not None and lam >= min_sigma:
                 m += 1
                 continue
-            comps = {pat: pair.core.component_containing(points[pat], m) for pat in patterns}
+            comps = {pat: fc.component_of(points[pat], m) for pat in patterns}
             if any(c is None for c in comps.values()):
                 raise BudgetExceededError(
                     "a point left the core approximation", partial=partial(level)
@@ -326,17 +228,14 @@ def construct_witness(
             if len({(c.lo, c.hi) for c in comps.values()}) < len(patterns):
                 m += 1
                 continue
-            try:
-                radius = _component_radius(pair, m)
-            except QuantitativeRegimeError:
-                m += 1
-                continue
             break
+        # Admissible shift radius from the per-component quantitative bound.
+        radius = (2 * fc.component_limit_measure(m) - lam) / 2
 
         # One shared translator for the level, small enough to push any gap
         # edge of the pools strictly inside its gap, and well inside the
         # admissible difference-set radius.
-        pools = {pat: pair.child_gaps(comps[pat].lo, comps[pat].hi, m, pool_depth) for pat in patterns}
+        pools = {pat: fc.child_gaps(comps[pat].lo, comps[pat].hi, m, pool_depth) for pat in patterns}
         if any(not pool for pool in pools.values()):
             raise BudgetExceededError("a component exposes no child gaps", partial=partial(level))
         min_gap = min(iv.length for pool in pools.values() for _, _, iv in pool)
@@ -412,35 +311,13 @@ def _assemble(depth, translators, points, conds) -> ShatterWitness:
     return ShatterWitness(depth, tuple(translators), pts, stage_bound, conditions)
 
 
-def _direct_depth_one(pair: BoundaryPair, stage_budget: int) -> ShatterWitness:
-    """Depth 1 needs no difference-set machinery: put one point inside each
-    branch and use the zero translator."""
-    points = {}
-    conds = {}
-    for bit in (0, 1):
-        branch = pair.branch(bit)
-        found = None
-        for mm in range(stage_budget + 1):
-            st = branch.stage(mm)
-            if st.intervals:
-                found = (st.intervals[0], mm)
-                break
-        if found is None:
-            raise StageBudgetError(f"branch {bit} has no interval through {stage_budget}")
-        iv, mm = found
-        x = iv.midpoint
-        points[str(bit)] = x
-        conds[(0, str(bit))] = (x, iv, mm)
-    return _assemble(1, [Fraction(0)], points, conds)
-
-
 # --------------------------------------------------------------------------
 # verification
 
 
-def verify_witness(witness: ShatterWitness, pair: BoundaryPair) -> VerificationResult:
-    """Re-check every membership by exact arithmetic against the pair's own
-    generators; never consults the construction's recorded intervals."""
+def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationResult:
+    """Re-check every membership by exact arithmetic against the set's own
+    removal schedule; never consults the construction's recorded intervals."""
     failures = []
     expected = set(_bitstrings(witness.depth)) if witness.depth else set()
     if set(witness.points) != expected:
@@ -456,7 +333,7 @@ def verify_witness(witness: ShatterWitness, pair: BoundaryPair) -> VerificationR
         for k in range(witness.depth):
             bit = int(pattern[k])
             y = witness.translators[k] + x
-            iv = pair.branch(bit).component_containing(y, witness.stage_bound)
+            iv = fc.branch_gap_containing(y, bit, witness.stage_bound)
             if iv is None:
                 failures.append((k, pattern, f"{y} is not in branch {bit}"))
                 continue

@@ -20,7 +20,7 @@ F = Fraction
 def hit_oracle(model, base, points, g):
     # independent check that the translate g+X contains one of the points
     translate = {model.compose(g, v) for v in base}
-    return any(model._normalize(p) in translate for p in points)
+    return any(model.normalize(p) in translate for p in points)
 
 
 def test_trivial_families():

@@ -109,12 +109,20 @@ def test_translate_vcdim_cli(tmp_path):
     assert json.loads(out.read_text())["lower_bound"] == 2
 
 
-def test_border_sweep_with_jobs_matches_serial(tmp_path):
-    args = ["border-sweep", "--sets", "2", "--r-exponents", "4:6", "--seed", "5"]
-    code1, out1 = run(tmp_path, "b1.csv", args)
-    code2, out2 = run(tmp_path, "b2.csv", args + ["--jobs", "2"])
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["steinhaus", "--stage", "4"], "--shifts", "-1/100,1/20"),
+        (["border-sweep", "--sets", "2", "--r-exponents", "4:6"], "--window", "-1,1"),
+        (["translate-vcdim", "--set", "[0,1/4]"], "--window", "-1,1"),
+    ],
+    ids=["steinhaus", "border-sweep", "translate-vcdim"],
+)
+def test_negative_flag_value_parses_like_equals_form(tmp_path, argv, flag, value):
+    code1, spaced = run(tmp_path, "spaced.out", argv + [flag, value])
+    code2, joined = run(tmp_path, "joined.out", argv + [f"{flag}={value}"])
     assert code1 == code2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_config_mirrors_flags(tmp_path):
@@ -144,7 +152,9 @@ def test_config_values_pass_through_flag_types(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", [[{"trials": 5}], {"trails": 5}, {"config": "other.json"}], ids=["list", "unknown", "nested"]
+    "config",
+    [[{"trials": 5}], {"trails": 5}, {"config": "other.json"}, {"jobs": 2}],
+    ids=["list", "unknown", "nested", "jobs"],
 )
 def test_config_rejects_bad_shape_with_exit_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -164,6 +174,21 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "coordinate tuples" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["border-sweep", "--window", "0"], "window '0' must be two rationals"),
+        (["eps-approx", "--group", "reals:0,1"], "the real line is not a finite group"),
+        (["steinhaus", "--stage", "-1"], "stage must be >= 0"),
+    ],
+    ids=["border-sweep", "eps-approx", "steinhaus"],
+)
+def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

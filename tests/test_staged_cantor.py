@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from vclab.cantor import FatCantorSet, branch_of_stage
+from vclab.cantor import IN, OUT, FatCantorSet, branch_of_stage
 from vclab.constructible import ConstructibleSet
-from vclab.staged import IN, OUT, UNDECIDED, StagedSet
 
 F = Fraction
 
@@ -31,28 +30,40 @@ def test_stage_measures_against_series_oracle(fc):
 
 def test_stage_zero_and_monotonicity(fc):
     assert fc.stage_set(0) == ConstructibleSet.interval(0, 1)
-    fc.staged().check_monotone(8)
-    for branch in (0, 1):
-        fc.branch_staged(branch).check_monotone(8)
+    for m in range(8):
+        assert fc.stage_set(m + 1).is_subset(fc.stage_set(m))
+        for branch in (0, 1):
+            assert fc.branch_stage_set(branch, m).is_subset(fc.branch_stage_set(branch, m + 1))
+
+
+@pytest.mark.parametrize("scale", ["4/5", "2/3", "7/8", "38/39", "1/3"])
+def test_quantitative_regime_identities(scale):
+    # the witness engine relies on these without checking them at run time
+    s = F(scale)
+    fc = FatCantorSet(s)
+    limit = fc.limit_measure()
+    assert 2 * limit - 1 == 1 - s > 0
+    for m in range(65):
+        gap = 2 * fc.component_limit_measure(m) - fc.component_length(m)
+        assert gap == (1 - s / 2 - s / 2 ** (m + 1)) / 2**m > 0
+        assert fc.stage_measure(m) >= limit
 
 
 def test_lazy_membership_examples(fc):
-    staged = fc.staged()
-    assert staged.membership(F(1, 2), 1) == OUT
-    assert staged.membership(F(0), 1) == IN
-    assert staged.membership(F(1), 1) == IN
+    assert fc.membership(F(1, 2), 1) == OUT
+    assert fc.membership(F(0), 1) == IN
+    assert fc.membership(F(1), 1) == IN
     # gap endpoints persist
-    assert staged.membership(F(2, 5), 3) == IN
-    assert staged.membership(F(-1, 7), 1) == OUT
+    assert fc.membership(F(2, 5), 3) == IN
+    assert fc.membership(F(-1, 7), 1) == OUT
 
 
 def test_lazy_membership_soundness(fc):
-    staged = fc.staged()
     rng = random.Random("sound")
     deep = fc.stage_set(9)
     for _ in range(300):
         x = F(rng.randrange(0, 1009), 1008)
-        verdict = staged.membership(x, 3)
+        verdict = fc.membership(x, 3)
         if verdict == IN:
             assert deep.contains(x)
         elif verdict == OUT:
@@ -89,33 +100,17 @@ def test_parity_split(fc):
 
 
 def test_branch_membership(fc):
-    v0 = fc.branch_staged(0)
-    assert v0.membership(F(1, 2), 1) == IN  # inside the stage-1 middle
-    assert v0.membership(F(1, 5), 2) == OUT  # stage-2 middle belongs to branch 1
-    assert fc.branch_staged(1).membership(F(1, 5), 2) == IN
-    assert v0.membership(F(0), 5) == OUT
+    assert fc.branch_membership(0, F(1, 2), 1) == IN  # inside the stage-1 middle
+    assert fc.branch_membership(0, F(1, 5), 2) == OUT  # stage-2 middle belongs to branch 1
+    assert fc.branch_membership(1, F(1, 5), 2) == IN
+    assert fc.branch_membership(0, F(0), 5) == OUT
 
 
 def test_child_gaps_edges_persist(fc):
     gaps = fc.child_gaps(F(0), F(1), 0, 3)
     assert len(gaps) == 1 + 2 + 4
-    staged = fc.staged()
     for branch, stage, iv in gaps:
         assert branch == branch_of_stage(stage)
-        assert staged.membership(iv.lo, stage + 4) == IN
-        assert staged.membership(iv.hi, stage + 4) == IN
+        assert fc.membership(iv.lo, stage + 4) == IN
+        assert fc.membership(iv.hi, stage + 4) == IN
 
-
-def test_staged_declared_measure_mismatch_raises():
-    fc = FatCantorSet()
-    bad = StagedSet(fc.stage_set, "decreasing", stage_measure=lambda m: F(1, 2))
-    with pytest.raises(ValueError):
-        bad.stage(1)
-
-
-def test_generic_staged_defaults():
-    window = ConstructibleSet.interval(-1, 1, False, False)
-    const = StagedSet(lambda m: window, "increasing")
-    assert const.membership(F(0), 0) == IN
-    assert const.membership(F(2), 5) == UNDECIDED
-    assert const.component_containing(F(0), 0) == window.intervals[0]

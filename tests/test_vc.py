@@ -153,10 +153,10 @@ def test_av_examples():
     assert av([1, 2], {1, 2, 3}) == 1
     assert av([1, 1, 2], {1}) == F(2, 3)  # multiplicity counts
     fc = FatCantorSet()
-    assert av([F(0), F(1, 2)], fc.staged(), budget=1) == F(1, 2)
+    assert av([F(0), F(1, 2)], fc, budget=1) == F(1, 2)
     assert av([F(0), F(1, 2)], ConstructibleSet.interval(0, F(1, 4))) == F(1, 2)
     with pytest.raises(UndecidedMembershipError):
-        av([F(1, 3)], fc.staged(), budget=2)
+        av([F(1, 3)], fc, budget=2)
     with pytest.raises(ValueError):
         av([], {1})
 
