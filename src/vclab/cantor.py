@@ -66,9 +66,6 @@ class FatCantorSet:
     def window(self) -> tuple[Fraction, Fraction]:
         return (Fraction(0), Fraction(1))
 
-    def gap_length(self, stage: int) -> Fraction:
-        return self.removed_scale / 4**stage
-
     def stage_measure(self, m: int) -> Fraction:
         """Exact measure of stage m: 1 - (scale/2)(1 - 2^-m)."""
         return 1 - self.removed_scale / 2 * (1 - Fraction(1, 2**m))
@@ -146,12 +143,6 @@ class FatCantorSet:
         return (kind, budget, lo, hi, n, d)
 
     # -------------------------------------------------------- construction
-
-    def middle_gap(self, lo: Fraction, hi: Fraction, stage: int) -> tuple[Fraction, Fraction]:
-        """The open middle removed from component [lo, hi] at a stage."""
-        d, (lo, hi) = self._frame(stage - 1, lo, hi)
-        _, a, b, _ = self._split(lo, hi, self.removed_scale.numerator * d, stage)
-        return self._value(a, d, stage), self._value(b, d, stage)
 
     def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
         comps = [(0, 2 * self.removed_scale.denominator)]

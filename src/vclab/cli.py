@@ -83,7 +83,20 @@ def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
     parts = spec.split(",")
     if len(parts) != 2:
         raise ValueError(f"window {spec!r} must be two rationals lo,hi")
-    return parse_rational(parts[0]), parse_rational(parts[1])
+    lo, hi = parse_rational(parts[0]), parse_rational(parts[1])
+    if lo >= hi:
+        raise ValueError(f"window {spec!r} needs lo < hi")
+    return lo, hi
+
+
+def _parse_exponents(spec: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(v) for v in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"r-exponents {spec!r} must be two integers LO:HI") from None
+    if lo > hi:
+        raise ValueError(f"r-exponents {spec!r} needs LO <= HI")
+    return lo, hi
 
 
 # ----------------------------------------------------------------- commands
@@ -171,8 +184,8 @@ def cmd_border_sweep(args) -> int:
     rng = random.Random(f"{args.seed}/border-sweep")
     window = _parse_window(args.window)
     sets = [random_closed_union(rng, window) for _ in range(args.sets)]
-    lo_exp, hi_exp = (int(v) for v in args.r_exponents.split(":"))
-    radii = [Fraction(1, 2**j) for j in range(lo_exp, hi_exp + 1)]
+    lo_exp, hi_exp = _parse_exponents(args.r_exponents)
+    radii = [Fraction(1, 2) ** j for j in range(lo_exp, hi_exp + 1)]
     pad = window[1] - window[0]
     outer = (window[0] - pad, window[1] + pad)
     rows = border_decay_experiment(sets, radii, outer)

@@ -4,17 +4,31 @@ isolated rational points, with boolean algebra, topology and measure.
 Every endpoint is a Fraction; there is no floating point anywhere in this
 module, so set equality, measure and border computations are exact.  Values
 are immutable and canonical: two sets are equal iff their canonical forms
-are structurally equal.
+are structurally equal.  The canonical form lists the maximal components in
+increasing order, intervals (nondegenerate, pairwise neither overlapping nor
+touching) apart from points, and keeps a point only where it is isolated.
+
+Canonicalisation and the boolean operations share one coverage sweep over
+sweep keys.  The key (x, False) stands for x itself and (x, True) for the
+points just after x, so keys order the line as x < just-after-x < any y > x.
+A piece is a half-open range of keys: [a,b) is (a,False)..(b,False), (a,b]
+is (a,True)..(b,True) and the point {p} is (p,False)..(p,True); a degenerate
+open or half-open piece starts at or after its end and is empty.  The sweep
+counts coverage per operand at each key and records the keys where the
+combined membership flips; each pair of flips is one maximal component.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .rational import format_rational, parse_rational
 
@@ -98,40 +112,13 @@ class ConstructibleSet:
     @classmethod
     def from_pieces(cls, pieces: Iterable[Piece]) -> "ConstructibleSet":
         """Canonicalize an arbitrary collection of interval/point pieces."""
-        kept: list[Piece] = []
+        checked: list[Piece] = []
         for lo, hi, lc, hc in pieces:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo > hi:
                 raise ValueError(f"piece with lo > hi: {lo} > {hi}")
-            if lo == hi:
-                if lc and hc:
-                    kept.append((lo, hi, True, True))
-                continue  # degenerate open/half-open piece is empty
-            kept.append((lo, hi, lc, hc))
-        if not kept:
-            return cls()
-        kept.sort(key=lambda p: (p[0], not p[2], p[1]))
-        merged: list[list] = [list(kept[0])]
-        for lo, hi, lc, hc in kept[1:]:
-            cur = merged[-1]
-            touching = lo < cur[1] or (lo == cur[1] and (lc or cur[3]))
-            if touching:
-                if lo == cur[0]:
-                    cur[2] = cur[2] or lc
-                if hi > cur[1]:
-                    cur[1], cur[3] = hi, hc
-                elif hi == cur[1]:
-                    cur[3] = cur[3] or hc
-            else:
-                merged.append([lo, hi, lc, hc])
-        intervals = []
-        points = []
-        for lo, hi, lc, hc in merged:
-            if lo == hi:
-                points.append(lo)
-            else:
-                intervals.append(Interval(lo, hi, lc, hc))
-        return cls(tuple(intervals), tuple(points))
+            checked.append((lo, hi, lc, hc))
+        return _sweep((checked,), lambda a, b: a)
 
     # ------------------------------------------------------------- queries
 
@@ -147,8 +134,7 @@ class ConstructibleSet:
         i = bisect_right(self.points, x)
         if i > 0 and self.points[i - 1] == x:
             return True
-        los = [iv.lo for iv in self.intervals]
-        j = bisect_right(los, x)
+        j = bisect_right(self.intervals, x, key=attrgetter("lo"))
         if j > 0 and self.intervals[j - 1].contains(x):
             return True
         return False
@@ -160,9 +146,10 @@ class ConstructibleSet:
 
     def components(self) -> Iterator[Piece]:
         """Intervals and points in increasing order, points as degenerates."""
-        pieces = [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in self.intervals]
-        pieces += [(p, p, True, True) for p in self.points]
-        return iter(sorted(pieces))
+        return heapq.merge(
+            ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in self.intervals),
+            ((p, p, True, True) for p in self.points),
+        )
 
     def hull(self) -> tuple[Fraction, Fraction] | None:
         """(min, max) of the closure, or None when empty."""
@@ -182,79 +169,17 @@ class ConstructibleSet:
 
     # --------------------------------------------------- boolean operations
 
-    def _critical_points(self) -> list[Fraction]:
-        cps = set(self.points)
-        for iv in self.intervals:
-            cps.add(iv.lo)
-            cps.add(iv.hi)
-        return sorted(cps)
-
-    @staticmethod
-    def _rebuild(cps: list[Fraction], at_point: list[bool], on_gap: list[bool]) -> "ConstructibleSet":
-        """Reassemble a canonical set from memberships on a refined partition.
-
-        cps are the sorted critical points; at_point[i] is membership at
-        cps[i]; on_gap[i] is the constant membership on (cps[i], cps[i+1]).
-        Membership outside [cps[0], cps[-1]] must be False.
-        """
-        pieces: list[Piece] = []
-        n = len(cps)
-        run_start: tuple[int, str] | None = None  # (index, "point"|"gap")
-
-        def close_run(end_idx: int, end_kind: str):
-            si, skind = run_start
-            if skind == "point":
-                lo, lc = cps[si], True
-            else:
-                lo, lc = cps[si], False
-            if end_kind == "point":
-                hi, hc = cps[end_idx], True
-            else:
-                hi, hc = cps[end_idx + 1], False
-            pieces.append((lo, hi, lc, hc))
-
-        units: list[tuple[str, int, bool]] = []
-        for i in range(n):
-            units.append(("point", i, at_point[i]))
-            if i < n - 1:
-                units.append(("gap", i, on_gap[i]))
-        prev_kind = prev_idx = None
-        for kind, idx, val in units:
-            if val and run_start is None:
-                run_start = (idx, kind)
-            elif not val and run_start is not None:
-                close_run(prev_idx, prev_kind)
-                run_start = None
-            if val:
-                prev_kind, prev_idx = kind, idx
-        if run_start is not None:
-            close_run(prev_idx, prev_kind)
-        return ConstructibleSet.from_pieces(pieces)
-
-    def _combine(self, other: "ConstructibleSet", fn) -> "ConstructibleSet":
-        if fn(False, False):
-            raise ValueError("combination must map (out, out) to out")
-        cps = sorted(set(self._critical_points()) | set(other._critical_points()))
-        if not cps:
-            return ConstructibleSet()
-        at_point = [fn(self.contains(c), other.contains(c)) for c in cps]
-        on_gap = []
-        for a, b in zip(cps, cps[1:]):
-            mid = (a + b) / 2
-            on_gap.append(fn(self.contains(mid), other.contains(mid)))
-        return self._rebuild(cps, at_point, on_gap)
-
     def union(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        return self._combine(other, lambda a, b: a or b)
+        return _sweep((self.components(), other.components()), lambda a, b: a or b)
 
     def intersection(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        return self._combine(other, lambda a, b: a and b)
+        return _sweep((self.components(), other.components()), lambda a, b: a and b)
 
     def difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        return self._combine(other, lambda a, b: a and not b)
+        return _sweep((self.components(), other.components()), lambda a, b: a and not b)
 
     def symmetric_difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        return self._combine(other, lambda a, b: a != b)
+        return _sweep((self.components(), other.components()), lambda a, b: a != b)
 
     __or__ = union
     __and__ = intersection
@@ -388,6 +313,40 @@ class ConstructibleSet:
         ]
         pieces += [(parse_rational(p),) * 2 + (True, True) for p in data.get("points", [])]
         return cls.from_pieces(pieces)
+
+
+def _sweep(
+    operands: tuple[Iterable[Piece], ...], fn: Callable[[bool, bool], bool]
+) -> ConstructibleSet:
+    """The canonical set of points x with fn(x in operand 0, x in operand 1)
+    (a missing operand is empty); fn must map (False, False) to False.
+
+    Each piece becomes a start and an end event on the sweep keys of the
+    module docstring; one sort and one walk give the membership flips.
+    """
+    events = []
+    for side, pieces in enumerate(operands):
+        for lo, hi, lc, hc in pieces:
+            start, end = (lo, not lc), (hi, bool(hc))
+            if start < end:
+                events += ((start, side, 1), (end, side, -1))
+    events.sort()
+    counts = [0, 0]
+    inside = False
+    flips = []
+    for key, group in groupby(events, key=itemgetter(0)):
+        for _, side, delta in group:
+            counts[side] += delta
+        if fn(counts[0] > 0, counts[1] > 0) != inside:
+            inside = not inside
+            flips.append(key)
+    intervals, points = [], []
+    for (lo, lo_open), (hi, hi_closed) in zip(flips[::2], flips[1::2]):
+        if lo == hi:
+            points.append(lo)
+        else:
+            intervals.append(Interval(lo, hi, not lo_open, hi_closed))
+    return ConstructibleSet(tuple(intervals), tuple(points))
 
 
 _PART_RE = re.compile(r"^([\[\(])\s*([^,]+)\s*,\s*([^\]\)]+)\s*([\]\)])$")

@@ -182,8 +182,17 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["border-sweep", "--window", "0"], "window '0' must be two rationals"),
         (["eps-approx", "--group", "reals:0,1"], "the real line is not a finite group"),
         (["steinhaus", "--stage", "-1"], "stage must be >= 0"),
+        (["border-sweep", "--window", "1,0"], "window '1,0' needs lo < hi"),
+        (["border-sweep", "--window", "0,0"], "window '0,0' needs lo < hi"),
+        (["theorem5-report", "--set", "[0,1]", "--window", "1,0"], "window '1,0' needs lo < hi"),
+        (["translate-vcdim", "--set", "[0,1]", "--window", "1,0"], "window '1,0' needs lo < hi"),
+        (["border-sweep", "--r-exponents", "5"], "r-exponents '5' must be two integers LO:HI"),
+        (["border-sweep", "--r-exponents", "4:x"], "r-exponents '4:x' must be two integers LO:HI"),
+        (["border-sweep", "--r-exponents", "9:4"], "r-exponents '9:4' needs LO <= HI"),
     ],
-    ids=["border-sweep", "eps-approx", "steinhaus"],
+    ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
+         "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
+         "non-integer-exponent", "reversed-exponents"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

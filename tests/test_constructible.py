@@ -55,16 +55,42 @@ def test_boolean_laws_randomized():
         assert a.union(a) == a and a.intersection(a) == a
 
 
+def edge_probes(ends):
+    """Each end with a point just to either side, closer than the 1/1260
+    grid of `rset`."""
+    eps = F(1, 10**6)
+    return sorted(e + d for e in set(ends) for d in (-eps, 0, eps))
+
+
 def test_membership_matches_structure():
     rng = random.Random("member")
-    for _ in range(100)            :
+    ops = {
+        "union": lambda p, q: p or q,
+        "intersection": lambda p, q: p and q,
+        "difference": lambda p, q: p and not q,
+        "symmetric_difference": lambda p, q: p != q,
+    }
+    for _ in range(100):
         a, b = rset(rng), rset(rng)
-        u, i, d = a.union(b), a.intersection(b), a.difference(b)
-        for _ in range(40):
-            x = F(rng.randrange(-4000, 4001), 1000)
-            assert u.contains(x) == (a.contains(x) or b.contains(x))
-            assert i.contains(x) == (a.contains(x) and b.contains(x))
-            assert d.contains(x) == (a.contains(x) and not b.contains(x))
+        results = {name: getattr(a, name)(b) for name in ops}
+        probes = [F(rng.randrange(-4000, 4001), 1000) for _ in range(40)] + edge_probes(
+            e for s in (a, b) for lo, hi, _, _ in s.components() for e in (lo, hi)
+        )
+        for x in probes:
+            for name, fn in ops.items():
+                assert results[name].contains(x) == fn(a.contains(x), b.contains(x)), (name, x)
+    for _ in range(200):
+        pieces = []
+        for _ in range(rng.randrange(1, 6)):
+            lo, hi = sorted(F(rng.randrange(-8, 9), 4) for _ in range(2))
+            pieces.append((lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        s = ConstructibleSet.from_pieces(pieces)
+        for x in edge_probes(e for p in pieces for e in p[:2]):
+            covered = any(
+                (lo < x or (x == lo and lc)) and (x < hi or (x == hi and hc))
+                for lo, hi, lc, hc in pieces
+            )
+            assert s.contains(x) == covered, (pieces, x)
 
 
 def test_border_examples():
