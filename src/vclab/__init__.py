@@ -4,9 +4,7 @@ pairs, and border-measure experiments."""
 
 from .approx import (
     ApproxResult,
-    ExplicitFamily,
     FiniteTranslateFamily,
-    ProbeTranslateFamily,
     covering_check,
     epsilon_approximation,
     hitting_set_for_translates,
@@ -34,18 +32,15 @@ from .counterexample import (
 from .errors import (
     BudgetExceededError,
     HittingSetError,
-    ModelMismatchError,
     UndecidedMembershipError,
     UnsampleableError,
     VCLabError,
 )
 from .groups import (
     CyclicGroup,
-    GroupElement,
     GroupModel,
     ProductGroup,
     RealLine,
-    model_from_descriptor,
     parse_model_spec,
 )
 from .rational import format_rational, parse_rational

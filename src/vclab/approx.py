@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .constructible import ConstructibleSet
 from .errors import HittingSetError, UnsampleableError
 from .groups import CyclicGroup, GroupModel
 from .rational import format_rational
@@ -41,10 +40,6 @@ class FiniteTranslateFamily:
                 frozenset(self.model.compose(g, v) for v in self.base)
                 for g in self.model.elements()
             ]
-
-    @property
-    def is_empty(self) -> bool:
-        return False
 
     def member_measure(self) -> Fraction:
         return self.model.haar_measure(self.base)
@@ -124,71 +119,10 @@ def _circular_arcs(vals: list[int], n: int) -> list[tuple[int, int]]:
 
 
 @dataclass
-class ExplicitFamily:
-    """A finite explicit family over a finite group, with exact measures."""
-
-    model: GroupModel
-    sets: tuple[frozenset, ...]
-
-    def __init__(self, model: GroupModel, sets: Iterable[Iterable]):
-        self.model = model
-        self.sets = tuple(frozenset(model.normalize(v) for v in s) for s in sets)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.sets
-
-    def sup_deviation(self, sample: Sequence) -> Fraction:
-        # Empty family deviates by 0, by convention.
-        if not self.sets:
-            return Fraction(0)
-        n_samp = len(sample)
-        vals = [self.model.normalize(p) for p in sample]
-        best = Fraction(0)
-        for s in self.sets:
-            hits = sum(1 for p in vals if p in s)
-            best = max(best, abs(Fraction(hits, n_samp) - self.model.haar_measure(s)))
-        return best
-
-
-@dataclass
-class ProbeTranslateFamily:
-    """Translates of a constructible set on the line: not enumerable, so the
-    deviation is taken over a configured probe set of translators only and
-    results carry exact=False."""
-
-    model: GroupModel
-    base: "ConstructibleSet"
-    probes: tuple
-
-    exact = False
-
-    def __post_init__(self):
-        self.probes = tuple(Fraction(p) for p in self.probes)
-        if not self.probes:
-            raise ValueError("a probe family needs at least one probe translator")
-
-    @property
-    def is_empty(self) -> bool:
-        return False
-
-    def sup_deviation(self, sample: Sequence) -> Fraction:
-        mu = self.base.measure()
-        n_samp = len(sample)
-        best = Fraction(0)
-        for g in self.probes:
-            shifted = self.base.translate(g)
-            hits = sum(1 for p in sample if shifted.contains(Fraction(p)))
-            best = max(best, abs(Fraction(hits, n_samp) - mu))
-        return best
-
-
-@dataclass
 class ApproxResult:
     points: list
     sup_deviation: Fraction
     success: bool
-    exact: bool = True
 
 
 def epsilon_approximation(
@@ -201,10 +135,9 @@ def epsilon_approximation(
         raise ValueError("epsilon must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    points = [model.sample_uniform(None, rng).value for _ in range(n_samples)]
+    points = [model.sample_uniform(None, rng) for _ in range(n_samples)]
     dev = family.sup_deviation(points)
-    exact = getattr(family, "exact", True)
-    return ApproxResult(points, dev, dev < epsilon, exact)
+    return ApproxResult(points, dev, dev < epsilon)
 
 
 @dataclass
@@ -298,7 +231,7 @@ def hitting_set_for_translates(
         n_points = max(1, math.ceil(math.log(max(len(translators), 2)) / float(epsilon)))
     last_missed = None
     for _ in range(retries):
-        points = [model.sample_uniform(None, rng).value for _ in range(n_points)]
+        points = [model.sample_uniform(None, rng) for _ in range(n_points)]
         ok, missed = covering_check(base_vals, points, translators, model)
         if ok:
             return points

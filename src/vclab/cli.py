@@ -33,7 +33,7 @@ from .counterexample import counterexample_points, matched_budget_points, no_sha
 from .errors import BudgetExceededError, HittingSetError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
-from .vc import dual_vc_dimension, translate_vc_dimension, vc_dimension
+from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
@@ -89,6 +89,12 @@ def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _require_positive(name: str, count: int):
+    """A run over no sets, trials or triples would check nothing."""
+    if count < 1:
+        raise ValueError(f"--{name} must be >= 1, got {count}")
+
+
 def _parse_exponents(spec: str) -> tuple[int, int]:
     try:
         lo, hi = (int(v) for v in spec.split(":"))
@@ -105,8 +111,6 @@ def _parse_exponents(spec: str) -> tuple[int, int]:
 def cmd_vcdim(args) -> int:
     model = parse_model_spec(args.group)
     base = _parse_base_set(args.set, model)
-    from .vc import SetSystem
-
     system = SetSystem.from_translates(model, base)
     d, report = vc_dimension(system)
     dual, dual_witness = dual_vc_dimension(system)
@@ -129,6 +133,7 @@ def cmd_vcdim(args) -> int:
 
 
 def cmd_eps_approx(args) -> int:
+    _require_positive("trials", args.trials)
     model = parse_model_spec(args.group)
     family = FiniteTranslateFamily(model, range(args.arc))
     epsilon = parse_rational(args.epsilon)
@@ -167,7 +172,12 @@ def cmd_steinhaus(args) -> int:
 
 def cmd_witness(args) -> int:
     fc = FatCantorSet(parse_rational(args.removed_scale))
-    witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)
+    spent = None
+    try:
+        witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)
+    except BudgetExceededError as exc:
+        # The deepest completed level is still a certificate; keep it.
+        witness, spent = exc.partial, exc
     result = verify_witness(witness, fc)
     _emit(witness.dumps(), _out_path(args, "witness.json"))
     print(
@@ -177,10 +187,19 @@ def cmd_witness(args) -> int:
     if not result.ok:
         for failure in result.failures[:5]:
             print(f"  failed: {failure}", file=sys.stderr)
-    return 0 if result.ok else 1
+        return 1
+    if spent is not None:
+        print(
+            f"budget exhausted: {spent}; wrote the partial certificate of depth "
+            f"{witness.depth} (asked for {args.depth})",
+            file=sys.stderr,
+        )
+        return 3
+    return 0
 
 
 def cmd_border_sweep(args) -> int:
+    _require_positive("sets", args.sets)
     rng = random.Random(f"{args.seed}/border-sweep")
     window = _parse_window(args.window)
     sets = [random_closed_union(rng, window) for _ in range(args.sets)]
@@ -199,6 +218,7 @@ def cmd_border_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _require_positive("triples", args.triples)
     fc = FatCantorSet(parse_rational(args.removed_scale))
     if args.matched is not None:
         cx = matched_budget_points(fc, args.matched)

@@ -215,7 +215,7 @@ class ConstructibleSet:
     # ------------------------------------------------------------- algebra
 
     def translate(self, g) -> "ConstructibleSet":
-        g = Fraction(getattr(g, "value", g))
+        g = Fraction(g)
         intervals = tuple(
             Interval(iv.lo + g, iv.hi + g, iv.lo_closed, iv.hi_closed) for iv in self.intervals
         )

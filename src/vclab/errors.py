@@ -5,10 +5,6 @@ class VCLabError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ModelMismatchError(VCLabError):
-    """Two group elements do not live in the same group model."""
-
-
 class UnsampleableError(VCLabError):
     """Requested a uniform sample from a zero-measure region."""
 

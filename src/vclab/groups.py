@@ -13,48 +13,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .constructible import ConstructibleSet
-from .errors import ModelMismatchError, UnsampleableError
+from .errors import UnsampleableError
 from .rational import format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A value tagged with the model it lives in."""
-
-    model: "GroupModel"
-    value: object
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.model.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.model.inverse(self)
-
-    def __repr__(self):
-        return f"<{self.value} in {self.model.describe()}>"
-
-
 class GroupModel:
-    """Shared behaviour: validation, element wrapping, axioms."""
-
-    def element(self, value) -> GroupElement:
-        return GroupElement(self, self.normalize(value))
-
-    def _check_same(self, *elems: GroupElement):
-        for e in elems:
-            if not isinstance(e, GroupElement) or e.model != self:
-                raise ModelMismatchError(f"{e!r} does not belong to {self.describe()}")
-
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check_same(g, h)
-        return GroupElement(self, self._op(g.value, h.value))
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        self._check_same(g)
-        return GroupElement(self, self._inv(g.value))
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self._id())
+    """Shared behaviour of the models.  Elements are raw values: ints for
+    cyclic groups, coordinate tuples for products, Fractions on the line."""
 
     def compose(self, a, b):
         """Group operation on raw values."""
@@ -71,7 +36,9 @@ class GroupModel:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def sample_uniform(self, region, rng: random.Random) -> GroupElement:
+    def sample_uniform(self, region, rng: random.Random):
+        """A uniform draw from `region` (the whole group when None), as a
+        normalized raw value."""
         raise NotImplementedError
 
 
@@ -94,7 +61,7 @@ class CyclicGroup(GroupModel):
     def _inv(self, a):
         return (-a) % self.n
 
-    def _id(self):
+    def identity(self):
         return 0
 
     def haar_measure(self, subset: Iterable[int]) -> Fraction:
@@ -102,19 +69,19 @@ class CyclicGroup(GroupModel):
         return Fraction(len(vals), self.n)
 
     def translate_subset(self, subset: Iterable[int], g) -> frozenset:
-        g = self.normalize(getattr(g, "value", g))
+        g = self.normalize(g)
         return frozenset((self.normalize(v) + g) % self.n for v in subset)
 
     def elements(self) -> range:
         return range(self.n)
 
-    def sample_uniform(self, region, rng: random.Random) -> GroupElement:
+    def sample_uniform(self, region, rng: random.Random) -> int:
         if region is None:
-            return GroupElement(self, rng.randrange(self.n))
+            return rng.randrange(self.n)
         vals = sorted({self.normalize(v) for v in region})
         if not vals:
             raise UnsampleableError("cannot sample from an empty region")
-        return GroupElement(self, vals[rng.randrange(len(vals))])
+        return vals[rng.randrange(len(vals))]
 
     def describe(self) -> dict:
         return {"kind": "cyclic", "n": self.n}
@@ -148,7 +115,7 @@ class ProductGroup(GroupModel):
     def _inv(self, a):
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
-    def _id(self):
+    def identity(self):
         return (0,) * len(self.orders)
 
     @property
@@ -172,13 +139,13 @@ class ProductGroup(GroupModel):
 
         return rec([], list(self.orders))
 
-    def sample_uniform(self, region, rng: random.Random) -> GroupElement:
+    def sample_uniform(self, region, rng: random.Random) -> tuple:
         if region is None:
-            return GroupElement(self, tuple(rng.randrange(n) for n in self.orders))
+            return tuple(rng.randrange(n) for n in self.orders)
         vals = sorted({self.normalize(v) for v in region})
         if not vals:
             raise UnsampleableError("cannot sample from an empty region")
-        return GroupElement(self, vals[rng.randrange(len(vals))])
+        return vals[rng.randrange(len(vals))]
 
     def describe(self) -> dict:
         return {"kind": "product", "orders": list(self.orders)}
@@ -208,7 +175,7 @@ class RealLine(GroupModel):
     def _inv(self, a):
         return -a
 
-    def _id(self):
+    def identity(self):
         return Fraction(0)
 
     def elements(self):
@@ -220,7 +187,7 @@ class RealLine(GroupModel):
     def haar_measure(self, subset: ConstructibleSet) -> Fraction:
         return subset.measure()
 
-    def sample_uniform(self, region, rng: random.Random, denom_bits: int = 53) -> GroupElement:
+    def sample_uniform(self, region, rng: random.Random, denom_bits: int = 53) -> Fraction:
         if region is None:
             region = self.window_set()
         total = region.measure()
@@ -239,26 +206,13 @@ class RealLine(GroupModel):
                 break
         k = rng.randrange(1, scale)
         x = chosen.lo + chosen.length * Fraction(k, scale)
-        return GroupElement(self, x)
+        return x
 
     def describe(self) -> dict:
         return {
             "kind": "reals",
             "window": [format_rational(self.lo), format_rational(self.hi)],
         }
-
-
-def model_from_descriptor(data: dict) -> GroupModel:
-    """Build a model from its JSON descriptor, e.g. {"kind":"cyclic","n":12}."""
-    kind = data.get("kind")
-    if kind == "cyclic":
-        return CyclicGroup(int(data["n"]))
-    if kind == "product":
-        return ProductGroup(tuple(int(n) for n in data["orders"]))
-    if kind == "reals":
-        lo, hi = data.get("window", ["0", "1"])
-        return RealLine(parse_rational(str(lo)), parse_rational(str(hi)))
-    raise ValueError(f"unknown group descriptor kind: {kind!r}")
 
 
 def parse_model_spec(spec: str) -> GroupModel:

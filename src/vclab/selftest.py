@@ -24,16 +24,16 @@ def check_group_axioms() -> bool:
     rng = random.Random("axioms")
     models = [CyclicGroup(12), ProductGroup((2, 3, 5)), RealLine(0, 1)]
     for model in models:
-        e = model.identity()
+        op, e = model.compose, model.identity()
         for _ in range(1000):
             g = model.sample_uniform(None, rng)
             h = model.sample_uniform(None, rng)
             k = model.sample_uniform(None, rng)
-            if (g * h) * k != g * (h * k):
+            if op(op(g, h), k) != op(g, op(h, k)):
                 return False
-            if g * e != g or e * g != g:
+            if op(g, e) != g or op(e, g) != g:
                 return False
-            if g * g.inverse() != e:
+            if op(g, model.invert(g)) != e:
                 return False
     return True
 

@@ -300,7 +300,7 @@ def av(points: Iterable, predicate, budget: Optional[int] = None) -> Fraction:
     else:
         values = set(predicate)
         member = lambda x: x in values
-    hits = sum(1 for p in points if member(getattr(p, "value", p)))
+    hits = sum(1 for p in points if member(p))
     return Fraction(hits, len(points))
 
 

@@ -182,6 +182,8 @@ def construct_witness(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if stage_budget < 0:
+        raise ValueError("stage budget must be >= 0")
     if pool_depth < 2:
         raise ValueError("pool_depth below 2 cannot expose both branches")
     if depth == 0:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from vclab.approx import (
-    ExplicitFamily,
     FiniteTranslateFamily,
     covering_check,
     epsilon_approximation,
@@ -25,15 +24,13 @@ def hit_oracle(model, base, points, g):
 
 def test_trivial_families():
     z = CyclicGroup(100)
-    whole = ExplicitFamily(z, [range(100)])
+    whole = FiniteTranslateFamily(z, range(100))
     res = epsilon_approximation(z, whole, F(1, 2), 1, random.Random(0))
     assert res.sup_deviation == 0 and res.success
-    both = ExplicitFamily(z, [range(0), range(100)])
-    res = epsilon_approximation(z, both, F(1, 2), 7, random.Random(0))
-    assert res.sup_deviation == 0
-    # empty family deviates by 0, by convention
-    none = ExplicitFamily(z, [])
-    assert none.sup_deviation([1, 2, 3]) == 0
+    # every translate of the empty set is empty, so no sample deviates
+    empty = FiniteTranslateFamily(z, [])
+    res = epsilon_approximation(z, empty, F(1, 2), 7, random.Random(0))
+    assert res.sup_deviation == 0 == empty.sup_deviation_naive(res.points)
 
 
 def test_fast_path_matches_naive_recount():
@@ -137,18 +134,3 @@ def test_success_recomputed_independently():
     fam = FiniteTranslateFamily(z, range(150))
     res = epsilon_approximation(z, fam, F(1, 10), 600, random.Random("dual-route"))
     assert res.sup_deviation == fam.sup_deviation_naive(res.points)
-
-
-def test_probe_family_flagged_approximate():
-    from vclab.approx import ProbeTranslateFamily
-    from vclab.constructible import ConstructibleSet
-    from vclab.groups import RealLine
-
-    reals = RealLine(0, 1)
-    base = ConstructibleSet.interval(0, F(1, 4))
-    fam = ProbeTranslateFamily(reals, base, probes=[F(0), F(1, 4), F(1, 2)])
-    res = epsilon_approximation(reals, fam, F(1, 2), 40, random.Random("probe"))
-    assert not res.exact
-    assert 0 <= res.sup_deviation <= 1
-    with pytest.raises(ValueError):
-        ProbeTranslateFamily(reals, base, probes=[])

@@ -30,10 +30,15 @@ def test_witness_roundtrip_through_cli(tmp_path):
     assert verify_witness(witness, FatCantorSet().boundary_pair()).ok
 
 
-def test_witness_budget_exhaustion_exits_3(tmp_path):
+def test_witness_budget_exhaustion_exits_3(tmp_path, capsys):
     code = main(["witness", "--depth", "6", "--stage-budget", "10",
                  "--out", str(tmp_path / "w.json")])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "depth 2 (asked for 6)" in err and err.count("\n") == 1
+    partial = ShatterWitness.loads((tmp_path / "w.json").read_text())
+    assert 0 < partial.depth < 6
+    assert verify_witness(partial, FatCantorSet()).ok
 
 
 def test_vcdim_prints_dimension(tmp_path, capsys):
@@ -189,10 +194,17 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["border-sweep", "--r-exponents", "5"], "r-exponents '5' must be two integers LO:HI"),
         (["border-sweep", "--r-exponents", "4:x"], "r-exponents '4:x' must be two integers LO:HI"),
         (["border-sweep", "--r-exponents", "9:4"], "r-exponents '9:4' needs LO <= HI"),
+        (["border-sweep", "--sets", "0"], "--sets must be >= 1, got 0"),
+        (["border-sweep", "--sets", "-1"], "--sets must be >= 1, got -1"),
+        (["counterexample", "--triples", "0"], "--triples must be >= 1, got 0"),
+        (["counterexample", "--triples", "-5"], "--triples must be >= 1, got -5"),
+        (["eps-approx", "--trials", "0", "--schedule", "10"], "--trials must be >= 1, got 0"),
+        (["witness", "--depth", "3", "--stage-budget", "-1"], "stage budget must be >= 0"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
-         "non-integer-exponent", "reversed-exponents"],
+         "non-integer-exponent", "reversed-exponents", "no-sets", "negative-sets", "no-triples",
+         "negative-triples", "no-trials", "negative-stage-budget"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
