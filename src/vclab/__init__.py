@@ -19,7 +19,7 @@ from .border import (
     random_closed_union,
     random_constructible,
 )
-from .cantor import IN, OUT, UNDECIDED, FatCantorSet, branch_of_stage
+from .cantor import FatCantorSet, branch_of_stage
 from .constructible import ConstructibleSet, Interval, locally_positive_measure, parse_set
 from .counterexample import (
     CounterexamplePoints,
@@ -32,7 +32,6 @@ from .counterexample import (
 from .errors import (
     BudgetExceededError,
     HittingSetError,
-    UndecidedMembershipError,
     UnsampleableError,
     VCLabError,
 )
@@ -48,10 +47,8 @@ from .vc import (
     SetSystem,
     ShatterReport,
     TranslateVCReport,
-    av,
     dual_vc_dimension,
     interesting_grid,
-    is_shattered,
     sauer_shelah_table,
     translate_vc_dimension,
     vc_dimension,

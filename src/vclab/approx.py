@@ -135,7 +135,7 @@ def epsilon_approximation(
         raise ValueError("epsilon must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    points = [model.sample_uniform(None, rng) for _ in range(n_samples)]
+    points = [model.sample_uniform(rng) for _ in range(n_samples)]
     dev = family.sup_deviation(points)
     return ApproxResult(points, dev, dev < epsilon)
 
@@ -162,7 +162,6 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
     smallest_passing: Optional[int] = None
-    threshold: Fraction = Fraction(19, 20)
 
     def smoothed_rates(self) -> list[Fraction]:
         """Running-maximum smoothing of the empirical success curve."""
@@ -199,7 +198,7 @@ def sample_complexity_sweep(
                 successes += 1
         result.rows.append(SweepRow(n_samples, trials, successes, min(devs), max(devs)))
     for row, rate in zip(result.rows, result.smoothed_rates()):
-        if rate >= result.threshold:
+        if rate >= Fraction(19, 20):
             result.smallest_passing = row.n_samples
             break
     return result
@@ -231,7 +230,7 @@ def hitting_set_for_translates(
         n_points = max(1, math.ceil(math.log(max(len(translators), 2)) / float(epsilon)))
     last_missed = None
     for _ in range(retries):
-        points = [model.sample_uniform(None, rng) for _ in range(n_points)]
+        points = [model.sample_uniform(rng) for _ in range(n_points)]
         ok, missed = covering_check(base_vals, points, translators, model)
         if ok:
             return points

@@ -45,19 +45,16 @@ def boundary_point_count(a: ConstructibleSet) -> int:
     return 2 * len(a.intervals) + len(a.points)
 
 
-def random_closed_union(
-    rng: random.Random,
-    window: tuple[Fraction, Fraction],
-    max_components: int = 6,
-    grid: int = 720720,
-) -> ConstructibleSet:
-    """A random union of disjoint closed intervals strictly inside the
-    window (margins keep window-edge artifacts out of decay bounds)."""
+def random_closed_union(rng: random.Random, window: tuple[Fraction, Fraction]) -> ConstructibleSet:
+    """A random union of one to six disjoint closed intervals strictly inside
+    the window (margins keep window-edge artifacts out of decay bounds), with
+    ends on a grid of 720720 steps."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     span = hi - lo
     inner_lo = lo + span / 8
     inner_hi = hi - span / 8
-    k = rng.randrange(1, max_components + 1)
+    grid = 720720
+    k = rng.randrange(1, 7)
     ticks = sorted(rng.sample(range(1, grid), 2 * k))
     pieces = []
     for i in range(0, 2 * k, 2):
@@ -152,11 +149,11 @@ def density_report(x: ConstructibleSet, window=None) -> DensityReport:
     return DensityReport(hyp_set, hyp_complement, border_measure, identity_holds, consistent)
 
 
-def random_constructible(
-    rng: random.Random, window: tuple[Fraction, Fraction], grid: int = 5040
-) -> ConstructibleSet:
+def random_constructible(rng: random.Random, window: tuple[Fraction, Fraction]) -> ConstructibleSet:
     """A random canonical set inside the window: a few intervals with random
-    open/closed ends plus a few isolated points."""
+    open/closed ends plus a few isolated points, all ends on a grid of 5040
+    steps."""
+    grid = 5040
     lo, hi = Fraction(window[0]), Fraction(window[1])
     span = hi - lo
     pieces = []

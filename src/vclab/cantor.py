@@ -35,10 +35,6 @@ from typing import Iterator, Optional
 
 from .constructible import ConstructibleSet, Interval
 
-# Answers of the three-valued membership queries.
-IN, OUT, UNDECIDED = "in", "out", "undecided"
-
-
 def branch_of_stage(stage: int) -> int:
     """Which of the two open branches a stage's removed middles feed."""
     return 0 if stage % 2 == 1 else 1
@@ -234,28 +230,6 @@ class FatCantorSet:
             for s, gaps, _ in self._refine([comp], half, from_stage + 1, from_stage + depth)
             for a, b in gaps
         ]
-
-    # ---------------------------------------------------------- membership
-
-    def membership(self, x, budget: int) -> str:
-        """Sound three-valued membership in the limit set: OUT once x falls
-        outside [0, 1] or into a removed middle, IN once it is a component
-        endpoint (endpoints are never removed later), UNDECIDED if neither
-        shows within `budget` stages."""
-        kind = self.descend(x, budget)[0]
-        if kind in ("outside", "gap"):
-            return OUT
-        return IN if kind == "endpoint" else UNDECIDED
-
-    def branch_membership(self, branch: int, x, budget: int) -> str:
-        """Sound three-valued membership in one open branch: the union of
-        the removed middles of every stage of that parity."""
-        res = self.descend(x, budget)
-        if res[0] == "gap":
-            return IN if branch_of_stage(res[1]) == branch else OUT
-        if res[0] in ("outside", "endpoint"):
-            return OUT
-        return UNDECIDED
 
     def boundary_pair(self) -> "FatCantorSet":
         """The set itself: the witness engine reads its two parity branches

@@ -70,13 +70,21 @@ def _csv_text(fieldnames, rows) -> str:
     return buf.getvalue()
 
 
-def _parse_base_set(spec: str, model):
+def _parse_base_set(spec: str):
+    """arc:K is {0, ..., K-1} and list:a,b,c the listed integers."""
     kind, _, rest = spec.partition(":")
-    if kind == "arc":
-        return range(int(rest))
-    if kind == "list":
-        return [int(v) for v in rest.split(",") if v != ""]
-    raise ValueError(f"unknown set spec {spec!r} (use arc:K or list:a,b,c)")
+    try:
+        if kind == "arc":
+            base = range(int(rest))
+        elif kind == "list":
+            base = [int(v) for v in rest.split(",") if v != ""]
+        else:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"set spec {spec!r} must be arc:K or list:a,b,c with integers") from None
+    if not base:
+        raise ValueError(f"set spec {spec!r} is empty, and so is every translate of it")
+    return base
 
 
 def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
@@ -95,6 +103,16 @@ def _require_positive(name: str, count: int):
         raise ValueError(f"--{name} must be >= 1, got {count}")
 
 
+def _parse_schedule(spec: str) -> list[int]:
+    try:
+        sizes = [int(v) for v in spec.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--schedule {spec!r} must be comma-separated integers >= 1")
+    return sizes
+
+
 def _parse_exponents(spec: str) -> tuple[int, int]:
     try:
         lo, hi = (int(v) for v in spec.split(":"))
@@ -108,25 +126,45 @@ def _parse_exponents(spec: str) -> tuple[int, int]:
 # ----------------------------------------------------------------- commands
 
 
+def _shatter_json(system, report) -> dict:
+    """The report with the translator behind each witnessing row."""
+    out = report.to_json()
+    out["witness_translators"] = {
+        pattern: (None if row is None else system.row_labels[row])
+        for pattern, row in out["witnesses"].items()
+    }
+    return out
+
+
 def cmd_vcdim(args) -> int:
     model = parse_model_spec(args.group)
-    base = _parse_base_set(args.set, model)
+    base = _parse_base_set(args.set)
     system = SetSystem.from_translates(model, base)
-    d, report = vc_dimension(system)
-    dual, dual_witness = dual_vc_dimension(system)
-    report_json = report.to_json()
-    report_json["witness_translators"] = {
-        pattern: (None if row is None else system.row_labels[row])
-        for pattern, row in report_json["witnesses"].items()
-    }
-    payload = {
-        "group": model.describe(),
-        "base_set": sorted(model.normalize(v) for v in base),
-        "vc_dimension": d,
-        "dual_vc_dimension": dual,
-        "dual_witness_translators": [system.row_labels[i] for i in dual_witness],
-        "shatter_report": report_json,
-    }
+    payload = {"group": model.describe(), "base_set": sorted(model.normalize(v) for v in base)}
+    try:
+        d, report = vc_dimension(system)
+    except BudgetExceededError as exc:
+        # The spent search still proved a lower bound; write it with its witness.
+        payload.update(
+            vc_dimension_lower_bound=exc.lower_bound,
+            shatter_report=_shatter_json(system, exc.partial),
+        )
+        _emit(_json_text(payload), _out_path(args, "vcdim.json"))
+        print(
+            f"budget exhausted: {exc}; wrote the partial report "
+            f"(VC dimension >= {exc.lower_bound})",
+            file=sys.stderr,
+        )
+        return 3
+    # A translate family's dual is the family of translates of the reflected
+    # base set, so this search takes about as long as the one above.
+    dual, dual_rows = dual_vc_dimension(system)
+    payload.update(
+        vc_dimension=d,
+        shatter_report=_shatter_json(system, report),
+        dual_vc_dimension=dual,
+        dual_witness_translators=[system.row_labels[i] for i in dual_rows],
+    )
     print(d)
     _emit(_json_text(payload), _out_path(args, "vcdim.json"))
     return 0
@@ -134,10 +172,11 @@ def cmd_vcdim(args) -> int:
 
 def cmd_eps_approx(args) -> int:
     _require_positive("trials", args.trials)
+    _require_positive("arc", args.arc)
+    schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
     family = FiniteTranslateFamily(model, range(args.arc))
     epsilon = parse_rational(args.epsilon)
-    schedule = [int(v) for v in args.schedule.split(",")]
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     rows = [r.to_csv() for r in sweep.rows]
     fieldnames = ["N", "trials", "successes", "min_sup_deviation", "max_sup_deviation"]

@@ -21,7 +21,6 @@ combined membership flips; each pair of flips is one maximal component.
 from __future__ import annotations
 
 import heapq
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -106,10 +105,6 @@ class ConstructibleSet:
         return cls.from_pieces([(lo, hi, lo_closed, hi_closed)])
 
     @classmethod
-    def from_intervals(cls, ivs: Iterable[Interval]) -> "ConstructibleSet":
-        return cls.from_pieces([(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in ivs])
-
-    @classmethod
     def from_pieces(cls, pieces: Iterable[Piece]) -> "ConstructibleSet":
         """Canonicalize an arbitrary collection of interval/point pieces."""
         checked: list[Piece] = []
@@ -186,10 +181,6 @@ class ConstructibleSet:
     __sub__ = difference
     __xor__ = symmetric_difference
 
-    def complement_within(self, window: "ConstructibleSet") -> "ConstructibleSet":
-        """window \\ self; the ambient window stands in for the whole line."""
-        return window.difference(self)
-
     def is_subset(self, other: "ConstructibleSet") -> bool:
         return self.difference(other).is_empty
 
@@ -235,20 +226,6 @@ class ConstructibleSet:
             for blo, bhi, blc, bhc in other.components():
                 pieces.append((alo - bhi, ahi - blo, alc and bhc, ahc and blc))
         return ConstructibleSet.from_pieces(pieces)
-
-    def distance_to(self, x) -> Fraction | float:
-        """Exact infimum distance from x to the set; math.inf when empty."""
-        if self.is_empty:
-            return math.inf
-        x = Fraction(x)
-        best = None
-        for lo, hi, _, _ in self.components():
-            d = max(Fraction(0), lo - x, x - hi)
-            if best is None or d < best:
-                best = d
-            if best == 0:
-                break
-        return best
 
     def r_neighborhood(self, r) -> "ConstructibleSet":
         """Union of closed balls of radius r around every component."""

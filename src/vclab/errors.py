@@ -6,16 +6,7 @@ class VCLabError(Exception):
 
 
 class UnsampleableError(VCLabError):
-    """Requested a uniform sample from a zero-measure region."""
-
-
-class UndecidedMembershipError(VCLabError):
-    """Membership in a fat Cantor set was not decided within the stage budget."""
-
-    def __init__(self, point, budget):
-        self.point = point
-        self.budget = budget
-        super().__init__(f"membership of {point} undecided at stage budget {budget}")
+    """A sampling task has nothing to sample from: its base set is empty."""
 
 
 class BudgetExceededError(VCLabError):

@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .constructible import ConstructibleSet
-from .errors import UnsampleableError
 from .rational import format_rational, parse_rational
+
+_SCALE = 1 << 53  # RealLine draws are multiples of 1/_SCALE inside the window
 
 
 class GroupModel:
@@ -36,8 +37,8 @@ class GroupModel:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def sample_uniform(self, region, rng: random.Random):
-        """A uniform draw from `region` (the whole group when None), as a
+    def sample_uniform(self, rng: random.Random):
+        """A uniform draw from the group (the window on the line), as a
         normalized raw value."""
         raise NotImplementedError
 
@@ -75,13 +76,8 @@ class CyclicGroup(GroupModel):
     def elements(self) -> range:
         return range(self.n)
 
-    def sample_uniform(self, region, rng: random.Random) -> int:
-        if region is None:
-            return rng.randrange(self.n)
-        vals = sorted({self.normalize(v) for v in region})
-        if not vals:
-            raise UnsampleableError("cannot sample from an empty region")
-        return vals[rng.randrange(len(vals))]
+    def sample_uniform(self, rng: random.Random) -> int:
+        return rng.randrange(self.n)
 
     def describe(self) -> dict:
         return {"kind": "cyclic", "n": self.n}
@@ -139,13 +135,8 @@ class ProductGroup(GroupModel):
 
         return rec([], list(self.orders))
 
-    def sample_uniform(self, region, rng: random.Random) -> tuple:
-        if region is None:
-            return tuple(rng.randrange(n) for n in self.orders)
-        vals = sorted({self.normalize(v) for v in region})
-        if not vals:
-            raise UnsampleableError("cannot sample from an empty region")
-        return vals[rng.randrange(len(vals))]
+    def sample_uniform(self, rng: random.Random) -> tuple:
+        return tuple(rng.randrange(n) for n in self.orders)
 
     def describe(self) -> dict:
         return {"kind": "product", "orders": list(self.orders)}
@@ -181,32 +172,13 @@ class RealLine(GroupModel):
     def elements(self):
         raise ValueError("the real line is not a finite group; use cyclic:N or product:AxB")
 
-    def window_set(self) -> ConstructibleSet:
-        return ConstructibleSet.interval(self.lo, self.hi)
-
     def haar_measure(self, subset: ConstructibleSet) -> Fraction:
         return subset.measure()
 
-    def sample_uniform(self, region, rng: random.Random, denom_bits: int = 53) -> Fraction:
-        if region is None:
-            region = self.window_set()
-        total = region.measure()
-        if total == 0:
-            raise UnsampleableError("region has measure zero")
-        # Pick an interval with probability proportional to its length, then a
-        # dyadic rational strictly inside it (open/closed flags then moot).
-        scale = 1 << denom_bits
-        ticket = Fraction(rng.randrange(scale), scale) * total
-        acc = Fraction(0)
-        chosen = region.intervals[-1]
-        for iv in region.intervals:
-            acc += iv.length
-            if ticket < acc:
-                chosen = iv
-                break
-        k = rng.randrange(1, scale)
-        x = chosen.lo + chosen.length * Fraction(k, scale)
-        return x
+    def sample_uniform(self, rng: random.Random) -> Fraction:
+        """A dyadic rational k/2^53 of the way into the window, 0 < k < 2^53."""
+        rng.randrange(_SCALE)  # a discarded draw, so that each seed keeps giving the same points
+        return self.lo + (self.hi - self.lo) * Fraction(rng.randrange(1, _SCALE), _SCALE)
 
     def describe(self) -> dict:
         return {
@@ -218,11 +190,17 @@ class RealLine(GroupModel):
 def parse_model_spec(spec: str) -> GroupModel:
     """Parse CLI shorthand: "cyclic:12", "product:2x3", "reals:0,1"."""
     kind, _, rest = spec.partition(":")
-    if kind == "cyclic":
-        return CyclicGroup(int(rest))
-    if kind == "product":
-        return ProductGroup(tuple(int(p) for p in rest.split("x")))
-    if kind == "reals":
-        lo, hi = rest.split(",") if rest else ("0", "1")
-        return RealLine(parse_rational(lo), parse_rational(hi))
-    raise ValueError(f"unknown group spec {spec!r}")
+    try:
+        if kind == "cyclic":
+            return CyclicGroup(int(rest))
+        if kind == "product":
+            return ProductGroup(tuple(int(p) for p in rest.split("x")))
+        if kind == "reals":
+            lo, hi = rest.split(",") if rest else ("0", "1")
+            return RealLine(parse_rational(lo), parse_rational(hi))
+    except ValueError:
+        pass
+    raise ValueError(
+        f"group spec {spec!r} must be cyclic:N, product:AxB (any number of factors) "
+        "or reals:LO,HI, with integers N, A, B >= 1 and rationals LO < HI"
+    )

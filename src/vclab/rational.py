@@ -8,7 +8,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ValueError("empty rational literal")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -26,9 +26,9 @@ def check_group_axioms() -> bool:
     for model in models:
         op, e = model.compose, model.identity()
         for _ in range(1000):
-            g = model.sample_uniform(None, rng)
-            h = model.sample_uniform(None, rng)
-            k = model.sample_uniform(None, rng)
+            g = model.sample_uniform(rng)
+            h = model.sample_uniform(rng)
+            k = model.sample_uniform(rng)
             if op(op(g, h), k) != op(g, op(h, k)):
                 return False
             if op(g, e) != g or op(e, g) != g:

@@ -1,5 +1,5 @@
-"""Shattering, VC dimension, dual VC dimension and the sample-average
-statistic, for explicit finite families and for translate families.
+"""Shattering, VC dimension and dual VC dimension, for explicit finite
+families and for translate families.
 
 Finite families are bitmask rows over a finite ground set, searched
 exhaustively with subset pruning (a set can only be shattered if the set
@@ -17,9 +17,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .cantor import IN, OUT, FatCantorSet
 from .constructible import ConstructibleSet
-from .errors import BudgetExceededError, UndecidedMembershipError
+from .errors import BudgetExceededError
 from .rational import format_rational
 
 
@@ -29,11 +28,10 @@ class SetSystem:
 
     ground: tuple
     rows: tuple[int, ...]
-    provenance: str = "explicit"
     row_labels: tuple = ()
 
     @classmethod
-    def from_sets(cls, ground: Iterable, sets: Iterable[Iterable], provenance="explicit"):
+    def from_sets(cls, ground: Iterable, sets: Iterable[Iterable]):
         ground = tuple(ground)
         if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
@@ -46,7 +44,7 @@ class SetSystem:
             seen.setdefault(mask, label)
         rows = tuple(sorted(seen))
         labels = tuple(seen[m] for m in rows)
-        return cls(ground, rows, provenance, labels)
+        return cls(ground, rows, labels)
 
     @classmethod
     def from_translates(cls, model, base: Iterable) -> "SetSystem":
@@ -63,11 +61,7 @@ class SetSystem:
             seen.setdefault(mask, g)
         rows = tuple(sorted(seen))
         labels = tuple(seen[m] for m in rows)
-        return cls(ground, rows, f"translate-family({model.describe()})", labels)
-
-    def row_set(self, i: int) -> frozenset:
-        mask = self.rows[i]
-        return frozenset(g for j, g in enumerate(self.ground) if mask >> j & 1)
+        return cls(ground, rows, labels)
 
     def __len__(self):
         return len(self.rows)
@@ -84,13 +78,6 @@ class ShatterReport:
     @property
     def shattered(self) -> bool:
         return all(w is not None for w in self.witnesses.values())
-
-    def missing_patterns(self) -> list[tuple]:
-        out = []
-        for pattern, w in self.witnesses.items():
-            if w is None:
-                out.append(tuple(p for j, p in enumerate(self.points) if pattern >> j & 1))
-        return out
 
     def verify(self, system: SetSystem) -> bool:
         """Re-check every claimed witness by independent set intersection."""
@@ -116,15 +103,6 @@ class ShatterReport:
                 for pattern, w in sorted(self.witnesses.items())
             },
         }
-
-
-def is_shattered(system: SetSystem, points: Iterable) -> ShatterReport:
-    points = tuple(points)
-    if len(set(points)) != len(points):
-        raise ValueError("points must be distinct")
-    index = {g: i for i, g in enumerate(system.ground)}
-    idxs = [index[p] for p in points]
-    return _shatter_report(system, idxs, points)
 
 
 def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> ShatterReport:
@@ -272,36 +250,6 @@ def sauer_shelah_table(system: SetSystem, d: int) -> tuple[bool, list[dict]]:
             ok = False
         rows.append({"m": m, "max_projections": biggest, "bound": bound})
     return ok, rows
-
-
-def av(points: Iterable, predicate, budget: Optional[int] = None) -> Fraction:
-    """Exact fraction of points lying in the set described by `predicate`
-    (a ConstructibleSet, a FatCantorSet with a stage budget, a plain
-    collection, or a callable).  Repeated points count with multiplicity."""
-    points = list(points)
-    if not points:
-        raise ValueError("average over an empty point list")
-    if isinstance(predicate, ConstructibleSet):
-        member = predicate.contains
-    elif isinstance(predicate, FatCantorSet):
-        if budget is None:
-            raise ValueError("a fat Cantor set needs a stage budget")
-
-        def member(x):
-            verdict = predicate.membership(x, budget)
-            if verdict == IN:
-                return True
-            if verdict == OUT:
-                return False
-            raise UndecidedMembershipError(x, budget)
-
-    elif callable(predicate):
-        member = predicate
-    else:
-        values = set(predicate)
-        member = lambda x: x in values
-    hits = sum(1 for p in points if member(p))
-    return Fraction(hits, len(points))
 
 
 # --------------------------------------------------------------------------

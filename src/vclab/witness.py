@@ -169,7 +169,6 @@ def construct_witness(
     depth: int,
     seed: int = 0,
     stage_budget: int = 2000,
-    pool_depth: int = 2,
 ) -> ShatterWitness:
     """Build a depth-n certificate level by level.
 
@@ -184,8 +183,6 @@ def construct_witness(
         raise ValueError("depth must be >= 0")
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
-    if pool_depth < 2:
-        raise ValueError("pool_depth below 2 cannot expose both branches")
     if depth == 0:
         return ShatterWitness(0, (), {}, 0, ())
 
@@ -236,10 +233,9 @@ def construct_witness(
 
         # One shared translator for the level, small enough to push any gap
         # edge of the pools strictly inside its gap, and well inside the
-        # admissible difference-set radius.
-        pools = {pat: fc.child_gaps(comps[pat].lo, comps[pat].hi, m, pool_depth) for pat in patterns}
-        if any(not pool for pool in pools.values()):
-            raise BudgetExceededError("a component exposes no child gaps", partial=partial(level))
+        # admissible difference-set radius.  Each pool holds the removed
+        # middles of the next two stages, so it offers gaps of both branches.
+        pools = {pat: fc.child_gaps(comps[pat].lo, comps[pat].hi, m, 2) for pat in patterns}
         min_gap = min(iv.length for pool in pools.values() for _, _, iv in pool)
         ratio = Fraction(rng.randrange(96, 161), 256)  # in [3/8, 5/8]
         sign = rng.choice((1, -1))

@@ -41,6 +41,25 @@ def test_witness_budget_exhaustion_exits_3(tmp_path, capsys):
     assert verify_witness(partial, FatCantorSet()).ok
 
 
+def test_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
+    code = main(["vcdim", "--group", "cyclic:400", "--set", "list:0,1,3,7,12,20,30,44",
+                 "--out", str(tmp_path / "v.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "VC dimension >= 1" in captured.err and captured.err.count("\n") == 1
+    payload = json.loads((tmp_path / "v.json").read_text())
+    assert payload["vc_dimension_lower_bound"] == 1
+    assert "vc_dimension" not in payload
+    report = payload["shatter_report"]
+    assert report["shattered"] and len(report["points"]) == 1
+    # each recorded translator really cuts out its pattern on the points
+    base = set(payload["base_set"])
+    for pattern, g in report["witness_translators"].items():
+        for bit, p in zip(pattern[::-1], report["points"]):
+            assert ((p - g) % 400 in base) == (bit == "1")
+
+
 def test_vcdim_prints_dimension(tmp_path, capsys):
     code, out = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:12", "--set", "arc:3"])
     assert code == 0
@@ -200,11 +219,34 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["counterexample", "--triples", "-5"], "--triples must be >= 1, got -5"),
         (["eps-approx", "--trials", "0", "--schedule", "10"], "--trials must be >= 1, got 0"),
         (["witness", "--depth", "3", "--stage-budget", "-1"], "stage budget must be >= 0"),
+        (["eps-approx", "--schedule", ",", "--trials", "2"],
+         "--schedule ',' must be comma-separated integers >= 1"),
+        (["eps-approx", "--schedule", "10,x", "--trials", "2"],
+         "--schedule '10,x' must be comma-separated integers >= 1"),
+        (["eps-approx", "--schedule", "10,0", "--trials", "2"],
+         "--schedule '10,0' must be comma-separated integers >= 1"),
+        (["eps-approx", "--arc", "0", "--trials", "2", "--schedule", "10"], "--arc must be >= 1, got 0"),
+        (["eps-approx", "--arc", "-3", "--trials", "2", "--schedule", "10"],
+         "--arc must be >= 1, got -3"),
+        (["vcdim", "--set", "arc:0"], "set spec 'arc:0' is empty"),
+        (["vcdim", "--set", "arc:-2"], "set spec 'arc:-2' is empty"),
+        (["vcdim", "--set", "list:"], "set spec 'list:' is empty"),
+        (["vcdim", "--set", "list:1,x"], "set spec 'list:1,x' must be arc:K or list:a,b,c"),
+        (["vcdim", "--set", "arc:x"], "set spec 'arc:x' must be arc:K or list:a,b,c"),
+        (["vcdim", "--group", "cyclic:y"], "group spec 'cyclic:y' must be cyclic:N, product:AxB"),
+        (["vcdim", "--group", "product:2xq"], "group spec 'product:2xq' must be cyclic:N"),
+        (["vcdim", "--group", "product:"], "group spec 'product:' must be cyclic:N"),
+        (["vcdim", "--group", "reals:0"], "group spec 'reals:0' must be cyclic:N"),
+        (["eps-approx", "--epsilon", "1/0", "--trials", "2"], "rational '1/0' has a zero denominator"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
          "non-integer-exponent", "reversed-exponents", "no-sets", "negative-sets", "no-triples",
-         "negative-triples", "no-trials", "negative-stage-budget"],
+         "negative-triples", "no-trials", "negative-stage-budget", "empty-schedule",
+         "non-integer-schedule", "zero-schedule", "no-arc", "negative-arc", "empty-arc-set",
+         "negative-arc-set", "empty-list-set", "non-integer-list-set", "non-integer-arc-set",
+         "non-integer-cyclic-group", "non-integer-product-group", "empty-product-group",
+         "one-bound-reals-group", "zero-denominator"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from vclab.cantor import IN, OUT, FatCantorSet, branch_of_stage
-from vclab.constructible import ConstructibleSet
+from vclab.cantor import FatCantorSet, branch_of_stage
+from vclab.constructible import ConstructibleSet, Interval
 
 F = Fraction
 
@@ -50,12 +50,13 @@ def test_quantitative_regime_identities(scale):
 
 
 def test_lazy_membership_examples(fc):
-    assert fc.membership(F(1, 2), 1) == OUT
-    assert fc.membership(F(0), 1) == IN
-    assert fc.membership(F(1), 1) == IN
+    # out: inside a removed middle or outside [0, 1]; in: a component endpoint
+    assert fc.descend(F(1, 2), 1)[0] == "gap"
+    assert fc.descend(F(0), 1)[0] == "endpoint"
+    assert fc.descend(F(1), 1)[0] == "endpoint"
     # gap endpoints persist
-    assert fc.membership(F(2, 5), 3) == IN
-    assert fc.membership(F(-1, 7), 1) == OUT
+    assert fc.descend(F(2, 5), 3)[0] == "endpoint"
+    assert fc.descend(F(-1, 7), 1) == ("outside",)
 
 
 def test_lazy_membership_soundness(fc):
@@ -63,10 +64,10 @@ def test_lazy_membership_soundness(fc):
     deep = fc.stage_set(9)
     for _ in range(300):
         x = F(rng.randrange(0, 1009), 1008)
-        verdict = fc.membership(x, 3)
-        if verdict == IN:
+        kind = fc.descend(x, 3)[0]
+        if kind == "endpoint":
             assert deep.contains(x)
-        elif verdict == OUT:
+        elif kind in ("gap", "outside"):
             assert not deep.contains(x)
 
 
@@ -100,10 +101,11 @@ def test_parity_split(fc):
 
 
 def test_branch_membership(fc):
-    assert fc.branch_membership(0, F(1, 2), 1) == IN  # inside the stage-1 middle
-    assert fc.branch_membership(0, F(1, 5), 2) == OUT  # stage-2 middle belongs to branch 1
-    assert fc.branch_membership(1, F(1, 5), 2) == IN
-    assert fc.branch_membership(0, F(0), 5) == OUT
+    # inside the stage-1 middle
+    assert fc.branch_gap_containing(F(1, 2), 0, 1) == Interval(F(2, 5), F(3, 5), False, False)
+    assert fc.branch_gap_containing(F(1, 5), 0, 2) is None  # stage-2 middle belongs to branch 1
+    assert fc.branch_gap_containing(F(1, 5), 1, 2) is not None
+    assert fc.branch_gap_containing(F(0), 0, 5) is None
 
 
 def test_child_gaps_edges_persist(fc):
@@ -111,6 +113,6 @@ def test_child_gaps_edges_persist(fc):
     assert len(gaps) == 1 + 2 + 4
     for branch, stage, iv in gaps:
         assert branch == branch_of_stage(stage)
-        assert fc.membership(iv.lo, stage + 4) == IN
-        assert fc.membership(iv.hi, stage + 4) == IN
+        assert fc.descend(iv.lo, stage + 4)[0] == "endpoint"
+        assert fc.descend(iv.hi, stage + 4)[0] == "endpoint"
 
