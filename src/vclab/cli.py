@@ -39,6 +39,9 @@ from .witness import construct_witness, core_overlap, steinhaus_neighborhood, ve
 
 BUDGET_ERRORS = (BudgetExceededError, HittingSetError)
 
+# The stage set of `steinhaus --stage m` has 2^m intervals.
+MAX_STEINHAUS_STAGE = 16
+
 
 def _out_path(args, default_name):
     if args.out:
@@ -113,6 +116,13 @@ def _parse_schedule(spec: str) -> list[int]:
     return sizes
 
 
+def _parse_shifts(spec: str) -> list[Fraction]:
+    try:
+        return [parse_rational(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"--shifts {spec!r} must be comma-separated rationals p/q") from None
+
+
 def _parse_exponents(spec: str) -> tuple[int, int]:
     try:
         lo, hi = (int(v) for v in spec.split(":"))
@@ -176,6 +186,8 @@ def cmd_eps_approx(args) -> int:
     schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
     family = FiniteTranslateFamily(model, range(args.arc))
+    if len(family.base) == family.member_count():
+        raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
     epsilon = parse_rational(args.epsilon)
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     rows = [r.to_csv() for r in sweep.rows]
@@ -189,9 +201,11 @@ def cmd_eps_approx(args) -> int:
 
 
 def cmd_steinhaus(args) -> int:
+    if args.stage > MAX_STEINHAUS_STAGE:
+        raise ValueError(f"--stage {args.stage} is above the cap of {MAX_STEINHAUS_STAGE}")
+    shifts = _parse_shifts(args.shifts)
     fc = FatCantorSet(parse_rational(args.removed_scale))
     radius, density = steinhaus_neighborhood(fc)
-    shifts = [parse_rational(s) for s in args.shifts.split(",")]
     rows = []
     for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
         rows.append(
@@ -339,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steinhaus", help="quantitative difference-set overlap at a stage")
     common(p)
-    p.add_argument("--stage", type=int, default=6)
+    p.add_argument("--stage", type=int, default=6,
+                   help=f"0..{MAX_STEINHAUS_STAGE}; the stage set has 2^stage intervals")
     p.add_argument("--shifts", default="1/100,-1/100,1/20,-1/20,1/10,-1/10")
     p.add_argument("--removed-scale", default="4/5")
     p.set_defaults(fn=cmd_steinhaus)

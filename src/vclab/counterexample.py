@@ -7,18 +7,50 @@ Distinct pairwise differences force any two points to lie in at most one
 common translate of the set, which is the combinatorial mechanism that caps
 the number of membership patterns any translate family can realize on a
 triple at seven of the eight.
+
+Two exact integer mechanisms, sharing no arithmetic, do the work:
+
+- Greedy placement maps each rational n/d to its residue n * d^-1 mod the
+  prime P = 2^61 - 1.  The map respects sums and differences, so different
+  residues prove different values, and a placed difference is kept as a
+  residue.  A residue hit is re-checked in Fractions before a candidate is
+  turned down, and a value whose denominator P divides is compared exactly.
+- The checks (injectivity, pair counts, triple patterns) scale the finished
+  point set by the lcm L of its denominators onto the integer lattice
+  (1/L)Z, where every sum and difference is an exact int.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cantor import FatCantorSet
 from .constructible import ConstructibleSet
+
+MODULUS = 2**61 - 1
+
+
+def _residue(x: Fraction) -> Optional[int]:
+    """x = n/d as n * d^-1 mod MODULUS, or None when MODULUS divides d."""
+    try:
+        return x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS
+    except ValueError:
+        return None
+
+
+def _difference_key(d: Fraction):
+    """The residue of d up to sign, or |d| itself when it has no residue."""
+    r = _residue(d)
+    if r is None:
+        return abs(d)
+    return min(r, MODULUS - r)
 
 
 def sequence_positions(a: Fraction, b: Fraction, k: int) -> list[tuple[int, Fraction]]:
@@ -47,6 +79,78 @@ class CounterexamplePoints:
         return frozenset(self.points)
 
 
+class _Placement:
+    """Placed points, their residues and the residue keys of their
+    pairwise differences.
+
+    The key of a difference d is its residue up to sign, min(r, P - r), or
+    |d| itself when P divides its denominator.  Equal |d| give equal keys, so
+    a key not seen before proves the difference new; a key seen before is
+    re-checked exactly before a candidate is turned down."""
+
+    # A rejected candidate usually collides with a recently placed point (at
+    # m = 7, 71% of rejections have a collision among the newest tenth), so
+    # candidates are scanned newest-first in blocks of this size.
+    BLOCK = 64
+
+    def __init__(self):
+        self.points: list[Fraction] = []
+        self.residues: list[Optional[int]] = []
+        # key -> (i, j, i', j', ...): the index pairs whose |x_i - x_j| has that key
+        self.pairs: dict[object, tuple[int, ...]] = {}
+
+    def _keys(self, cand: Fraction, rc: Optional[int], lo: int, hi: int) -> list:
+        """The key of |cand - p| for the placed points lo..hi-1."""
+        m, half = MODULUS, MODULUS // 2
+        return [
+            _difference_key(cand - p) if rc is None or r is None
+            else a if (a := abs(rc - r)) <= half else m - a
+            for p, r in zip(self.points[lo:hi], self.residues[lo:hi])
+        ]
+
+    def _fresh_keys(self, cand: Fraction, rc: Optional[int]) -> Optional[list]:
+        """The keys of |cand - p| for every placed p, in placing order, when
+        every |cand - p| is nonzero and differs from every placed difference
+        and from every other |cand - p'|; None otherwise."""
+        pts, pairs = self.points, self.pairs
+        blocks = []
+        for hi in range(len(pts), 0, -self.BLOCK):
+            lo = max(0, hi - self.BLOCK)
+            block = self._keys(cand, rc, lo, hi)
+            if not pairs.keys().isdisjoint(block):
+                for i, key in enumerate(block, lo):
+                    if key in pairs:
+                        gap = abs(cand - pts[i])
+                        ends = pairs[key]
+                        if any(abs(pts[x] - pts[y]) == gap for x, y in zip(ends[::2], ends[1::2])):
+                            return None
+            blocks.append(block)
+        keys = [key for block in reversed(blocks) for key in block]
+        if 0 in keys or len(set(keys)) < len(keys):
+            counts = Counter(keys)
+            gaps = set()
+            for key, p in zip(keys, pts):
+                if key == 0 or counts[key] > 1:
+                    gap = abs(cand - p)
+                    if gap == 0 or gap in gaps:
+                        return None
+                    gaps.add(gap)
+        return keys
+
+    def place(self, cand: Fraction) -> bool:
+        """Place cand if all its differences to the placed points are fresh."""
+        rc = _residue(cand)
+        keys = self._fresh_keys(cand, rc)
+        if keys is None:
+            return False
+        n, pairs = len(self.points), self.pairs
+        for i, key in enumerate(keys):
+            pairs[key] = pairs.get(key, ()) + (n, i)
+        self.points.append(cand)
+        self.residues.append(rc)
+        return True
+
+
 def counterexample_points(
     fc: FatCantorSet,
     interval_budget: int,
@@ -60,7 +164,9 @@ def counterexample_points(
     the neighboring position, taking the first rational (by a fixed
     denominator-growth enumeration) whose differences to all previously
     placed points are fresh.  per_interval may be a constant or a
-    stage-indexed budget.  Injectivity is re-verified exactly before return.
+    stage-indexed budget.  Freshness is decided on residues mod MODULUS with
+    an exact re-check of every residue hit; injectivity is re-verified on the
+    integer lattice before return.
     """
     if interval_budget < 1:
         raise ValueError("need at least one interval")
@@ -72,10 +178,7 @@ def counterexample_points(
     if len(chosen) < interval_budget:
         raise ValueError(f"only {len(chosen)} intervals exist through stage {max_stage}")
 
-    # Differences are kept as (numerator, denominator) tuples: tuple hashing
-    # is much cheaper than Fraction hashing and the values stay exact.
-    diffs: set[tuple[int, int]] = set()
-    placed: list[Fraction] = []
+    placement = _Placement()
     layout = []
     for stage, a, b in chosen:
         k = per_interval if isinstance(per_interval, int) else per_interval(stage)
@@ -97,32 +200,23 @@ def counterexample_points(
             corridor = gap / 4
             point = None
             # First candidate is the base position itself, then inward nudges
-            # corridor/2, corridor/3, ... with ever-larger denominators.
-            for h in range(2 * len(placed) * (len(diffs) + len(placed)) + 4):
+            # corridor/2, corridor/3, ... with ever-larger denominators.  The
+            # bound is 2n(D + n) + 4 for n points and D = C(n, 2) differences.
+            n = len(placement.points)
+            for h in range(2 * n * (n * (n - 1) // 2 + n) + 4):
                 cand = t if h == 0 else t + direction * corridor / (h + 1)
-                new = set()
-                fresh = True
-                for p in placed:
-                    d = abs(cand - p)
-                    key = (d.numerator, d.denominator)
-                    if d == 0 or key in diffs or key in new:
-                        fresh = False
-                        break
-                    new.add(key)
-                if fresh:
+                if placement.place(cand):
                     point = cand
-                    diffs |= new
                     break
             if point is None:
                 raise AssertionError("greedy perturbation ran out of candidates")
-            placed.append(point)
             here[j] = point
         ordered = tuple(here[j] for j in sorted(here))
         if list(ordered) != sorted(ordered):
             raise AssertionError("per-interval sequence lost monotonicity")
         layout.append((stage, a, b, ordered))
 
-    points = tuple(sorted(placed))
+    points = tuple(sorted(placement.points))
     if not verify_difference_injective(points):
         raise AssertionError("greedy construction failed the final injectivity check")
     return CounterexamplePoints(points, tuple(layout))
@@ -140,38 +234,67 @@ def matched_budget_points(fc: FatCantorSet, m: int) -> CounterexamplePoints:
     )
 
 
+class PointLattice:
+    """A finite point set on the integer lattice (1/L)Z, where L is the lcm
+    of its denominators: each point x is stored as the int x * L.  Sums and
+    differences of points stay exact ints, so the checks below hash and add
+    ints instead of Fractions."""
+
+    def __init__(self, points: Iterable[Fraction]):
+        pts = [Fraction(p) for p in points]
+        self.scale = lcm(*(p.denominator for p in pts))
+        self.ints = tuple(p.numerator * (self.scale // p.denominator) for p in pts)
+        self.members = frozenset(self.ints)
+        self._counts: Optional[Counter] = None
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def units(self, x: Fraction) -> Optional[int]:
+        """x * L, or None when x is not on the lattice."""
+        q, r = divmod(x.numerator * self.scale, x.denominator)
+        return None if r else q
+
+    def difference_counts(self) -> Counter:
+        """For every difference u, the number of members x with x + u also a
+        member, built once as one table."""
+        if self._counts is None:
+            self._counts = Counter(y - x for x in self.members for y in self.members)
+        return self._counts
+
+
+@lru_cache(maxsize=1)
+def _cached_lattice(points_set: frozenset) -> PointLattice:
+    return PointLattice(points_set)
+
+
 def verify_difference_injective(points: Sequence[Fraction]) -> bool:
     """Independent exact check: all C(n,2) positive pairwise differences are
     distinct (equivalent to injectivity of (x, y) -> y - x off the diagonal)."""
-    pts = list(points)
-    n = len(pts)
-    seen = set()
-    for x, y in combinations(pts, 2):
-        d = abs(y - x)
-        if d == 0 or d in seen:
-            return False
-        seen.add(d)
-    return len(seen) == n * (n - 1) // 2
+    diffs = [abs(y - x) for x, y in combinations(PointLattice(points).ints, 2)]
+    return 0 not in diffs and len(set(diffs)) == len(diffs)
 
 
 def pair_translate_count(points_set: frozenset, p: Fraction, q: Fraction) -> int:
     """Number of translators t with both p and q in t + X; difference
-    injectivity forces this to be at most one."""
-    delta = q - p
-    return sum(1 for x in points_set if x + delta in points_set)
+    injectivity forces this to be at most one.  The difference table of the
+    last point set asked about is kept for the next call."""
+    lattice = _cached_lattice(points_set)
+    u = lattice.units(Fraction(q) - Fraction(p))
+    return 0 if u is None else lattice.difference_counts()[u]
 
 
-def pair_uniqueness_holds(points: Sequence[Fraction], sample_pairs: Optional[int] = None,
+def pair_uniqueness_holds(points: Sequence[Fraction] | PointLattice, sample_pairs: Optional[int] = None,
                           rng: Optional[random.Random] = None) -> bool:
     """Exhaustive (or sampled) check that every pair lies in at most one
     common translate."""
-    pts = list(points)
-    pset = frozenset(pts)
-    pairs = list(combinations(pts, 2))
+    lattice = points if isinstance(points, PointLattice) else PointLattice(points)
+    pairs = list(combinations(lattice.ints, 2))
     if sample_pairs is not None and sample_pairs < len(pairs):
         rng = rng or random.Random(0)
         pairs = rng.sample(pairs, sample_pairs)
-    return all(pair_translate_count(pset, p, q) <= 1 for p, q in pairs)
+    counts = lattice.difference_counts()
+    return all(counts[q - p] <= 1 for p, q in pairs)
 
 
 @dataclass
@@ -182,17 +305,28 @@ class ShatterCheckReport:
     pair_uniqueness_ok: bool
 
 
-def realized_patterns(points_set: frozenset, triple: Sequence[Fraction]) -> set[int]:
+def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fraction]) -> set[int]:
     """All membership patterns of the triple over every translate that meets
-    it, plus the empty pattern (any far-away translate realizes it)."""
+    it, plus the empty pattern (any far-away translate realizes it).
+
+    A translate meeting the triple is t + X with t = p_i - x for some i and
+    some x in X; its pattern has bit j exactly when x + (p_j - p_i) is in X."""
+    lattice = points_set if isinstance(points_set, PointLattice) else _cached_lattice(points_set)
+    members = lattice.members
     patterns = {0}
-    translators = {p - x for p in triple for x in points_set}
-    for t in translators:
-        pat = 0
-        for j, p in enumerate(triple):
-            if p - t in points_set:
-                pat |= 1 << j
-        patterns.add(pat)
+    for i, p in enumerate(triple):
+        hits = []
+        for j, q in enumerate(triple):
+            if j == i:
+                continue
+            u = lattice.units(Fraction(q) - Fraction(p))
+            if u is not None:
+                hits.append((1 << j, {x for x in members if x + u in members}))
+        met = set().union(*(xs for _, xs in hits))
+        for x in met:
+            patterns.add(sum(bit for bit, xs in hits if x in xs) | 1 << i)
+        if len(met) < len(members):
+            patterns.add(1 << i)
     return patterns
 
 
@@ -205,9 +339,9 @@ def no_shatter3_check(
     """Enumerate, for seeded random triples from the truncation (plus any
     caller-supplied ones), every translator that realizes a nonempty pattern,
     and count the patterns realized; with difference injectivity no triple
-    can reach all eight."""
+    can reach all eight.  Both checks run on the point set's lattice."""
     rng = random.Random(f"shatter3/{seed}")
-    pset = cx.point_set()
+    lattice = PointLattice(cx.points)
     pts = list(cx.points)
     max_patterns = 0
     full = False
@@ -215,10 +349,10 @@ def no_shatter3_check(
     triples = [tuple(rng.sample(pts, 3)) for _ in range(n_triples)]
     triples += [tuple(Fraction(v) for v in t) for t in extra_triples]
     for triple in triples:
-        pats = realized_patterns(pset, triple)
+        pats = realized_patterns(lattice, triple)
         checked += 1
         max_patterns = max(max_patterns, len(pats))
         if len(pats) == 8:
             full = True
-    uniq = pair_uniqueness_holds(pts, sample_pairs=2000 if len(pts) > 64 else None)
+    uniq = pair_uniqueness_holds(lattice, sample_pairs=2000 if len(pts) > 64 else None)
     return ShatterCheckReport(checked, max_patterns, full, uniq)

@@ -238,6 +238,15 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["vcdim", "--group", "product:"], "group spec 'product:' must be cyclic:N"),
         (["vcdim", "--group", "reals:0"], "group spec 'reals:0' must be cyclic:N"),
         (["eps-approx", "--epsilon", "1/0", "--trials", "2"], "rational '1/0' has a zero denominator"),
+        (["eps-approx", "--group", "cyclic:10", "--arc", "10", "--trials", "2", "--schedule", "5"],
+         "--arc 10 covers all of cyclic:10"),
+        (["eps-approx", "--group", "cyclic:10", "--arc", "20", "--trials", "2", "--schedule", "5"],
+         "--arc 20 covers all of cyclic:10"),
+        (["steinhaus", "--shifts", ","], "--shifts ',' must be comma-separated rationals p/q"),
+        (["steinhaus", "--shifts", "1/10,abc"], "--shifts '1/10,abc' must be comma-separated rationals"),
+        (["steinhaus", "--shifts", "1/0"], "--shifts '1/0' must be comma-separated rationals"),
+        (["steinhaus", "--stage", "17"], "--stage 17 is above the cap of 16"),
+        (["steinhaus", "--stage", "40"], "--stage 40 is above the cap of 16"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -246,7 +255,9 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "non-integer-schedule", "zero-schedule", "no-arc", "negative-arc", "empty-arc-set",
          "negative-arc-set", "empty-list-set", "non-integer-list-set", "non-integer-arc-set",
          "non-integer-cyclic-group", "non-integer-product-group", "empty-product-group",
-         "one-bound-reals-group", "zero-denominator"],
+         "one-bound-reals-group", "zero-denominator", "whole-group-arc", "arc-past-whole-group",
+         "empty-shifts", "non-rational-shift", "zero-denominator-shift", "stage-above-cap",
+         "stage-far-above-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

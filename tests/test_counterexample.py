@@ -4,7 +4,10 @@ from itertools import combinations
 
 import pytest
 
+import fraction_counterexample as ref
+import vclab.counterexample as ce
 from vclab.cantor import FatCantorSet
+from vclab.cli import main
 from vclab.counterexample import (
     counterexample_points,
     matched_budget_points,
@@ -131,3 +134,78 @@ def test_interval_budget_errors(fc):
         counterexample_points(fc, 3, 0)
     with pytest.raises(ValueError):
         counterexample_points(fc, 100, 1, max_stage=3)
+
+
+def report_fields(report):
+    return (report.triples_checked, report.max_patterns, report.full_shatter_found,
+            report.pair_uniqueness_ok)
+
+
+@pytest.mark.parametrize("scale", [F(4, 5), F(7, 9), F(38, 39)], ids=str)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_matched_points_and_report_match_fraction_oracle(scale, m):
+    fc = FatCantorSet(scale)
+    cx = matched_budget_points(fc, m)
+    oracle = ref.matched_budget_points(fc, m)
+    assert cx.points == oracle.points
+    assert cx.by_interval == oracle.by_interval
+    report = no_shatter3_check(cx, 30, seed=m)
+    assert report_fields(report) == ref.no_shatter3_check(oracle.points, 30, seed=m)
+
+
+def test_28x3_shape_matches_fraction_oracle(fc):
+    cx = counterexample_points(fc, 28, 3)
+    oracle = ref.counterexample_points(fc, 28, 3)
+    assert cx.points == oracle.points and cx.by_interval == oracle.by_interval
+    assert report_fields(no_shatter3_check(cx, 50, seed=0)) == ref.no_shatter3_check(oracle.points, 50)
+
+
+def test_extra_triples_off_the_set_match_fraction_oracle(fc):
+    cx = counterexample_points(fc, 3, 3)
+    a, b, c = cx.points[:3]
+    extra = [(F(0), F(1, 3), F(1)), (a, b, F(1, 7)), (a, a + F(1, 11), c), (a, b, c)]
+    report = no_shatter3_check(cx, 30, seed=4, extra_triples=extra)
+    assert report.triples_checked == 34
+    assert report_fields(report) == ref.no_shatter3_check(cx.points, 30, seed=4, extra_triples=extra)
+
+
+@pytest.mark.parametrize(
+    "modulus, scale, m",
+    [(101, F(4, 5), 4), (101, F(38, 39), 3), (5, F(4, 5), 3), (3, F(7, 9), 3), (2, F(4, 5), 2)],
+    ids=["101-4/5", "101-38/39", "5-divides-4/5", "3-divides-7/9", "2-divides-all"],
+)
+def test_small_modulus_keeps_points_identical(monkeypatch, modulus, scale, m):
+    # With a tiny modulus residues collide all the time, and a modulus that
+    # divides the denominators leaves values without a residue; either way
+    # the exact re-check decides, so the points stay those of the oracle.
+    fc = FatCantorSet(scale)
+    oracle = ref.matched_budget_points(fc, m)
+    monkeypatch.setattr(ce, "MODULUS", modulus)
+    cx = matched_budget_points(fc, m)
+    assert cx.points == oracle.points and cx.by_interval == oracle.by_interval
+
+
+def test_checks_match_fraction_oracle_on_random_sets():
+    rng = random.Random("lattice-checks")
+    for _ in range(60):
+        pts = sorted({F(rng.randrange(-40, 40), rng.choice((1, 2, 3, 6))) for _ in range(rng.randrange(3, 12))})
+        if len(pts) < 3:
+            continue
+        pset = frozenset(pts)
+        assert verify_difference_injective(pts) == ref.verify_difference_injective(pts)
+        for _ in range(10):
+            p, q = rng.choice(pts), rng.choice(pts + [F(1, 7), F(rng.randrange(-5, 5), 2)])
+            assert pair_translate_count(pset, p, q) == ref.pair_translate_count(pset, p, q)
+            triple = tuple(rng.sample(pts, 2)) + (rng.choice(pts + [F(1, 5), F(9, 2)]),)
+            assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+        sample = rng.choice((None, 3, 10))
+        assert (pair_uniqueness_holds(pts, sample, random.Random(5))
+                == ref.pair_uniqueness_holds(pts, sample, random.Random(5)))
+
+
+def test_cli_does_not_read_the_pair_count_cache(tmp_path):
+    ce._cached_lattice.cache_clear()
+    argv = ["counterexample", "--matched", "2", "--triples", "20", "--out", str(tmp_path / "cx.json")]
+    assert main(argv) == 0
+    info = ce._cached_lattice.cache_info()
+    assert info.hits == info.misses == 0
