@@ -35,13 +35,7 @@ from .errors import (
     UnsampleableError,
     VCLabError,
 )
-from .groups import (
-    CyclicGroup,
-    GroupModel,
-    ProductGroup,
-    RealLine,
-    parse_model_spec,
-)
+from .groups import CyclicGroup, parse_model_spec
 from .rational import format_rational, parse_rational
 from .vc import (
     SetSystem,

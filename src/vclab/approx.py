@@ -1,9 +1,9 @@
 """Sampling-based epsilon-approximations with exact verification, and the
-hitting-set / covering pattern for translate families in finite groups.
+hitting-set / covering pattern for translate families in a cyclic group.
 
 The sup-deviation over all translates is computed exactly in integer
-arithmetic: for a cyclic group the base set is decomposed into circular arcs
-so every translate's sample count comes from prefix sums, and the deviation
+arithmetic: the base set is decomposed into circular arcs so every
+translate's sample count comes from prefix sums, and the deviation
 comparison |count*n - |X|*N| happens on integers before any Fraction is
 formed.  A naive per-translate recount is kept alongside as an independent
 oracle for the fast path.
@@ -18,50 +18,30 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import HittingSetError, UnsampleableError
-from .groups import CyclicGroup, GroupModel
+from .groups import CyclicGroup
 from .rational import format_rational
 
 
 @dataclass
 class FiniteTranslateFamily:
-    """The family of all translates of a base subset of a finite group."""
+    """The family of all translates of a base subset of a cyclic group."""
 
-    model: GroupModel
+    model: CyclicGroup
     base: tuple
 
     def __post_init__(self):
         vals = sorted({self.model.normalize(v) for v in self.base})
         self.base = tuple(vals)
-        if isinstance(self.model, CyclicGroup):
-            self._arcs = _circular_arcs(vals, self.model.n)
-        else:
-            self._arcs = None
-            self._rows = [
-                frozenset(self.model.compose(g, v) for v in self.base)
-                for g in self.model.elements()
-            ]
+        self._arcs = _circular_arcs(vals, self.model.n)
 
     def member_measure(self) -> Fraction:
         return self.model.haar_measure(self.base)
 
     def member_count(self) -> int:
-        if isinstance(self.model, CyclicGroup):
-            return self.model.n
-        return self.model.size
+        return self.model.n
 
     def sup_deviation(self, sample: Sequence) -> Fraction:
         """Exact sup over every translate of |Av(sample) - measure|."""
-        if isinstance(self.model, CyclicGroup):
-            return self._sup_deviation_cyclic(sample)
-        best = Fraction(0)
-        mu = self.member_measure()
-        n_samp = len(sample)
-        for row in self._rows:
-            hits = sum(1 for p in sample if self.model.normalize(p) in row)
-            best = max(best, abs(Fraction(hits, n_samp) - mu))
-        return best
-
-    def _sup_deviation_cyclic(self, sample: Sequence) -> Fraction:
         n = self.model.n
         n_samp = len(sample)
         hist = [0] * n
@@ -126,7 +106,7 @@ class ApproxResult:
 
 
 def epsilon_approximation(
-    model: GroupModel, family, epsilon, n_samples: int, rng: random.Random
+    model: CyclicGroup, family, epsilon, n_samples: int, rng: random.Random
 ) -> ApproxResult:
     """Draw n i.i.d. uniform points and measure the exact sup-deviation over
     the family; success iff it is strictly below epsilon."""
@@ -174,7 +154,7 @@ class SweepResult:
 
 
 def sample_complexity_sweep(
-    model: GroupModel,
+    model: CyclicGroup,
     family,
     epsilon,
     schedule: Sequence[int],
@@ -207,7 +187,7 @@ def sample_complexity_sweep(
 def hitting_set_for_translates(
     base: Iterable,
     translators: Iterable,
-    model: GroupModel,
+    model: CyclicGroup,
     epsilon,
     rng: random.Random,
     retries: int = 20,
@@ -240,7 +220,7 @@ def hitting_set_for_translates(
     )
 
 
-def covering_check(base: Iterable, points: Sequence, translators: Iterable, model: GroupModel):
+def covering_check(base: Iterable, points: Sequence, translators: Iterable, model: CyclicGroup):
     """Exactly verify that every translate g+X contains one of the points
     (equivalently, the translators are covered by the point-shifted reflected
     base sets).  Returns (ok, first failing translator or None)."""

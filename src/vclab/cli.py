@@ -336,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output artifact path (default: stdout, or $VCLAB_OUT_DIR)")
         p.add_argument("--config", help="JSON file whose keys mirror the flags")
 
-    p = sub.add_parser("vcdim", help="VC dimension of a translate family in a finite group")
+    p = sub.add_parser("vcdim", help="VC dimension of a translate family in a cyclic group")
     common(p)
-    p.add_argument("--group", default="cyclic:12")
+    p.add_argument("--group", default="cyclic:12", help="cyclic:N, the integers mod N")
     p.add_argument("--set", default="arc:3")
     p.set_defaults(fn=cmd_vcdim)
 
     p = sub.add_parser("eps-approx", help="sample-complexity sweep for epsilon-approximations")
     common(p)
-    p.add_argument("--group", default="cyclic:1000")
+    p.add_argument("--group", default="cyclic:1000", help="cyclic:N, the integers mod N")
     p.add_argument("--arc", type=int, default=300)
     p.add_argument("--epsilon", default="1/20")
     p.add_argument("--trials", type=int, default=100)

@@ -63,9 +63,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def __str__(self):
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{format_rational(self.lo)},{format_rational(self.hi)}{right}"
+        return _piece_text(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
 
 # A "piece" is (lo, hi, lo_closed, hi_closed); lo == hi with both ends closed
@@ -256,12 +254,7 @@ class ConstructibleSet:
     # -------------------------------------------------------- serialization
 
     def to_text(self) -> str:
-        parts = [str(iv) for iv in self.intervals]
-        parts += ["{%s}" % format_rational(p) for p in self.points]
-        if not parts:
-            return "{}"
-        ordered = sorted(parts, key=lambda s: _part_sort_key(s))
-        return " u ".join(ordered)
+        return " u ".join(_piece_text(*piece) for piece in self.components()) or "{}"
 
     def to_json(self) -> dict:
         return {
@@ -330,12 +323,13 @@ _PART_RE = re.compile(r"^([\[\(])\s*([^,]+)\s*,\s*([^\]\)]+)\s*([\]\)])$")
 _POINT_RE = re.compile(r"^\{\s*([^}]*)\s*\}$")
 
 
-def _part_sort_key(part: str):
-    m = _PART_RE.match(part)
-    if m:
-        return (parse_rational(m.group(2)), 0)
-    m = _POINT_RE.match(part)
-    return (parse_rational(m.group(1)), 1)
+def _piece_text(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> str:
+    """A piece as "[lo,hi)", "(lo,hi]" and so on, or "{p}" for a point."""
+    if lo == hi:
+        return "{%s}" % format_rational(lo)
+    left = "[" if lo_closed else "("
+    right = "]" if hi_closed else ")"
+    return f"{left}{format_rational(lo)},{format_rational(hi)}{right}"
 
 
 def parse_set(text: str) -> ConstructibleSet:

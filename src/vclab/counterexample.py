@@ -36,6 +36,11 @@ from .constructible import ConstructibleSet
 
 MODULUS = 2**61 - 1
 
+# The most points a truncation may place: the stage-8 matched truncation's
+# 839, which takes about 2 s and 120 MB.  Placement keeps one entry per
+# placed pair, so its time and memory grow with the square of the count.
+MAX_POINTS = 839
+
 
 def _residue(x: Fraction) -> Optional[int]:
     """x = n/d as n * d^-1 mod MODULUS, or None when MODULUS divides d."""
@@ -153,37 +158,44 @@ class _Placement:
 
 def counterexample_points(
     fc: FatCantorSet,
-    interval_budget: int,
+    interval_budget: Optional[int],
     per_interval: int | Callable[[int], int],
     max_stage: int = 64,
 ) -> CounterexamplePoints:
     """Greedy difference-injective truncation.
 
-    Intervals are taken in construction order (stage, then position); inside
-    each, base positions are perturbed inward within a quarter of the gap to
-    the neighboring position, taking the first rational (by a fixed
+    The first interval_budget intervals (all through max_stage if None) are
+    taken in construction order (stage, then position); inside each, base
+    positions are perturbed inward within a quarter of the gap to the
+    neighboring position, taking the first rational (by a fixed
     denominator-growth enumeration) whose differences to all previously
     placed points are fresh.  per_interval may be a constant or a
-    stage-indexed budget.  Freshness is decided on residues mod MODULUS with
-    an exact re-check of every residue hit; injectivity is re-verified on the
-    integer lattice before return.
+    stage-indexed budget k, for 2k + 1 points; more than MAX_POINTS in all
+    are refused before placement.  Freshness is decided on residues mod
+    MODULUS with an exact re-check of every residue hit; injectivity is
+    re-verified on the integer lattice before return.
     """
-    if interval_budget < 1:
+    if interval_budget is not None and interval_budget < 1:
         raise ValueError("need at least one interval")
-    chosen: list[tuple[int, Fraction, Fraction]] = []
+    chosen: list[tuple[int, Fraction, Fraction, int]] = []
+    planned = 0
     for stage, a, b in fc.removed_intervals(max_stage):
-        chosen.append((stage, a, b))
+        k = per_interval if isinstance(per_interval, int) else per_interval(stage)
+        if k < 1:
+            raise ValueError("per-interval budget must be >= 1")
+        planned += 2 * k + 1
+        if planned > MAX_POINTS:
+            raise ValueError(f"the truncation would place more than {MAX_POINTS} points, "
+                             "the size of the stage-8 matched truncation")
+        chosen.append((stage, a, b, k))
         if len(chosen) == interval_budget:
             break
-    if len(chosen) < interval_budget:
+    if interval_budget is not None and len(chosen) < interval_budget:
         raise ValueError(f"only {len(chosen)} intervals exist through stage {max_stage}")
 
     placement = _Placement()
     layout = []
-    for stage, a, b in chosen:
-        k = per_interval if isinstance(per_interval, int) else per_interval(stage)
-        if k < 1:
-            raise ValueError("per-interval budget must be >= 1")
+    for stage, a, b, k in chosen:
         base = dict(sequence_positions(a, b, k))
         order = [0]
         for j in range(1, k + 1):
@@ -226,11 +238,13 @@ def matched_budget_points(fc: FatCantorSet, m: int) -> CounterexamplePoints:
     """Stage-m matched truncation: all removed intervals of stages <= m, each
     carrying enough points that every limit-set point at stage m is within
     2^-m of the truncation (interval of stage s gets max(1, m + 2 - 2s))."""
+    if m < 1:
+        raise ValueError("need at least one interval")
     return counterexample_points(
         fc,
-        interval_budget=2**m - 1,
+        interval_budget=None,
         per_interval=lambda s: max(1, m + 2 - 2 * s),
-        max_stage=max(m, 1),
+        max_stage=m,
     )
 
 

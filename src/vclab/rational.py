@@ -12,6 +12,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"rational {text!r} must be p/q, an integer or a decimal such as 0.25") from None
 
 
 def format_rational(x: Fraction) -> str:

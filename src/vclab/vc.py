@@ -49,7 +49,7 @@ class SetSystem:
     @classmethod
     def from_translates(cls, model, base: Iterable) -> "SetSystem":
         """Materialize the family of all translates of a base subset of a
-        finite group model."""
+        cyclic group model."""
         ground = tuple(model.elements())
         index = {g: i for i, g in enumerate(ground)}
         base_vals = [model.normalize(v) for v in base]

@@ -11,7 +11,7 @@ from vclab.approx import (
     sample_complexity_sweep,
 )
 from vclab.errors import HittingSetError, UnsampleableError
-from vclab.groups import CyclicGroup, ProductGroup
+from vclab.groups import CyclicGroup
 
 F = Fraction
 
@@ -44,15 +44,6 @@ def test_fast_path_matches_naive_recount():
         fam = FiniteTranslateFamily(z, base)
         sample = [rng.randrange(n) for _ in range(rng.randrange(5, 60))]
         assert fam.sup_deviation(sample) == fam.sup_deviation_naive(sample)
-
-
-def test_product_group_family():
-    g = ProductGroup((4, 5))
-    base = [(0, 0), (0, 1), (1, 0), (2, 3)]
-    fam = FiniteTranslateFamily(g, base)
-    rng = random.Random(3)
-    res = epsilon_approximation(g, fam, F(1, 2), 50, rng)
-    assert 0 <= res.sup_deviation <= 1
 
 
 def test_epsilon_one_always_succeeds_at_one_sample():

@@ -197,14 +197,14 @@ def test_config_rejects_bad_shape_with_exit_2(tmp_path, capsys, config):
 def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "coordinate tuples" in err and err.count("\n") == 1
+    assert err.startswith("error: group spec 'product:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["border-sweep", "--window", "0"], "window '0' must be two rationals"),
-        (["eps-approx", "--group", "reals:0,1"], "the real line is not a finite group"),
+        (["eps-approx", "--group", "reals:0,1"], "group spec 'reals:0,1' must be cyclic:N"),
         (["steinhaus", "--stage", "-1"], "stage must be >= 0"),
         (["border-sweep", "--window", "1,0"], "window '1,0' needs lo < hi"),
         (["border-sweep", "--window", "0,0"], "window '0,0' needs lo < hi"),
@@ -233,7 +233,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["vcdim", "--set", "list:"], "set spec 'list:' is empty"),
         (["vcdim", "--set", "list:1,x"], "set spec 'list:1,x' must be arc:K or list:a,b,c"),
         (["vcdim", "--set", "arc:x"], "set spec 'arc:x' must be arc:K or list:a,b,c"),
-        (["vcdim", "--group", "cyclic:y"], "group spec 'cyclic:y' must be cyclic:N, product:AxB"),
+        (["vcdim", "--group", "cyclic:y"], "group spec 'cyclic:y' must be cyclic:N with an integer N >= 1"),
         (["vcdim", "--group", "product:2xq"], "group spec 'product:2xq' must be cyclic:N"),
         (["vcdim", "--group", "product:"], "group spec 'product:' must be cyclic:N"),
         (["vcdim", "--group", "reals:0"], "group spec 'reals:0' must be cyclic:N"),
@@ -247,6 +247,17 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["steinhaus", "--shifts", "1/0"], "--shifts '1/0' must be comma-separated rationals"),
         (["steinhaus", "--stage", "17"], "--stage 17 is above the cap of 16"),
         (["steinhaus", "--stage", "40"], "--stage 40 is above the cap of 16"),
+        (["counterexample", "--matched", "9"], "the truncation would place more than 839 points"),
+        (["counterexample", "--matched", "1000000"], "the truncation would place more than 839 points"),
+        (["counterexample", "--intervals", "200", "--points-per", "5"],
+         "the truncation would place more than 839 points"),
+        (["counterexample", "--intervals", "1000000000", "--points-per", "1"],
+         "the truncation would place more than 839 points"),
+        (["steinhaus", "--removed-scale", "abc"],
+         "rational 'abc' must be p/q, an integer or a decimal such as 0.25"),
+        (["eps-approx", "--epsilon", "x", "--trials", "2"], "rational 'x' must be p/q, an integer"),
+        (["border-sweep", "--window", "a,b"], "rational 'a' must be p/q, an integer"),
+        (["theorem5-report", "--set", "[0,x]"], "rational 'x' must be p/q, an integer"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -257,7 +268,9 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "non-integer-cyclic-group", "non-integer-product-group", "empty-product-group",
          "one-bound-reals-group", "zero-denominator", "whole-group-arc", "arc-past-whole-group",
          "empty-shifts", "non-rational-shift", "zero-denominator-shift", "stage-above-cap",
-         "stage-far-above-cap"],
+         "stage-far-above-cap", "matched-above-cap", "matched-far-above-cap",
+         "points-above-cap", "intervals-far-above-cap", "non-rational-removed-scale",
+         "non-rational-epsilon", "non-rational-window", "non-rational-set-bound"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

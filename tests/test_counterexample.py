@@ -136,6 +136,19 @@ def test_interval_budget_errors(fc):
         counterexample_points(fc, 100, 1, max_stage=3)
 
 
+def test_point_cap_refuses_before_placement(fc, monkeypatch):
+    # Criterion 07 places the stage-8 matched truncation, exactly at the cap.
+    monkeypatch.setattr(ce, "_Placement", None)
+    for make in (lambda: matched_budget_points(fc, 9),
+                 lambda: matched_budget_points(fc, 10**6),
+                 lambda: counterexample_points(fc, 200, 5),
+                 lambda: counterexample_points(fc, 1, 420)):
+        with pytest.raises(ValueError, match=f"more than {ce.MAX_POINTS} points"):
+            make()
+    with pytest.raises(ValueError, match="need at least one interval"):
+        matched_budget_points(fc, 0)
+
+
 def report_fields(report):
     return (report.triples_checked, report.max_patterns, report.full_shatter_found,
             report.pair_uniqueness_ok)

@@ -7,9 +7,9 @@ from pathlib import Path
 import vclab
 
 LAYERS = [
-    {"errors", "rational"},
+    {"errors", "groups", "rational"},
     {"constructible"},
-    {"cantor", "groups"},
+    {"cantor"},
     {"approx", "border", "counterexample", "vc", "witness"},
     {"selftest"},
     {"cli"},
