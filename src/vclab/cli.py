@@ -20,6 +20,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .approx import FiniteTranslateFamily, sample_complexity_sweep
 from .border import (
@@ -33,7 +34,7 @@ from .counterexample import counterexample_points, matched_budget_points, no_sha
 from .errors import BudgetExceededError, HittingSetError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
-from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
+from .vc import MAX_CHECKS, SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
@@ -41,6 +42,11 @@ BUDGET_ERRORS = (BudgetExceededError, HittingSetError)
 
 # The stage set of `steinhaus --stage m` has 2^m intervals.
 MAX_STEINHAUS_STAGE = 16
+
+# Above this order a base with distinct translates costs more than the search
+# budget on its first level alone (N candidate points against N rows); a base
+# of period p has the same VC dimension in cyclic:p.
+MAX_VCDIM_ORDER = isqrt(MAX_CHECKS)
 
 
 def _out_path(args, default_name):
@@ -90,11 +96,18 @@ def _parse_base_set(spec: str):
     return base
 
 
+def _parse_rational_flag(flag: str, spec: str) -> Fraction:
+    try:
+        return parse_rational(spec)
+    except ValueError:
+        raise ValueError(f"--{flag} {spec!r} must be a rational p/q") from None
+
+
 def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"window {spec!r} must be two rationals lo,hi")
-    lo, hi = parse_rational(parts[0]), parse_rational(parts[1])
+    try:
+        lo, hi = (parse_rational(v) for v in spec.split(","))
+    except ValueError:
+        raise ValueError(f"window {spec!r} must be two rationals lo,hi") from None
     if lo >= hi:
         raise ValueError(f"window {spec!r} needs lo < hi")
     return lo, hi
@@ -148,6 +161,8 @@ def _shatter_json(system, report) -> dict:
 
 def cmd_vcdim(args) -> int:
     model = parse_model_spec(args.group)
+    if model.n > MAX_VCDIM_ORDER:
+        raise ValueError(f"--group {args.group} is above the cap of cyclic:{MAX_VCDIM_ORDER}")
     base = _parse_base_set(args.set)
     system = SetSystem.from_translates(model, base)
     payload = {"group": model.describe(), "base_set": sorted(model.normalize(v) for v in base)}
@@ -188,7 +203,7 @@ def cmd_eps_approx(args) -> int:
     family = FiniteTranslateFamily(model, range(args.arc))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
-    epsilon = parse_rational(args.epsilon)
+    epsilon = _parse_rational_flag("epsilon", args.epsilon)
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     rows = [r.to_csv() for r in sweep.rows]
     fieldnames = ["N", "trials", "successes", "min_sup_deviation", "max_sup_deviation"]
@@ -204,7 +219,7 @@ def cmd_steinhaus(args) -> int:
     if args.stage > MAX_STEINHAUS_STAGE:
         raise ValueError(f"--stage {args.stage} is above the cap of {MAX_STEINHAUS_STAGE}")
     shifts = _parse_shifts(args.shifts)
-    fc = FatCantorSet(parse_rational(args.removed_scale))
+    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
     radius, density = steinhaus_neighborhood(fc)
     rows = []
     for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
@@ -224,7 +239,7 @@ def cmd_steinhaus(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fc = FatCantorSet(parse_rational(args.removed_scale))
+    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
     spent = None
     try:
         witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)
@@ -272,7 +287,7 @@ def cmd_border_sweep(args) -> int:
 
 def cmd_counterexample(args) -> int:
     _require_positive("triples", args.triples)
-    fc = FatCantorSet(parse_rational(args.removed_scale))
+    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
     if args.matched is not None:
         cx = matched_budget_points(fc, args.matched)
     else:

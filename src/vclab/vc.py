@@ -1,9 +1,9 @@
 """Shattering, VC dimension and dual VC dimension, for explicit finite
 families and for translate families.
 
-Finite families are bitmask rows over a finite ground set, searched
-exhaustively with subset pruning (a set can only be shattered if the set
-minus its largest point was).  Translate families over the continuous line
+All three searches share one level-wise search with subset pruning (a set
+can only be shattered if the set minus its largest point was).  Finite
+families are bitmask rows over a finite ground set, searched exhaustively.  Translate families over the continuous line
 are kept implicit: a candidate point set is tested exactly by intersecting
 translator sets (p - X is constructible whenever X is), so lower bounds come
 with verified certificates while upper bounds remain search outcomes.
@@ -20,6 +20,9 @@ from typing import Iterable, Optional
 from .constructible import ConstructibleSet
 from .errors import BudgetExceededError
 from .rational import format_rational
+
+# Default budget of the finite searches, in row-against-point checks.
+MAX_CHECKS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,11 @@ class SetSystem:
     @classmethod
     def from_translates(cls, model, base: Iterable) -> "SetSystem":
         """Materialize the family of all translates of a base subset of a
-        cyclic group model."""
-        ground = tuple(model.elements())
-        index = {g: i for i, g in enumerate(ground)}
-        base_vals = [model.normalize(v) for v in base]
-        seen = {}
-        for g in ground:
-            mask = 0
-            for v in base_vals:
-                mask |= 1 << index[model.compose(g, v)]
-            seen.setdefault(mask, g)
-        rows = tuple(sorted(seen))
-        labels = tuple(seen[m] for m in rows)
-        return cls(ground, rows, labels)
+        cyclic group model.  The elements are 0..n-1, so each translate's
+        label (its index) is its translator."""
+        base = tuple(base)
+        elements = model.elements()
+        return cls.from_sets(elements, (model.translate_subset(base, g) for g in elements))
 
     def __len__(self):
         return len(self.rows)
@@ -121,41 +116,61 @@ def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> Shatte
     return ShatterReport(points, witnesses)
 
 
-def vc_dimension(system: SetSystem, max_checks: int = 5_000_000) -> tuple[int, ShatterReport]:
-    """Exact VC dimension by level-wise exhaustive search: only shattered
-    k-sets are extended to (k+1)-sets, which is complete because shattering
-    is hereditary.  Returns one maximal shattered set as certificate."""
-    if not system.rows:
-        raise ValueError("empty family has no VC dimension")
-    n = len(system.ground)
-    best = _shatter_report(system, [], ())
+def _levelwise(n: int, witness, best, max_size: Optional[int] = None,
+               max_tries: Optional[int] = None, name: str = "search"):
+    """Hereditary level-wise search over increasing index tuples of range(n):
+    a (k+1)-tuple is tried only as an extension of a k-tuple that has a
+    witness, which is complete because shattering (and the dual property) is
+    hereditary.  `witness(t)` returns a witness for the tuple t or None.
+
+    Returns (d, w): d is the largest size with a witnessed tuple (at most
+    max_size) and w the witness of the first such d-tuple, or `best` when
+    d = 0.  Trying more than max_tries tuples raises BudgetExceededError
+    carrying the last complete level as `lower_bound` and its witness as
+    `partial`."""
     level: list[tuple[int, ...]] = [()]
     d = 0
-    checks = 0
-    while True:
+    tries = 0
+    while max_size is None or d < max_size:
         nxt = []
-        nxt_report = None
+        nxt_best = None
         for t in level:
-            start = t[-1] + 1 if t else 0
-            for i in range(start, n):
-                checks += len(system.rows)
-                if checks > max_checks:
+            for i in range(t[-1] + 1 if t else 0, n):
+                tries += 1
+                if max_tries is not None and tries > max_tries:
                     raise BudgetExceededError(
-                        f"vc_dimension budget exceeded at size {d + 1}",
-                        lower_bound=d,
-                        partial=best,
+                        f"{name} budget exceeded at size {d + 1}", lower_bound=d, partial=best
                     )
                 cand = t + (i,)
-                rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
-                if rep.shattered:
+                w = witness(cand)
+                if w is not None:
                     nxt.append(cand)
-                    if nxt_report is None:
-                        nxt_report = rep
+                    if nxt_best is None:
+                        nxt_best = w
         if not nxt:
-            return d, best
+            break
         d += 1
         level = nxt
-        best = nxt_report
+        best = nxt_best
+    return d, best
+
+
+def vc_dimension(system: SetSystem, max_checks: int = MAX_CHECKS) -> tuple[int, ShatterReport]:
+    """Exact VC dimension by level-wise exhaustive search.  Each candidate
+    point set costs one check per family row, so k candidates overrun
+    max_checks exactly when k > max_checks // rows.  Returns one maximal
+    shattered set as certificate."""
+    if not system.rows:
+        raise ValueError("empty family has no VC dimension")
+
+    def shattered(cand):
+        rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
+        return rep if rep.shattered else None
+
+    return _levelwise(
+        len(system.ground), shattered, _shatter_report(system, [], ()),
+        max_tries=max_checks // len(system.rows), name="vc_dimension",
+    )
 
 
 def vc_dimension_naive(system: SetSystem) -> int:
@@ -177,38 +192,18 @@ def vc_dimension_naive(system: SetSystem) -> int:
     return d
 
 
-def dual_vc_dimension(system: SetSystem, max_checks: int = 5_000_000) -> tuple[int, tuple]:
+def dual_vc_dimension(system: SetSystem, max_checks: int = MAX_CHECKS) -> tuple[int, tuple]:
     """Largest n such that n family members generate a Venn diagram all of
-    whose 2^n cells contain a ground element; returns witness row indices."""
+    whose 2^n cells contain a ground element; returns witness row indices.
+    Each candidate costs one check per ground element."""
     if not system.rows:
         raise ValueError("empty family has no dual VC dimension")
     if not system.ground:
         raise ValueError("empty ground set")
-    r = len(system.rows)
-    level: list[tuple[int, ...]] = [()]
-    best: tuple = ()
-    d = 0
-    checks = 0
-    while True:
-        nxt = []
-        for t in level:
-            start = t[-1] + 1 if t else 0
-            for i in range(start, r):
-                cand = t + (i,)
-                checks += len(system.ground)
-                if checks > max_checks:
-                    raise BudgetExceededError(
-                        f"dual_vc_dimension budget exceeded at size {d + 1}",
-                        lower_bound=d,
-                        partial=best,
-                    )
-                if _all_cells_nonempty(system, cand):
-                    nxt.append(cand)
-        if not nxt:
-            return d, best
-        d += 1
-        level = nxt
-        best = nxt[0]
+    return _levelwise(
+        len(system.rows), lambda cand: cand if _all_cells_nonempty(system, cand) else None, (),
+        max_tries=max_checks // len(system.ground), name="dual_vc_dimension",
+    )
 
 
 def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
@@ -301,38 +296,24 @@ def interesting_grid(
     return ordered
 
 
-def _pattern_translator_set(
+def _points_shattered_by_translates(
     x: ConstructibleSet,
     points: tuple[Fraction, ...],
-    pattern: int,
+    diffs: tuple[ConstructibleSet, ...],
     translator_window: ConstructibleSet,
-) -> ConstructibleSet:
-    """Exact set of translators g in the window with p in g+X exactly for the
-    pattern's points: the intersection of p-X over selected points minus the
-    union over the rest."""
-    region = translator_window
-    for j, p in enumerate(points):
-        shifted = ConstructibleSet.point(p).minkowski_diff(x)
-        if pattern >> j & 1:
-            region = region.intersection(shifted)
-        else:
-            region = region.difference(shifted)
-        if region.is_empty:
-            break
-    return region
-
-
-def _points_shattered_by_translates(
-    x: ConstructibleSet, points: tuple[Fraction, ...], translator_window: ConstructibleSet
 ) -> Optional[dict[int, Fraction]]:
-    """Translator witnesses for all 2^k patterns, or None; every returned
-    witness is re-verified by direct membership."""
-    k = len(points)
+    """Translator witnesses for all 2^k patterns of the points, or None.
+    diffs[j] is points[j] - x, so the translators in the window with exactly
+    the pattern's points in g + x are the intersection of the selected diffs
+    minus the union of the rest.  Every returned witness is re-verified by
+    direct membership."""
     witnesses = {}
-    for pattern in range(2**k):
-        region = _pattern_translator_set(x, points, pattern, translator_window)
-        if region.is_empty:
-            return None
+    for pattern in range(2 ** len(points)):
+        region = translator_window
+        for j, diff in enumerate(diffs):
+            region = region.intersection(diff) if pattern >> j & 1 else region.difference(diff)
+            if region.is_empty:
+                return None
         g = region.any_point()
         translated = x.translate(g)
         for j, p in enumerate(points):
@@ -348,51 +329,29 @@ def translate_vc_dimension(
     max_size: int = 3,
     refine: int = 2,
     grid_max: int = 64,
-    max_checks: int = 60_000,
 ) -> TranslateVCReport:
-    """Search point tuples from the interesting grid for sets shattered by
-    window-translates of x.  The lower bound is certified (explicit points
-    and translators, re-verified by exact membership); the upper bound is
-    only ever reported as a search outcome."""
+    """Search point tuples from the interesting grid, up to max_size points,
+    for sets shattered by window-translates of x.  The lower bound is
+    certified (explicit points and translators, re-verified by exact
+    membership); the upper bound is only ever reported as a search
+    outcome."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     translator_window = ConstructibleSet.interval(lo, hi)
     grid = interesting_grid(x, (lo, hi), refine, grid_max)
-    level: list[tuple[int, ...]] = [()]
-    best_points: tuple[Fraction, ...] = ()
-    best_witnesses: dict[int, Fraction] = {}
-    d = 0
-    checks = 0
-    exhausted = False
-    while d < max_size and not exhausted:
-        nxt = []
-        nxt_best = None
-        for t in level:
-            start = t[-1] + 1 if t else 0
-            for i in range(start, len(grid)):
-                checks += 1
-                if checks > max_checks:
-                    exhausted = True
-                    break
-                cand = t + (i,)
-                pts = tuple(grid[j] for j in cand)
-                witnesses = _points_shattered_by_translates(x, pts, translator_window)
-                if witnesses is not None:
-                    nxt.append(cand)
-                    if nxt_best is None:
-                        nxt_best = (pts, witnesses)
-            if exhausted:
-                break
-        if not nxt:
-            break
-        d += 1
-        level = nxt
-        best_points, best_witnesses = nxt_best
-    if exhausted:
-        status = f"budget of {max_checks} pattern checks exhausted at size {d + 1}"
-    else:
-        status = (
-            f"no shattered {d + 1}-point set found among {len(grid)} grid candidates"
+    diffs = [ConstructibleSet.point(p).minkowski_diff(x) for p in grid]
+
+    def shattered(cand):
+        pts = tuple(grid[j] for j in cand)
+        witnesses = _points_shattered_by_translates(
+            x, pts, tuple(diffs[j] for j in cand), translator_window
         )
+        return None if witnesses is None else (pts, witnesses)
+
+    d, (best_points, best_witnesses) = _levelwise(len(grid), shattered, ((), {}), max_size=max_size)
+    if d == max_size:
+        status = f"search stopped at the size cap of {max_size} points; larger sets were not tried"
+    else:
+        status = f"no shattered {d + 1}-point set found among {len(grid)} grid candidates"
     return TranslateVCReport(
         lower_bound=d,
         points=best_points,

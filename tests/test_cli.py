@@ -237,7 +237,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["vcdim", "--group", "product:2xq"], "group spec 'product:2xq' must be cyclic:N"),
         (["vcdim", "--group", "product:"], "group spec 'product:' must be cyclic:N"),
         (["vcdim", "--group", "reals:0"], "group spec 'reals:0' must be cyclic:N"),
-        (["eps-approx", "--epsilon", "1/0", "--trials", "2"], "rational '1/0' has a zero denominator"),
+        (["eps-approx", "--epsilon", "1/0", "--trials", "2"], "--epsilon '1/0' must be a rational p/q"),
         (["eps-approx", "--group", "cyclic:10", "--arc", "10", "--trials", "2", "--schedule", "5"],
          "--arc 10 covers all of cyclic:10"),
         (["eps-approx", "--group", "cyclic:10", "--arc", "20", "--trials", "2", "--schedule", "5"],
@@ -253,11 +253,19 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "the truncation would place more than 839 points"),
         (["counterexample", "--intervals", "1000000000", "--points-per", "1"],
          "the truncation would place more than 839 points"),
-        (["steinhaus", "--removed-scale", "abc"],
-         "rational 'abc' must be p/q, an integer or a decimal such as 0.25"),
-        (["eps-approx", "--epsilon", "x", "--trials", "2"], "rational 'x' must be p/q, an integer"),
-        (["border-sweep", "--window", "a,b"], "rational 'a' must be p/q, an integer"),
+        (["steinhaus", "--removed-scale", "abc"], "--removed-scale 'abc' must be a rational p/q"),
+        (["eps-approx", "--epsilon", "x", "--trials", "2"], "--epsilon 'x' must be a rational p/q"),
+        (["border-sweep", "--window", "a,b"], "window 'a,b' must be two rationals lo,hi"),
         (["theorem5-report", "--set", "[0,x]"], "rational 'x' must be p/q, an integer"),
+        (["theorem5-report", "--set", "[0,1]", "--window", "0,x"],
+         "window '0,x' must be two rationals lo,hi"),
+        (["translate-vcdim", "--set", "[0,1]", "--window", "0,1/0"],
+         "window '0,1/0' must be two rationals lo,hi"),
+        (["witness", "--depth", "2", "--removed-scale", "4/"], "--removed-scale '4/' must be a rational p/q"),
+        (["counterexample", "--removed-scale", "1/0"], "--removed-scale '1/0' must be a rational p/q"),
+        (["vcdim", "--group", "cyclic:2237"], "--group cyclic:2237 is above the cap of cyclic:2236"),
+        (["vcdim", "--group", "cyclic:100000", "--set", "arc:3"],
+         "--group cyclic:100000 is above the cap of cyclic:2236"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -270,7 +278,10 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "empty-shifts", "non-rational-shift", "zero-denominator-shift", "stage-above-cap",
          "stage-far-above-cap", "matched-above-cap", "matched-far-above-cap",
          "points-above-cap", "intervals-far-above-cap", "non-rational-removed-scale",
-         "non-rational-epsilon", "non-rational-window", "non-rational-set-bound"],
+         "non-rational-epsilon", "non-rational-window", "non-rational-set-bound",
+         "theorem5-non-rational-window", "translate-vcdim-zero-denominator-window",
+         "witness-non-rational-removed-scale", "counterexample-zero-denominator-removed-scale",
+         "group-above-vcdim-cap", "group-far-above-vcdim-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from vclab.cantor import FatCantorSet
-from vclab.constructible import ConstructibleSet
+from vclab.constructible import ConstructibleSet, parse_set
 from vclab.counterexample import counterexample_points
 from vclab.errors import BudgetExceededError
 from vclab.groups import CyclicGroup
 from vclab.vc import (
     SetSystem,
+    ShatterReport,
     dual_vc_dimension,
     sauer_shelah_table,
     translate_vc_dimension,
@@ -73,13 +74,29 @@ def test_vc_monotone_under_subfamilies():
 
 
 def test_vc_budget_error_carries_lower_bound():
+    # The error carries the last complete level and the witness of its first
+    # tuple, at each budget.
     system = powerset_system(tuple(range(8)))
     with pytest.raises(BudgetExceededError) as err:
         vc_dimension(system, max_checks=2000)
-    assert err.value.lower_bound is not None and err.value.lower_bound >= 0
+    assert str(err.value) == "vc_dimension budget exceeded at size 1"
+    assert err.value.lower_bound == 0
+    assert err.value.partial == ShatterReport((), {0: 0})
+    with pytest.raises(BudgetExceededError) as err:
+        vc_dimension(system, max_checks=10_000)
+    assert str(err.value) == "vc_dimension budget exceeded at size 3"
+    assert err.value.lower_bound == 2
+    assert err.value.partial == ShatterReport((0, 1), {0: 0, 1: 1, 2: 2, 3: 3})
     with pytest.raises(BudgetExceededError) as err:
         dual_vc_dimension(system, max_checks=50)
-    assert err.value.lower_bound is not None
+    assert str(err.value) == "dual_vc_dimension budget exceeded at size 1"
+    assert err.value.lower_bound == 0 and err.value.partial == ()
+    with pytest.raises(BudgetExceededError) as err:
+        dual_vc_dimension(system, max_checks=3000)
+    assert err.value.lower_bound == 1 and err.value.partial == (1,)
+    with pytest.raises(BudgetExceededError) as err:
+        dual_vc_dimension(system, max_checks=300_000)
+    assert err.value.lower_bound == 2 and err.value.partial == (3, 5)
 
 
 def test_dual_vc_examples():
@@ -151,8 +168,26 @@ def test_translate_vc_window_itself():
 
 def test_translate_vc_discrete_truncation():
     cx = counterexample_points(FatCantorSet(), 2, 2)
-    report = translate_vc_dimension(
-        cx.as_set(), (0, 1), max_size=3, refine=0, grid_max=24, max_checks=30_000
-    )
+    report = translate_vc_dimension(cx.as_set(), (0, 1), max_size=3, refine=0, grid_max=24)
     assert report.lower_bound == 2
     assert "no shattered 3-point set" in report.upper_bound_status
+
+
+def test_translate_vc_size_cap_is_not_an_upper_bound():
+    # Two intervals shatter three grid points, and the search never tries
+    # four, so the status must not claim that no 4-point set exists.
+    x = parse_set("[0,1/8] u [1/4,3/8]")
+    report = translate_vc_dimension(x, (0, 1), refine=0)
+    assert report.lower_bound == 3
+    assert report.upper_bound_status == (
+        "search stopped at the size cap of 3 points; larger sets were not tried"
+    )
+    assert "no shattered" not in report.upper_bound_status
+    assert len(report.pattern_translators) == 8
+    for pattern, g in report.pattern_translators.items():
+        shifted = x.translate(g)
+        for bit, p in zip(pattern[::-1], report.points):
+            assert shifted.contains(p) == (bit == "1")
+    capped = translate_vc_dimension(x, (0, 1), max_size=2, refine=0)
+    assert capped.lower_bound == 2
+    assert "size cap of 2 points" in capped.upper_bound_status
