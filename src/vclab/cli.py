@@ -113,6 +113,13 @@ def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _parse_set_flag(spec: str):
+    try:
+        return parse_set(spec)
+    except ValueError as exc:
+        raise ValueError(f"--set {spec!r}: {exc}") from None
+
+
 def _require_positive(name: str, count: int):
     """A run over no sets, trials or triples would check nothing."""
     if count < 1:
@@ -312,7 +319,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_theorem5_report(args) -> int:
-    x = parse_set(args.set)
+    x = _parse_set_flag(args.set)
     window = _parse_window(args.window) if args.window else None
     report = density_report(x, window)
     _emit(_json_text(report.to_json()), _out_path(args, "theorem5_report.json"))
@@ -328,7 +335,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_translate_vcdim(args) -> int:
-    x = parse_set(args.set)
+    x = _parse_set_flag(args.set)
     report = translate_vc_dimension(x, _parse_window(args.window))
     _emit(_json_text(report.to_json()), _out_path(args, "translate_vcdim.json"))
     print(f"certified lower bound {report.lower_bound}; {report.upper_bound_status}")
@@ -460,17 +467,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     tokens = _attach_dash_values(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(tokens)
-    if args.config:
-        # Config values go right after the subcommand, so flags given on the
-        # command line come later and win.
-        try:
-            extra = _config_tokens(args.config, args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        at = tokens.index(args.command) + 1
-        args = parser.parse_args(tokens[:at] + extra + tokens[at:])
     try:
+        if args.config:
+            # Config values go right after the subcommand, so flags given on
+            # the command line come later and win.
+            at = tokens.index(args.command) + 1
+            args = parser.parse_args(tokens[:at] + _config_tokens(args.config, args) + tokens[at:])
         return args.fn(args)
     except BUDGET_ERRORS as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -256,34 +256,6 @@ class ConstructibleSet:
     def to_text(self) -> str:
         return " u ".join(_piece_text(*piece) for piece in self.components()) or "{}"
 
-    def to_json(self) -> dict:
-        return {
-            "intervals": [
-                {
-                    "lo": format_rational(iv.lo),
-                    "hi": format_rational(iv.hi),
-                    "lo_closed": iv.lo_closed,
-                    "hi_closed": iv.hi_closed,
-                }
-                for iv in self.intervals
-            ],
-            "points": [format_rational(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ConstructibleSet":
-        pieces: list[Piece] = [
-            (
-                parse_rational(iv["lo"]),
-                parse_rational(iv["hi"]),
-                bool(iv["lo_closed"]),
-                bool(iv["hi_closed"]),
-            )
-            for iv in data.get("intervals", [])
-        ]
-        pieces += [(parse_rational(p),) * 2 + (True, True) for p in data.get("points", [])]
-        return cls.from_pieces(pieces)
-
 
 def _sweep(
     operands: tuple[Iterable[Piece], ...], fn: Callable[[bool, bool], bool]

@@ -10,7 +10,9 @@ from .approx import FiniteTranslateFamily, covering_check, epsilon_approximation
 from .border import border_decay_experiment, density_report, random_closed_union, random_constructible, r_border_measure
 from .cantor import FatCantorSet
 from .constructible import ConstructibleSet
-from .counterexample import counterexample_points, no_shatter3_check, pair_uniqueness_holds, verify_difference_injective
+from .counterexample import (
+    counterexample_points, matched_budget_points, no_shatter3_check, pair_uniqueness_holds, verify_difference_injective,
+)
 from .groups import CyclicGroup
 from .vc import SetSystem, dual_vc_dimension, sauer_shelah_table, vc_dimension, vc_dimension_naive
 from .witness import construct_witness, verify_witness
@@ -180,10 +182,7 @@ def check_border_dichotomy() -> bool:
     rows = border_decay_experiment(sets, [Fraction(1, 2**j) for j in range(4, 10)], (-1, 2))
     if not all(r.within_bound for r in rows):
         return False
-    fc = FatCantorSet()
-    from .counterexample import matched_budget_points
-
-    cx = matched_budget_points(fc, 3)
+    cx = matched_budget_points(FatCantorSet(), 3)
     return r_border_measure(cx.as_set(), Fraction(1, 8), (0, 1)) >= Fraction(3, 5)
 
 

@@ -117,9 +117,6 @@ class VerificationResult:
     ok: bool
     failures: list = field(default_factory=list)
 
-    def __bool__(self):
-        return self.ok
-
 
 # --------------------------------------------------------------------------
 # difference-set bookkeeping
@@ -160,8 +157,18 @@ def _bitstrings(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(2**k)]
 
 
-def _cond_slack(value: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    return min(value - lo, hi - value)
+def _slack(value: Fraction, gap: Interval) -> Fraction:
+    return min(value - gap.lo, gap.hi - value)
+
+
+def _conditions(translators, points, gaps):
+    """(level, pattern, value, gap, stage) in (level, pattern) order: condition
+    (k, p) is that g_k + x_p lies in the gap chosen for the prefix p[:k+1]."""
+    patterns = sorted(points)
+    for k, g in enumerate(translators):
+        for pattern in patterns:
+            gap, stage = gaps[pattern[: k + 1]]
+            yield k, pattern, g + points[pattern], gap, stage
 
 
 def construct_witness(
@@ -188,32 +195,28 @@ def construct_witness(
 
     rng = random.Random(f"witness/{seed}")
     points: dict[str, Fraction] = {"": fc.window[0]}
-    conds: dict[tuple[int, str], tuple[Fraction, Interval, int]] = {}
+    gaps: dict[str, tuple[Interval, int]] = {}
     translators: list[Fraction] = []
     m = 0
 
-    def partial(level: int) -> ShatterWitness:
-        return _assemble(level, translators[:level], points, conds)
+    def partial() -> ShatterWitness:
+        # Every call comes before the current level's translator is appended,
+        # so this is the certificate of the completed levels.
+        return _assemble(translators, points, gaps)
 
     for level in range(depth):
         patterns = sorted(points)
-        slack_by_pattern = {}
-        for pat in patterns:
-            slacks = [
-                _cond_slack(v, iv.lo, iv.hi)
-                for (k, p), (v, iv, _) in conds.items()
-                if p == pat
-            ]
-            slack_by_pattern[pat] = min(slacks) if slacks else None
-
         # Deepen until components fit inside every slack ball and are
         # pairwise distinct.
-        min_sigma = min((s for s in slack_by_pattern.values() if s is not None), default=None)
+        min_sigma = min(
+            (_slack(v, gap) for _, _, v, gap, _ in _conditions(translators, points, gaps)),
+            default=None,
+        )
         while True:
             if m > stage_budget:
                 raise BudgetExceededError(
                     f"stage budget exhausted while separating level {level}",
-                    partial=partial(level),
+                    partial=partial(),
                 )
             lam = fc.component_length(m)
             if min_sigma is not None and lam >= min_sigma:
@@ -222,7 +225,7 @@ def construct_witness(
             comps = {pat: fc.component_of(points[pat], m) for pat in patterns}
             if any(c is None for c in comps.values()):
                 raise BudgetExceededError(
-                    "a point left the core approximation", partial=partial(level)
+                    "a point left the core approximation", partial=partial()
                 )
             if len({(c.lo, c.hi) for c in comps.values()}) < len(patterns):
                 m += 1
@@ -241,7 +244,7 @@ def construct_witness(
         sign = rng.choice((1, -1))
         g_level = sign * min(min_gap, radius) * ratio
 
-        placed: list[dict] = []
+        new_points: dict[str, Fraction] = {}
         used_gaps: set[tuple[Fraction, Fraction]] = set()
         used_points: set[Fraction] = set()
         for pattern in _bitstrings(level + 1):
@@ -254,7 +257,7 @@ def construct_witness(
             if not choices:
                 raise BudgetExceededError(
                     f"no unused branch-{bit} gap for pattern {pattern}",
-                    partial=partial(level),
+                    partial=partial(),
                 )
             shallowest = min(stage for stage, _ in choices)
             stage, iv = rng.choice([c for c in choices if c[0] == shallowest])
@@ -262,51 +265,33 @@ def construct_witness(
             value = x + g_level
             if not (iv.lo < value < iv.hi) or x in used_points:
                 raise BudgetExceededError(
-                    f"edge placement failed for pattern {pattern}", partial=partial(level)
+                    f"edge placement failed for pattern {pattern}", partial=partial()
                 )
             used_gaps.add((iv.lo, iv.hi))
             used_points.add(x)
-            placed.append({"pattern": pattern, "x": x, "iv": iv, "stage": stage})
+            new_points[pattern] = x
+            gaps[pattern] = (iv, stage)
 
+        # The earlier levels' conditions (k < level), now at the new points.
+        for _, _, value, gap, _ in _conditions(translators, new_points, gaps):
+            if not (gap.lo < value < gap.hi):
+                raise BudgetExceededError(
+                    "inherited condition broke; budgets too tight",
+                    partial=partial(),
+                )
         translators.append(g_level)
-        new_points = {}
-        new_conds = {}
-        for p in placed:
-            pat, x = p["pattern"], p["x"]
-            new_points[pat] = x
-            new_conds[(level, pat)] = (x + g_level, p["iv"], p["stage"])
-            parent = pat[:-1]
-            for k in range(level):
-                _, piv, pstage = conds[(k, parent)]
-                pval = translators[k] + x
-                if not (piv.lo < pval < piv.hi):
-                    raise BudgetExceededError(
-                        "inherited condition broke; budgets too tight",
-                        partial=partial(level),
-                    )
-                new_conds[(k, pat)] = (pval, piv, pstage)
         points = new_points
-        conds = new_conds
 
-    return _assemble(depth, translators, points, conds)
+    return _assemble(translators, points, gaps)
 
 
-def _assemble(depth, translators, points, conds) -> ShatterWitness:
+def _assemble(translators, points, gaps) -> ShatterWitness:
     conditions = tuple(
-        WitnessCondition(
-            level=k,
-            pattern=pat,
-            value=v,
-            lo=iv.lo,
-            hi=iv.hi,
-            stage=stage,
-            slack=_cond_slack(v, iv.lo, iv.hi),
-        )
-        for (k, pat), (v, iv, stage) in sorted(conds.items())
+        WitnessCondition(k, pattern, v, gap.lo, gap.hi, stage, _slack(v, gap))
+        for k, pattern, v, gap, stage in _conditions(translators, points, gaps)
     )
     stage_bound = max((c.stage for c in conditions), default=0)
-    pts = {p: x for p, x in points.items() if len(p) == depth}
-    return ShatterWitness(depth, tuple(translators), pts, stage_bound, conditions)
+    return ShatterWitness(len(translators), tuple(translators), points, stage_bound, conditions)
 
 
 # --------------------------------------------------------------------------

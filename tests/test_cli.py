@@ -256,7 +256,12 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["steinhaus", "--removed-scale", "abc"], "--removed-scale 'abc' must be a rational p/q"),
         (["eps-approx", "--epsilon", "x", "--trials", "2"], "--epsilon 'x' must be a rational p/q"),
         (["border-sweep", "--window", "a,b"], "window 'a,b' must be two rationals lo,hi"),
-        (["theorem5-report", "--set", "[0,x]"], "rational 'x' must be p/q, an integer"),
+        (["theorem5-report", "--set", "[0,x]"], "--set '[0,x]': rational 'x' must be p/q, an integer"),
+        (["translate-vcdim", "--set", "[0,x]"], "--set '[0,x]': rational 'x' must be p/q, an integer"),
+        (["theorem5-report", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
+        (["translate-vcdim", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
+        (["theorem5-report", "--set", "[1,0]"], "--set '[1,0]': piece with lo > hi: 1 > 0"),
+        (["translate-vcdim", "--set", "[1,0]"], "--set '[1,0]': piece with lo > hi: 1 > 0"),
         (["theorem5-report", "--set", "[0,1]", "--window", "0,x"],
          "window '0,x' must be two rationals lo,hi"),
         (["translate-vcdim", "--set", "[0,1]", "--window", "0,1/0"],
@@ -279,6 +284,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "stage-far-above-cap", "matched-above-cap", "matched-far-above-cap",
          "points-above-cap", "intervals-far-above-cap", "non-rational-removed-scale",
          "non-rational-epsilon", "non-rational-window", "non-rational-set-bound",
+         "translate-vcdim-non-rational-set-bound", "unclosed-set", "translate-vcdim-unclosed-set",
+         "reversed-set-bound", "translate-vcdim-reversed-set-bound",
          "theorem5-non-rational-window", "translate-vcdim-zero-denominator-window",
          "witness-non-rational-removed-scale", "counterexample-zero-denominator-removed-scale",
          "group-above-vcdim-cap", "group-far-above-vcdim-cap"],

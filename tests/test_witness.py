@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from vclab.cantor import FatCantorSet
+from vclab.cli import main
 from vclab.constructible import ConstructibleSet
 from vclab.errors import BudgetExceededError
 from vclab.witness import (
@@ -159,3 +161,23 @@ def test_witness_realizes_all_patterns(fc):
         assert "".join(bits) == pattern
         realized.add(pattern)
     assert len(realized) == 8
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha256",
+    [
+        (["--depth", "6", "--seed", "0"], 0,
+         "c91a85de6370135bb5fb5bc22721ee20cac240f28146905366f19aecea87506c"),
+        (["--depth", "5", "--seed", "3", "--removed-scale", "38/39"], 0,
+         "5f8d1a097e6f1fbcb71e10cb0d3a858bbbd31e41d24f8688aff3ac343451a383"),
+        (["--depth", "6", "--stage-budget", "40"], 3,
+         "e1c414cfbb411eb7716eb7fb2dd2791a7ef626fdb2fae4cda9e71785bafa6089"),
+    ],
+    ids=["depth-6", "depth-5-scale-38/39", "partial-stage-budget-40"],
+)
+def test_witness_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
+    # Digests recorded from earlier commits: a change to the construction
+    # that moves any byte of these certificates shows here.
+    out = tmp_path / "witness.json"
+    assert main(["witness", *argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
