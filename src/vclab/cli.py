@@ -115,9 +115,12 @@ def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
 
 def _parse_set_flag(spec: str):
     try:
-        return parse_set(spec)
+        x = parse_set(spec)
     except ValueError as exc:
         raise ValueError(f"--set {spec!r}: {exc}") from None
+    if x.is_empty:
+        raise ValueError(f"--set {spec!r} is empty, so the run would check nothing")
+    return x
 
 
 def _require_positive(name: str, count: int):
@@ -336,7 +339,17 @@ def cmd_selftest(args) -> int:
 
 def cmd_translate_vcdim(args) -> int:
     x = _parse_set_flag(args.set)
-    report = translate_vc_dimension(x, _parse_window(args.window))
+    try:
+        report = translate_vc_dimension(x, _parse_window(args.window))
+    except BudgetExceededError as exc:
+        # The spent search still certified its last complete size; write it.
+        _emit(_json_text(exc.partial.to_json()), _out_path(args, "translate_vcdim.json"))
+        print(
+            f"budget exhausted: {exc}; wrote the partial report "
+            f"(certified lower bound {exc.lower_bound})",
+            file=sys.stderr,
+        )
+        return 3
     _emit(_json_text(report.to_json()), _out_path(args, "translate_vcdim.json"))
     print(f"certified lower bound {report.lower_bound}; {report.upper_bound_status}")
     return 0

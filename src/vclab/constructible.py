@@ -305,7 +305,10 @@ def _piece_text(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) ->
 
 
 def parse_set(text: str) -> ConstructibleSet:
-    """Inverse of ConstructibleSet.to_text, e.g. "[0,1/2) u (3/4,1] u {2}"."""
+    """Inverse of ConstructibleSet.to_text, e.g. "[0,1/2) u (3/4,1] u {2}".
+    "{}" and "" are the empty set; every piece must be nonempty, so an
+    interval needs lo < hi, or lo = hi with both ends closed ("[p,p]" is
+    the point {p})."""
     text = text.strip()
     if text in ("{}", ""):
         return ConstructibleSet()
@@ -314,14 +317,13 @@ def parse_set(text: str) -> ConstructibleSet:
         raw = raw.strip()
         m = _PART_RE.match(raw)
         if m:
-            pieces.append(
-                (
-                    parse_rational(m.group(2)),
-                    parse_rational(m.group(3)),
-                    m.group(1) == "[",
-                    m.group(4) == "]",
+            lo, hi = parse_rational(m.group(2)), parse_rational(m.group(3))
+            lo_closed, hi_closed = m.group(1) == "[", m.group(4) == "]"
+            if not (lo < hi or lo == hi and lo_closed and hi_closed):
+                raise ValueError(
+                    f"piece {raw!r} must have lo < hi, or lo = hi with both ends closed"
                 )
-            )
+            pieces.append((lo, hi, lo_closed, hi_closed))
             continue
         m = _POINT_RE.match(raw)
         if m:

@@ -2,11 +2,17 @@
 families and for translate families.
 
 All three searches share one level-wise search with subset pruning (a set
-can only be shattered if the set minus its largest point was).  Finite
-families are bitmask rows over a finite ground set, searched exhaustively.  Translate families over the continuous line
-are kept implicit: a candidate point set is tested exactly by intersecting
-translator sets (p - X is constructible whenever X is), so lower bounds come
-with verified certificates while upper bounds remain search outcomes.
+can only be shattered if the set minus its largest point was), each under a
+budget whose exhaustion raises BudgetExceededError with the last complete
+size.  Finite families are bitmask rows over a finite ground set, searched
+exhaustively.  Translate families over the continuous line are kept
+implicit: the translators g with p in g + X form the constructible set
+p - X, and every such set of the candidate grid is put once on one integer
+lattice of sweep keys, so a candidate point tuple is tested by one merged
+walk that must see all 2^k membership signatures inside the translator
+window.  The translators of the tuple reported are then found in exact
+arithmetic and re-verified by membership, so lower bounds come with
+verified certificates while upper bounds remain search outcomes.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional
 
 from .constructible import ConstructibleSet
@@ -23,6 +29,9 @@ from .rational import format_rational
 
 # Default budget of the finite searches, in row-against-point checks.
 MAX_CHECKS = 5_000_000
+
+# Default budget of the line-translate search, in candidate point tuples.
+MAX_TRANSLATE_TRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,28 +125,26 @@ def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> Shatte
     return ShatterReport(points, witnesses)
 
 
-def _levelwise(n: int, witness, best, max_size: Optional[int] = None,
-               max_tries: Optional[int] = None, name: str = "search"):
+def _levelwise(n: int, witness, best, max_tries: int, name: str):
     """Hereditary level-wise search over increasing index tuples of range(n):
     a (k+1)-tuple is tried only as an extension of a k-tuple that has a
     witness, which is complete because shattering (and the dual property) is
     hereditary.  `witness(t)` returns a witness for the tuple t or None.
 
-    Returns (d, w): d is the largest size with a witnessed tuple (at most
-    max_size) and w the witness of the first such d-tuple, or `best` when
-    d = 0.  Trying more than max_tries tuples raises BudgetExceededError
-    carrying the last complete level as `lower_bound` and its witness as
-    `partial`."""
+    Returns (d, w): d is the largest size with a witnessed tuple and w the
+    witness of the first such d-tuple, or `best` when d = 0.  Trying more
+    than max_tries tuples raises BudgetExceededError carrying the last
+    complete level as `lower_bound` and its witness as `partial`."""
     level: list[tuple[int, ...]] = [()]
     d = 0
     tries = 0
-    while max_size is None or d < max_size:
+    while True:
         nxt = []
         nxt_best = None
         for t in level:
             for i in range(t[-1] + 1 if t else 0, n):
                 tries += 1
-                if max_tries is not None and tries > max_tries:
+                if tries > max_tries:
                     raise BudgetExceededError(
                         f"{name} budget exceeded at size {d + 1}", lower_bound=d, partial=best
                     )
@@ -323,41 +330,106 @@ def _points_shattered_by_translates(
     return witnesses
 
 
+def _translator_keys(
+    x: ConstructibleSet, points: list[Fraction], window: tuple[Fraction, Fraction]
+) -> tuple[list[list[int]], int, int]:
+    """The translator set p - x of each point, clipped to the window, as the
+    sorted integer keys where its membership flips, and the window's own key
+    range [start, end).
+
+    L is the lcm of the denominators of x's endpoints, the points and the
+    window ends, so every endpoint of every p - x lies on (1/L)ℤ.  As in
+    `constructible._sweep`, (v, False) becomes the key 2·v·L and (v, True)
+    the key 2·v·L + 1, and a piece is a half-open range of keys.  Even keys
+    are the lattice points and odd keys the open cells between them, so each
+    key stands for a nonempty set of translators that every p - x holds
+    whole or not at all.  The component (a, b) of x, closed at the ends lc
+    and hc, gives the piece (p - b, p - a) of p - x, closed at hc and lc."""
+    lo, hi = window
+    comps = list(x.components())
+    den = lcm(lo.denominator, hi.denominator, *(p.denominator for p in points),
+              *(v.denominator for c in comps for v in c[:2]))
+
+    def unit(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    start, end = 2 * unit(lo), 2 * unit(hi) + 1
+    pieces = [(unit(a), unit(b), lc, hc) for a, b, lc, hc in reversed(comps)]
+    keys = []
+    for p in points:
+        at = unit(p)
+        flips = []
+        for a, b, lc, hc in pieces:
+            first = max(2 * (at - b) + (not hc), start)
+            stop = min(2 * (at - a) + lc, end)
+            if first < stop:
+                flips += (first, stop)
+        keys.append(flips)
+    return keys, start, end
+
+
+def _sweep_shattered(keys: list[list[int]], start: int, end: int, cand: tuple[int, ...]) -> bool:
+    """True iff the window's translators cut out all 2^k subsets of the
+    points cand.  One merged walk over the flip keys of their translator
+    sets; bit j of the signature is membership in the j-th set, and every
+    key range between flips inside [start, end) shows its signature."""
+    events = sorted((key, 1 << j) for j, i in enumerate(cand) for key in keys[i])
+    seen = 0
+    signature, at = 0, start
+    for key, bit in events:
+        if key > at:
+            seen |= 1 << signature
+            at = key
+        signature ^= bit
+    if end > at:
+        seen |= 1 << signature
+    return seen == (1 << (1 << len(cand))) - 1
+
+
 def translate_vc_dimension(
     x: ConstructibleSet,
     window: tuple[Fraction, Fraction],
-    max_size: int = 3,
     refine: int = 2,
     grid_max: int = 64,
+    max_tries: int = MAX_TRANSLATE_TRIES,
 ) -> TranslateVCReport:
-    """Search point tuples from the interesting grid, up to max_size points,
-    for sets shattered by window-translates of x.  The lower bound is
-    certified (explicit points and translators, re-verified by exact
-    membership); the upper bound is only ever reported as a search
-    outcome."""
+    """Search point tuples from the interesting grid for sets shattered by
+    window-translates of x, each tuple tested by one integer sweep.  The
+    translators of the reported tuple are then found in exact arithmetic and
+    re-verified by membership, so the lower bound is certified; the upper
+    bound is only ever reported as a search outcome.  Trying more than
+    max_tries tuples raises BudgetExceededError whose `partial` is the
+    report of the last complete size."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    translator_window = ConstructibleSet.interval(lo, hi)
     grid = interesting_grid(x, (lo, hi), refine, grid_max)
-    diffs = [ConstructibleSet.point(p).minkowski_diff(x) for p in grid]
+    keys, start, end = _translator_keys(x, grid, (lo, hi))
 
-    def shattered(cand):
-        pts = tuple(grid[j] for j in cand)
-        witnesses = _points_shattered_by_translates(
-            x, pts, tuple(diffs[j] for j in cand), translator_window
+    def report(cand: tuple[int, ...], status: str) -> TranslateVCReport:
+        points = tuple(grid[j] for j in cand)
+        witnesses = {}
+        if points:
+            diffs = tuple(ConstructibleSet.point(p).minkowski_diff(x) for p in points)
+            witnesses = _points_shattered_by_translates(
+                x, points, diffs, ConstructibleSet.interval(lo, hi)
+            )
+            if witnesses is None:
+                raise AssertionError("lattice sweep and exact translator check disagree")
+        width = max(1, len(points))
+        return TranslateVCReport(
+            lower_bound=len(points),
+            points=points,
+            pattern_translators={format(pat, f"0{width}b"): g for pat, g in witnesses.items()},
+            upper_bound_status=status,
+            grid_size=len(grid),
         )
-        return None if witnesses is None else (pts, witnesses)
 
-    d, (best_points, best_witnesses) = _levelwise(len(grid), shattered, ((), {}), max_size=max_size)
-    if d == max_size:
-        status = f"search stopped at the size cap of {max_size} points; larger sets were not tried"
-    else:
-        status = f"no shattered {d + 1}-point set found among {len(grid)} grid candidates"
-    return TranslateVCReport(
-        lower_bound=d,
-        points=best_points,
-        pattern_translators={
-            format(pat, f"0{max(1, len(best_points))}b"): g for pat, g in best_witnesses.items()
-        },
-        upper_bound_status=status,
-        grid_size=len(grid),
-    )
+    try:
+        d, best = _levelwise(
+            len(grid), lambda cand: cand if _sweep_shattered(keys, start, end, cand) else None,
+            (), max_tries=max_tries, name="translate_vc_dimension",
+        )
+    except BudgetExceededError as exc:
+        status = (f"search budget of {max_tries} tries spent at size {exc.lower_bound + 1}; "
+                  "larger sets were not all tried")
+        raise BudgetExceededError(str(exc), exc.lower_bound, report(exc.partial, status)) from None
+    return report(best, f"no shattered {d + 1}-point set found among {len(grid)} grid candidates")

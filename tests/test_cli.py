@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from vclab.cli import main
 from vclab.cantor import FatCantorSet
+from vclab.constructible import parse_set
 from vclab.witness import ShatterWitness, verify_witness
 
 
@@ -58,6 +60,31 @@ def test_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
     for pattern, g in report["witness_translators"].items():
         for bit, p in zip(pattern[::-1], report["points"]):
             assert ((p - g) % 400 in base) == (bit == "1")
+
+
+# Stage 3 of the fat Cantor set at scale 4/5: the translate search certifies
+# three points and then spends its budget on the 4-point candidates.
+CANTOR_STAGE_3 = ("[0,13/160] u [3/32,7/40] u [9/40,49/160] u [51/160,2/5] u "
+                  "[3/5,109/160] u [111/160,31/40] u [33/40,29/32] u [147/160,1]")
+
+
+def test_translate_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
+    code = main(["translate-vcdim", "--set", CANTOR_STAGE_3, "--out", str(tmp_path / "t.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certified lower bound 3" in captured.err and captured.err.count("\n") == 1
+    payload = json.loads((tmp_path / "t.json").read_text())
+    assert payload["lower_bound"] == 3
+    assert payload["upper_bound_status"].startswith("search budget of 100000 tries spent at size 4")
+    assert len(payload["pattern_translators"]) == 8
+    # each recorded translator really cuts out its pattern on the points
+    x = parse_set(CANTOR_STAGE_3)
+    points = [Fraction(p) for p in payload["points"]]
+    for pattern, g in payload["pattern_translators"].items():
+        shifted = x.translate(Fraction(g))
+        for bit, p in zip(pattern[::-1], points):
+            assert shifted.contains(p) == (bit == "1")
 
 
 def test_vcdim_prints_dimension(tmp_path, capsys):
@@ -260,14 +287,23 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["translate-vcdim", "--set", "[0,x]"], "--set '[0,x]': rational 'x' must be p/q, an integer"),
         (["theorem5-report", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
         (["translate-vcdim", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
-        (["theorem5-report", "--set", "[1,0]"], "--set '[1,0]': piece with lo > hi: 1 > 0"),
-        (["translate-vcdim", "--set", "[1,0]"], "--set '[1,0]': piece with lo > hi: 1 > 0"),
+        (["theorem5-report", "--set", "[1,0]"],
+         "--set '[1,0]': piece '[1,0]' must have lo < hi, or lo = hi with both ends closed"),
+        (["translate-vcdim", "--set", "[1,0]"],
+         "--set '[1,0]': piece '[1,0]' must have lo < hi, or lo = hi with both ends closed"),
         (["theorem5-report", "--set", "[0,1]", "--window", "0,x"],
          "window '0,x' must be two rationals lo,hi"),
         (["translate-vcdim", "--set", "[0,1]", "--window", "0,1/0"],
          "window '0,1/0' must be two rationals lo,hi"),
         (["witness", "--depth", "2", "--removed-scale", "4/"], "--removed-scale '4/' must be a rational p/q"),
         (["counterexample", "--removed-scale", "1/0"], "--removed-scale '1/0' must be a rational p/q"),
+        (["translate-vcdim", "--set", "(0,0)"],
+         "--set '(0,0)': piece '(0,0)' must have lo < hi, or lo = hi with both ends closed"),
+        (["theorem5-report", "--set", "[1/2,1/2)"],
+         "--set '[1/2,1/2)': piece '[1/2,1/2)' must have lo < hi, or lo = hi with both ends closed"),
+        (["translate-vcdim", "--set", "{}"], "--set '{}' is empty, so the run would check nothing"),
+        (["translate-vcdim", "--set", ""], "--set '' is empty, so the run would check nothing"),
+        (["theorem5-report", "--set", "{}"], "--set '{}' is empty, so the run would check nothing"),
         (["vcdim", "--group", "cyclic:2237"], "--group cyclic:2237 is above the cap of cyclic:2236"),
         (["vcdim", "--group", "cyclic:100000", "--set", "arc:3"],
          "--group cyclic:100000 is above the cap of cyclic:2236"),
@@ -288,6 +324,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "reversed-set-bound", "translate-vcdim-reversed-set-bound",
          "theorem5-non-rational-window", "translate-vcdim-zero-denominator-window",
          "witness-non-rational-removed-scale", "counterexample-zero-denominator-removed-scale",
+         "translate-vcdim-degenerate-open-piece", "theorem5-degenerate-half-open-piece",
+         "translate-vcdim-empty-set", "translate-vcdim-blank-set", "theorem5-empty-set",
          "group-above-vcdim-cap", "group-far-above-vcdim-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):

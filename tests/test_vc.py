@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from vclab.border import random_constructible
 from vclab.cantor import FatCantorSet
 from vclab.constructible import ConstructibleSet, parse_set
 from vclab.counterexample import counterexample_points
@@ -11,7 +13,11 @@ from vclab.groups import CyclicGroup
 from vclab.vc import (
     SetSystem,
     ShatterReport,
+    _points_shattered_by_translates,
+    _sweep_shattered,
+    _translator_keys,
     dual_vc_dimension,
+    interesting_grid,
     sauer_shelah_table,
     translate_vc_dimension,
     vc_dimension,
@@ -168,26 +174,110 @@ def test_translate_vc_window_itself():
 
 def test_translate_vc_discrete_truncation():
     cx = counterexample_points(FatCantorSet(), 2, 2)
-    report = translate_vc_dimension(cx.as_set(), (0, 1), max_size=3, refine=0, grid_max=24)
+    report = translate_vc_dimension(cx.as_set(), (0, 1), refine=0, grid_max=24)
     assert report.lower_bound == 2
     assert "no shattered 3-point set" in report.upper_bound_status
 
 
-def test_translate_vc_size_cap_is_not_an_upper_bound():
-    # Two intervals shatter three grid points, and the search never tries
-    # four, so the status must not claim that no 4-point set exists.
-    x = parse_set("[0,1/8] u [1/4,3/8]")
-    report = translate_vc_dimension(x, (0, 1), refine=0)
-    assert report.lower_bound == 3
-    assert report.upper_bound_status == (
-        "search stopped at the size cap of 3 points; larger sets were not tried"
-    )
-    assert "no shattered" not in report.upper_bound_status
-    assert len(report.pattern_translators) == 8
+def assert_translators_cut_patterns(x, report):
+    assert len(report.pattern_translators) == 2 ** report.lower_bound
     for pattern, g in report.pattern_translators.items():
         shifted = x.translate(g)
         for bit, p in zip(pattern[::-1], report.points):
             assert shifted.contains(p) == (bit == "1")
-    capped = translate_vc_dimension(x, (0, 1), max_size=2, refine=0)
-    assert capped.lower_bound == 2
-    assert "size cap of 2 points" in capped.upper_bound_status
+
+
+@pytest.mark.parametrize(
+    "text, grid",
+    [
+        ("[0,1/4] u {1/2}", 17),
+        ("[0,1/8] u [1/4,3/8]", 25),
+        ("[0,1/8] u [1/4,3/8] u [1/2,5/8]", 37),
+        ("[0,1/8] u [1/4,3/8] u [1/2,5/8] u [3/4,7/8]", 49),
+    ],
+)
+def test_translate_vc_search_ends_by_itself(text, grid):
+    # Three points are shattered and the search tries every 4-point
+    # extension, so the status is a search outcome, not a size cap.
+    x = parse_set(text)
+    report = translate_vc_dimension(x, (0, 1))
+    assert report.lower_bound == 3
+    assert report.upper_bound_status == f"no shattered 4-point set found among {grid} grid candidates"
+    assert_translators_cut_patterns(x, report)
+
+
+def test_translate_vc_budget_is_not_an_upper_bound():
+    # Two intervals shatter three grid points; a budget spent among the
+    # 4-point candidates keeps that certificate and claims nothing above it.
+    x = parse_set("[0,1/8] u [1/4,3/8]")
+    full = translate_vc_dimension(x, (0, 1), refine=0)
+    assert full.lower_bound == 3
+    with pytest.raises(BudgetExceededError) as err:
+        translate_vc_dimension(x, (0, 1), refine=0, max_tries=40)
+    assert str(err.value) == "translate_vc_dimension budget exceeded at size 4"
+    assert err.value.lower_bound == 3
+    partial = err.value.partial
+    assert partial.upper_bound_status == (
+        "search budget of 40 tries spent at size 4; larger sets were not all tried"
+    )
+    assert (partial.points, partial.pattern_translators) == (full.points, full.pattern_translators)
+    assert_translators_cut_patterns(x, partial)
+    with pytest.raises(BudgetExceededError) as err:
+        translate_vc_dimension(x, (0, 1), refine=0, max_tries=3)
+    assert err.value.lower_bound == 0 and err.value.partial.pattern_translators == {}
+
+
+def sweep_agrees_with_exact_check(x, points, window, max_k=3):
+    keys, start, end = _translator_keys(x, points, window)
+    diffs = [ConstructibleSet.point(p).minkowski_diff(x) for p in points]
+    translator_window = ConstructibleSet.interval(*window)
+    for k in range(1, max_k + 1):
+        for cand in combinations(range(len(points)), k):
+            exact = _points_shattered_by_translates(
+                x, tuple(points[j] for j in cand), tuple(diffs[j] for j in cand), translator_window
+            )
+            assert _sweep_shattered(keys, start, end, cand) == (exact is not None), (x, cand)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{0} u {1/2}",  # pattern 11 of (0, 1/2) has the one translator 0
+        "[0,1/4) u (1/4,1/2]",  # a deleted point: open ends meeting
+        "(0,1/4) u {3/8} u [1/2,3/4]",
+        "[0,1/3] u {1/2} u (2/3,1)",
+        "{0} u {1/4} u {3/4}",
+    ],
+)
+def test_sweep_matches_exact_check_on_edge_cases(text):
+    x = parse_set(text)
+    window = (F(0), F(1))
+    sweep_agrees_with_exact_check(x, interesting_grid(x, window, refine=1, max_points=12), window)
+
+
+def test_sweep_sees_patterns_with_a_single_translator():
+    # On (3/8, 1/2, 5/8) the patterns 010, 101 and 111 are each cut out by
+    # one translator ({0}, {1/8}, {3/8}), a key range of a single even key.
+    x = parse_set("[0,1/4] u {1/2}")
+    points = [F(3, 8), F(1, 2), F(5, 8)]
+    keys, start, end = _translator_keys(x, points, (F(0), F(1)))
+    assert _sweep_shattered(keys, start, end, (0, 1, 2))
+    # a window that stops short of 3/8 loses the pattern 111
+    keys, start, end = _translator_keys(x, points, (F(0), F(3, 8) - F(1, 1000)))
+    assert not _sweep_shattered(keys, start, end, (0, 1, 2))
+    assert _sweep_shattered(keys, start, end, (0, 1))
+
+
+def test_sweep_matches_exact_check_randomized():
+    # The Fraction region check is the oracle for the integer sweep, on
+    # seeded random sets, grid points and windows, every tuple up to size 3.
+    rng = random.Random("translate-sweep")
+    for _ in range(25):
+        x = random_constructible(rng, (F(0), F(1)))
+        if x.is_empty:
+            continue
+        lo = F(rng.randrange(-4, 4), 8)
+        window = (lo, lo + F(rng.randrange(1, 9), 8))
+        points = sorted({F(rng.randrange(0, 36), 24) for _ in range(6)})
+        points = sorted(set(points) | set(interesting_grid(x, (F(0), F(1)), refine=0, max_points=6)))
+        sweep_agrees_with_exact_check(x, points, window)
