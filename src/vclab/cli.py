@@ -123,10 +123,17 @@ def _parse_set_flag(spec: str):
     return x
 
 
-def _require_positive(name: str, count: int):
-    """A run over no sets, trials or triples would check nothing."""
-    if count < 1:
-        raise ValueError(f"--{name} must be >= 1, got {count}")
+def _require_at_least(name: str, value: int, least: int):
+    """Range check of an integer flag; a count below 1 would check nothing."""
+    if value < least:
+        raise ValueError(f"--{name} must be >= {least}, got {value}")
+
+
+def _fat_cantor(spec: str) -> FatCantorSet:
+    scale = _parse_rational_flag("removed-scale", spec)
+    if not 0 < scale < 1:
+        raise ValueError(f"--removed-scale {spec!r} must lie strictly between 0 and 1")
+    return FatCantorSet(scale)
 
 
 def _parse_schedule(spec: str) -> list[int]:
@@ -206,14 +213,16 @@ def cmd_vcdim(args) -> int:
 
 
 def cmd_eps_approx(args) -> int:
-    _require_positive("trials", args.trials)
-    _require_positive("arc", args.arc)
+    _require_at_least("trials", args.trials, 1)
+    _require_at_least("arc", args.arc, 1)
     schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
     family = FiniteTranslateFamily(model, range(args.arc))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
     epsilon = _parse_rational_flag("epsilon", args.epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"--epsilon {args.epsilon!r} must be positive")
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     rows = [r.to_csv() for r in sweep.rows]
     fieldnames = ["N", "trials", "successes", "min_sup_deviation", "max_sup_deviation"]
@@ -226,10 +235,11 @@ def cmd_eps_approx(args) -> int:
 
 
 def cmd_steinhaus(args) -> int:
+    _require_at_least("stage", args.stage, 0)
     if args.stage > MAX_STEINHAUS_STAGE:
         raise ValueError(f"--stage {args.stage} is above the cap of {MAX_STEINHAUS_STAGE}")
     shifts = _parse_shifts(args.shifts)
-    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
+    fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)
     rows = []
     for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
@@ -249,7 +259,9 @@ def cmd_steinhaus(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
+    _require_at_least("depth", args.depth, 1)
+    _require_at_least("stage-budget", args.stage_budget, 0)
+    fc = _fat_cantor(args.removed_scale)
     spent = None
     try:
         witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)
@@ -277,7 +289,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_border_sweep(args) -> int:
-    _require_positive("sets", args.sets)
+    _require_at_least("sets", args.sets, 1)
     rng = random.Random(f"{args.seed}/border-sweep")
     window = _parse_window(args.window)
     sets = [random_closed_union(rng, window) for _ in range(args.sets)]
@@ -296,11 +308,14 @@ def cmd_border_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    _require_positive("triples", args.triples)
-    fc = FatCantorSet(_parse_rational_flag("removed-scale", args.removed_scale))
+    _require_at_least("triples", args.triples, 1)
+    fc = _fat_cantor(args.removed_scale)
     if args.matched is not None:
+        _require_at_least("matched", args.matched, 1)
         cx = matched_budget_points(fc, args.matched)
     else:
+        _require_at_least("intervals", args.intervals, 1)
+        _require_at_least("points-per", args.points_per, 1)
         cx = counterexample_points(fc, args.intervals, args.points_per)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {

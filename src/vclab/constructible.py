@@ -58,10 +58,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __str__(self):
         return _piece_text(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
@@ -88,10 +84,6 @@ class ConstructibleSet:
     @classmethod
     def empty(cls) -> "ConstructibleSet":
         return cls()
-
-    @classmethod
-    def point(cls, x) -> "ConstructibleSet":
-        return cls(points=(Fraction(x),))
 
     @classmethod
     def from_points(cls, xs: Iterable) -> "ConstructibleSet":
@@ -151,14 +143,6 @@ class ConstructibleSet:
         if not vals:
             return None
         return min(vals), max(vals)
-
-    def any_point(self) -> Fraction:
-        """Some element of the set (midpoint of the first interval if any)."""
-        if self.intervals:
-            return self.intervals[0].midpoint
-        if self.points:
-            return self.points[0]
-        raise ValueError("empty set has no point")
 
     # --------------------------------------------------- boolean operations
 

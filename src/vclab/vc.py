@@ -10,9 +10,9 @@ implicit: the translators g with p in g + X form the constructible set
 p - X, and every such set of the candidate grid is put once on one integer
 lattice of sweep keys, so a candidate point tuple is tested by one merged
 walk that must see all 2^k membership signatures inside the translator
-window.  The translators of the tuple reported are then found in exact
-arithmetic and re-verified by membership, so lower bounds come with
-verified certificates while upper bounds remain search outcomes.
+window.  The translators of the tuple reported are read off that walk and
+re-verified by membership, so lower bounds come with verified certificates
+while upper bounds remain search outcomes.
 """
 
 from __future__ import annotations
@@ -303,39 +303,12 @@ def interesting_grid(
     return ordered
 
 
-def _points_shattered_by_translates(
-    x: ConstructibleSet,
-    points: tuple[Fraction, ...],
-    diffs: tuple[ConstructibleSet, ...],
-    translator_window: ConstructibleSet,
-) -> Optional[dict[int, Fraction]]:
-    """Translator witnesses for all 2^k patterns of the points, or None.
-    diffs[j] is points[j] - x, so the translators in the window with exactly
-    the pattern's points in g + x are the intersection of the selected diffs
-    minus the union of the rest.  Every returned witness is re-verified by
-    direct membership."""
-    witnesses = {}
-    for pattern in range(2 ** len(points)):
-        region = translator_window
-        for j, diff in enumerate(diffs):
-            region = region.intersection(diff) if pattern >> j & 1 else region.difference(diff)
-            if region.is_empty:
-                return None
-        g = region.any_point()
-        translated = x.translate(g)
-        for j, p in enumerate(points):
-            if translated.contains(p) != bool(pattern >> j & 1):
-                raise AssertionError("translator witness failed independent re-check")
-        witnesses[pattern] = g
-    return witnesses
-
-
 def _translator_keys(
     x: ConstructibleSet, points: list[Fraction], window: tuple[Fraction, Fraction]
-) -> tuple[list[list[int]], int, int]:
+) -> tuple[list[list[int]], int, int, int]:
     """The translator set p - x of each point, clipped to the window, as the
-    sorted integer keys where its membership flips, and the window's own key
-    range [start, end).
+    sorted integer keys where its membership flips, the window's own key
+    range [start, end), and the lattice denominator L.
 
     L is the lcm of the denominators of x's endpoints, the points and the
     window ends, so every endpoint of every p - x lies on (1/L)ℤ.  As in
@@ -365,25 +338,48 @@ def _translator_keys(
             if first < stop:
                 flips += (first, stop)
         keys.append(flips)
-    return keys, start, end
+    return keys, start, end, den
 
 
-def _sweep_shattered(keys: list[list[int]], start: int, end: int, cand: tuple[int, ...]) -> bool:
-    """True iff the window's translators cut out all 2^k subsets of the
-    points cand.  One merged walk over the flip keys of their translator
-    sets; bit j of the signature is membership in the j-th set, and every
-    key range between flips inside [start, end) shows its signature."""
+def _signature_ranges(
+    keys: list[list[int]], start: int, end: int, cand: tuple[int, ...]
+) -> dict[int, tuple[int, int]]:
+    """Each signature the window's translators show on the points cand (bit j
+    is membership in the j-th translator set), with its first key range
+    [k1, k2) that holds an interval, or else its first single lattice point
+    (even k1, k2 = k1 + 1), from one merged walk over their flip keys.  No
+    key flips one set twice, so each range is a whole component."""
     events = sorted((key, 1 << j) for j, i in enumerate(cand) for key in keys[i])
-    seen = 0
+    events.append((end, 0))
+    point_ranges: dict[int, tuple[int, int]] = {}
+    interval_ranges: dict[int, tuple[int, int]] = {}
     signature, at = 0, start
     for key, bit in events:
         if key > at:
-            seen |= 1 << signature
+            if key == at + 1 and at % 2 == 0:
+                point_ranges.setdefault(signature, (at, key))
+            else:
+                interval_ranges.setdefault(signature, (at, key))
             at = key
         signature ^= bit
-    if end > at:
-        seen |= 1 << signature
-    return seen == (1 << (1 << len(cand))) - 1
+    point_ranges.update(interval_ranges)
+    return point_ranges
+
+
+def _read_translators(
+    x: ConstructibleSet, points: tuple[Fraction, ...], ranges: dict[int, tuple[int, int]], den: int
+) -> dict[int, Fraction]:
+    """The midpoint of each pattern's key range [k1, k2), which runs from
+    (k1 - k1 % 2) / 2L to (k2 - k2 % 2) / 2L, re-verified by membership."""
+    translators = {}
+    for pattern, (k1, k2) in ranges.items():
+        g = Fraction(k1 - k1 % 2 + k2 - k2 % 2, 4 * den)
+        translated = x.translate(g)
+        for j, p in enumerate(points):
+            if translated.contains(p) != bool(pattern >> j & 1):
+                raise AssertionError("translator witness failed independent re-check")
+        translators[pattern] = g
+    return translators
 
 
 def translate_vc_dimension(
@@ -395,25 +391,23 @@ def translate_vc_dimension(
 ) -> TranslateVCReport:
     """Search point tuples from the interesting grid for sets shattered by
     window-translates of x, each tuple tested by one integer sweep.  The
-    translators of the reported tuple are then found in exact arithmetic and
-    re-verified by membership, so the lower bound is certified; the upper
-    bound is only ever reported as a search outcome.  Trying more than
+    translators of the reported tuple are read off that sweep's key ranges
+    and re-verified by membership, so the lower bound is certified; the
+    upper bound is only ever reported as a search outcome.  Trying more than
     max_tries tuples raises BudgetExceededError whose `partial` is the
     report of the last complete size."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     grid = interesting_grid(x, (lo, hi), refine, grid_max)
-    keys, start, end = _translator_keys(x, grid, (lo, hi))
+    keys, start, end, den = _translator_keys(x, grid, (lo, hi))
 
-    def report(cand: tuple[int, ...], status: str) -> TranslateVCReport:
+    def shattered(cand: tuple[int, ...]):
+        ranges = _signature_ranges(keys, start, end, cand)
+        return (cand, ranges) if len(ranges) == 1 << len(cand) else None
+
+    def report(best: tuple, status: str) -> TranslateVCReport:
+        cand, ranges = best
         points = tuple(grid[j] for j in cand)
-        witnesses = {}
-        if points:
-            diffs = tuple(ConstructibleSet.point(p).minkowski_diff(x) for p in points)
-            witnesses = _points_shattered_by_translates(
-                x, points, diffs, ConstructibleSet.interval(lo, hi)
-            )
-            if witnesses is None:
-                raise AssertionError("lattice sweep and exact translator check disagree")
+        witnesses = _read_translators(x, points, ranges, den)
         width = max(1, len(points))
         return TranslateVCReport(
             lower_bound=len(points),
@@ -425,8 +419,7 @@ def translate_vc_dimension(
 
     try:
         d, best = _levelwise(
-            len(grid), lambda cand: cand if _sweep_shattered(keys, start, end, cand) else None,
-            (), max_tries=max_tries, name="translate_vc_dimension",
+            len(grid), shattered, ((), {}), max_tries=max_tries, name="translate_vc_dimension",
         )
     except BudgetExceededError as exc:
         status = (f"search budget of {max_tries} tries spent at size {exc.lower_bound + 1}; "

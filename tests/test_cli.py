@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -85,6 +86,33 @@ def test_translate_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsy
         shifted = x.translate(Fraction(g))
         for bit, p in zip(pattern[::-1], points):
             assert shifted.contains(p) == (bit == "1")
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha256",
+    [
+        (["--set", "[0,1/4] u {1/2}"], 0,
+         "ed63908d19bbb7880dfbe06c49d491762bd82fd9427aa2ec4ad59fee9bce7589"),
+        (["--set", "[0,1/4) u (1/4,1/2]"], 0,
+         "004dbae649ace9557e51bd8253ebe4eef1b8388b294f79be46abe4c1ee6ae8bf"),
+        (["--set", "(0,1/4) u {3/8} u [1/2,3/4]"], 0,
+         "8fe62d3080f967b27d7f8ba5c48d4fa2ee1f88bad7e1faebfaa2221c62618098"),
+        (["--set", "{0} u {1/2}"], 0,
+         "21ea45a3d28f331657bafd0d6ee96fcf208b0cb11d181ef8dba8749a2271f5ce"),
+        (["--set", "[0,1/4] u {1/2}", "--window=-1/4,1/8"], 0,
+         "c33eaadfb659b177484ac586007981c20c17836ff4425117547795cc4714606b"),
+        (["--set", CANTOR_STAGE_3], 3,
+         "7289439d6475bdbcd133b95ec5a411853397594293e5ef3e8ada27ac6c9df6dc"),
+    ],
+    ids=["interval-and-point", "deleted-point", "open-point-closed", "two-points",
+         "clipping-window", "partial-cantor-stage-3"],
+)
+def test_translate_vcdim_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
+    # Digests recorded from earlier commits: a change to the search or to
+    # how its translators are read off that moves any byte shows here.
+    out = tmp_path / "translate_vcdim.json"
+    assert main(["translate-vcdim", *argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_vcdim_prints_dimension(tmp_path, capsys):
@@ -232,7 +260,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
     [
         (["border-sweep", "--window", "0"], "window '0' must be two rationals"),
         (["eps-approx", "--group", "reals:0,1"], "group spec 'reals:0,1' must be cyclic:N"),
-        (["steinhaus", "--stage", "-1"], "stage must be >= 0"),
+        (["steinhaus", "--stage", "-1"], "--stage must be >= 0, got -1"),
         (["border-sweep", "--window", "1,0"], "window '1,0' needs lo < hi"),
         (["border-sweep", "--window", "0,0"], "window '0,0' needs lo < hi"),
         (["theorem5-report", "--set", "[0,1]", "--window", "1,0"], "window '1,0' needs lo < hi"),
@@ -245,7 +273,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["counterexample", "--triples", "0"], "--triples must be >= 1, got 0"),
         (["counterexample", "--triples", "-5"], "--triples must be >= 1, got -5"),
         (["eps-approx", "--trials", "0", "--schedule", "10"], "--trials must be >= 1, got 0"),
-        (["witness", "--depth", "3", "--stage-budget", "-1"], "stage budget must be >= 0"),
+        (["witness", "--depth", "3", "--stage-budget", "-1"], "--stage-budget must be >= 0, got -1"),
         (["eps-approx", "--schedule", ",", "--trials", "2"],
          "--schedule ',' must be comma-separated integers >= 1"),
         (["eps-approx", "--schedule", "10,x", "--trials", "2"],
@@ -307,6 +335,19 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["vcdim", "--group", "cyclic:2237"], "--group cyclic:2237 is above the cap of cyclic:2236"),
         (["vcdim", "--group", "cyclic:100000", "--set", "arc:3"],
          "--group cyclic:100000 is above the cap of cyclic:2236"),
+        (["witness", "--depth", "0"], "--depth must be >= 1, got 0"),
+        (["witness", "--depth", "-1"], "--depth must be >= 1, got -1"),
+        (["counterexample", "--matched", "0"], "--matched must be >= 1, got 0"),
+        (["counterexample", "--intervals", "0"], "--intervals must be >= 1, got 0"),
+        (["counterexample", "--points-per", "0"], "--points-per must be >= 1, got 0"),
+        (["eps-approx", "--epsilon", "0", "--trials", "2"], "--epsilon '0' must be positive"),
+        (["eps-approx", "--epsilon", "-1/5", "--trials", "2"], "--epsilon '-1/5' must be positive"),
+        (["witness", "--depth", "2", "--removed-scale", "1"],
+         "--removed-scale '1' must lie strictly between 0 and 1"),
+        (["steinhaus", "--removed-scale", "0"],
+         "--removed-scale '0' must lie strictly between 0 and 1"),
+        (["counterexample", "--removed-scale", "3/2"],
+         "--removed-scale '3/2' must lie strictly between 0 and 1"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -326,7 +367,10 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "witness-non-rational-removed-scale", "counterexample-zero-denominator-removed-scale",
          "translate-vcdim-degenerate-open-piece", "theorem5-degenerate-half-open-piece",
          "translate-vcdim-empty-set", "translate-vcdim-blank-set", "theorem5-empty-set",
-         "group-above-vcdim-cap", "group-far-above-vcdim-cap"],
+         "group-above-vcdim-cap", "group-far-above-vcdim-cap", "no-depth", "negative-depth",
+         "no-matched", "no-intervals", "no-points-per", "zero-epsilon", "negative-epsilon",
+         "witness-removed-scale-one", "steinhaus-removed-scale-zero",
+         "counterexample-removed-scale-above-one"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

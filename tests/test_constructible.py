@@ -33,8 +33,8 @@ def test_boolean_examples():
     b = ConstructibleSet.interval(F(1, 2), 2, lo_closed=False)
     assert a.intersection(b) == parse_set("(1/2,1]")
     assert a.union(a) == a
-    c = a.union(ConstructibleSet.point(2))
-    assert c.difference(ConstructibleSet.point(2)) == a
+    c = a.union(ConstructibleSet.from_points([2]))
+    assert c.difference(ConstructibleSet.from_points([2])) == a
 
 
 def test_boolean_laws_randomized():
@@ -140,7 +140,7 @@ def test_translate():
 def test_minkowski_diff_examples():
     q = ConstructibleSet.interval(0, F(1, 4))
     assert q.minkowski_diff(q) == ConstructibleSet.interval(F(-1, 4), F(1, 4))
-    z = ConstructibleSet.point(0)
+    z = ConstructibleSet.from_points([0])
     assert z.minkowski_diff(z) == z
     fc = FatCantorSet()
     k2 = fc.stage_set(2)
@@ -194,7 +194,7 @@ def test_neighborhood_matches_distance():
 
 def test_distance_and_neighborhood():
     assert distance(ConstructibleSet.interval(0, 1), F(3, 2)) == F(1, 2)
-    assert ConstructibleSet.point(0).r_neighborhood(F(1, 4)) == ConstructibleSet.interval(
+    assert ConstructibleSet.from_points([0]).r_neighborhood(F(1, 4)) == ConstructibleSet.interval(
         F(-1, 4), F(1, 4)
     )
     fc = FatCantorSet()

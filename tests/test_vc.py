@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+import vclab.vc
+from fraction_translate import points_shattered_by_translates
 from vclab.border import random_constructible
 from vclab.cantor import FatCantorSet
 from vclab.constructible import ConstructibleSet, parse_set
@@ -13,8 +15,8 @@ from vclab.groups import CyclicGroup
 from vclab.vc import (
     SetSystem,
     ShatterReport,
-    _points_shattered_by_translates,
-    _sweep_shattered,
+    _read_translators,
+    _signature_ranges,
     _translator_keys,
     dual_vc_dimension,
     interesting_grid,
@@ -228,15 +230,18 @@ def test_translate_vc_budget_is_not_an_upper_bound():
 
 
 def sweep_agrees_with_exact_check(x, points, window, max_k=3):
-    keys, start, end = _translator_keys(x, points, window)
-    diffs = [ConstructibleSet.point(p).minkowski_diff(x) for p in points]
-    translator_window = ConstructibleSet.interval(*window)
+    # On every tuple of size <= max_k the sweep shatters exactly what the
+    # Fraction region check shatters, and reads off the same translators.
+    keys, start, end, den = _translator_keys(x, points, window)
     for k in range(1, max_k + 1):
         for cand in combinations(range(len(points)), k):
-            exact = _points_shattered_by_translates(
-                x, tuple(points[j] for j in cand), tuple(diffs[j] for j in cand), translator_window
-            )
-            assert _sweep_shattered(keys, start, end, cand) == (exact is not None), (x, cand)
+            tuple_points = tuple(points[j] for j in cand)
+            exact = points_shattered_by_translates(x, tuple_points, window)
+            ranges = _signature_ranges(keys, start, end, cand)
+            if exact is None:
+                assert len(ranges) < 2**k, (x, cand)
+            else:
+                assert _read_translators(x, tuple_points, ranges, den) == exact, (x, cand)
 
 
 @pytest.mark.parametrize(
@@ -260,17 +265,21 @@ def test_sweep_sees_patterns_with_a_single_translator():
     # one translator ({0}, {1/8}, {3/8}), a key range of a single even key.
     x = parse_set("[0,1/4] u {1/2}")
     points = [F(3, 8), F(1, 2), F(5, 8)]
-    keys, start, end = _translator_keys(x, points, (F(0), F(1)))
-    assert _sweep_shattered(keys, start, end, (0, 1, 2))
+    keys, start, end, den = _translator_keys(x, points, (F(0), F(1)))
+    ranges = _signature_ranges(keys, start, end, (0, 1, 2))
+    assert len(ranges) == 8
+    translators = _read_translators(x, tuple(points), ranges, den)
+    assert (translators[0b010], translators[0b101], translators[0b111]) == (0, F(1, 8), F(3, 8))
     # a window that stops short of 3/8 loses the pattern 111
-    keys, start, end = _translator_keys(x, points, (F(0), F(3, 8) - F(1, 1000)))
-    assert not _sweep_shattered(keys, start, end, (0, 1, 2))
-    assert _sweep_shattered(keys, start, end, (0, 1))
+    keys, start, end, den = _translator_keys(x, points, (F(0), F(3, 8) - F(1, 1000)))
+    assert 0b111 not in _signature_ranges(keys, start, end, (0, 1, 2))
+    assert len(_signature_ranges(keys, start, end, (0, 1))) == 4
 
 
 def test_sweep_matches_exact_check_randomized():
-    # The Fraction region check is the oracle for the integer sweep, on
-    # seeded random sets, grid points and windows, every tuple up to size 3.
+    # The Fraction region check is the oracle for the integer sweep and its
+    # translators, on seeded random sets, grid points and windows, every
+    # tuple up to size 3.
     rng = random.Random("translate-sweep")
     for _ in range(25):
         x = random_constructible(rng, (F(0), F(1)))
@@ -281,3 +290,21 @@ def test_sweep_matches_exact_check_randomized():
         points = sorted({F(rng.randrange(0, 36), 24) for _ in range(6)})
         points = sorted(set(points) | set(interesting_grid(x, (F(0), F(1)), refine=0, max_points=6)))
         sweep_agrees_with_exact_check(x, points, window)
+
+
+def test_corrupted_sweep_range_fails_membership_recheck(monkeypatch):
+    # The translators are re-checked by membership, not by the walk that
+    # found them: swapping the ranges of the patterns "none" and "all" on the
+    # reported tuple makes both translators cut out the wrong points.
+    walk = vclab.vc._signature_ranges
+
+    def corrupted(keys, start, end, cand):
+        ranges = walk(keys, start, end, cand)
+        full = (1 << len(cand)) - 1
+        if len(ranges) == full + 1:
+            ranges[0], ranges[full] = ranges[full], ranges[0]
+        return ranges
+
+    monkeypatch.setattr(vclab.vc, "_signature_ranges", corrupted)
+    with pytest.raises(AssertionError, match="failed independent re-check"):
+        translate_vc_dimension(ConstructibleSet.interval(0, F(1, 4)), (0, 1))
