@@ -20,7 +20,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from .approx import FiniteTranslateFamily, sample_complexity_sweep
 from .border import (
@@ -34,7 +33,7 @@ from .counterexample import counterexample_points, matched_budget_points, no_sha
 from .errors import BudgetExceededError, HittingSetError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
-from .vc import MAX_CHECKS, SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
+from .vc import SetSystem, cyclic_dual_vc_dimension, cyclic_vc_dimension, translate_vc_dimension
 from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
@@ -43,10 +42,12 @@ BUDGET_ERRORS = (BudgetExceededError, HittingSetError)
 # The stage set of `steinhaus --stage m` has 2^m intervals.
 MAX_STEINHAUS_STAGE = 16
 
-# Above this order a base with distinct translates costs more than the search
-# budget on its first level alone (N candidate points against N rows); a base
-# of period p has the same VC dimension in cyclic:p.
-MAX_VCDIM_ORDER = isqrt(MAX_CHECKS)
+# The report needs the N translates as N-bit rows, and the search N column
+# masks, so memory grows as N^2.  At this order a base holding 45% of the
+# group spends the search budget in about 0.5 s at a peak RSS of about 60 MB,
+# and arc:3 needs about 12 MB over the interpreter's; a base of period p has
+# the same VC dimension in cyclic:p.
+MAX_VCDIM_ORDER = 8192
 
 
 def _out_path(args, default_name):
@@ -184,7 +185,7 @@ def cmd_vcdim(args) -> int:
     system = SetSystem.from_translates(model, base)
     payload = {"group": model.describe(), "base_set": sorted(model.normalize(v) for v in base)}
     try:
-        d, report = vc_dimension(system)
+        d, report = cyclic_vc_dimension(system)
     except BudgetExceededError as exc:
         # The spent search still proved a lower bound; write it with its witness.
         payload.update(
@@ -200,7 +201,7 @@ def cmd_vcdim(args) -> int:
         return 3
     # A translate family's dual is the family of translates of the reflected
     # base set, so this search takes about as long as the one above.
-    dual, dual_rows = dual_vc_dimension(system)
+    dual, dual_rows = cyclic_dual_vc_dimension(system)
     payload.update(
         vc_dimension=d,
         shatter_report=_shatter_json(system, report),
@@ -223,6 +224,9 @@ def cmd_eps_approx(args) -> int:
     epsilon = _parse_rational_flag("epsilon", args.epsilon)
     if epsilon <= 0:
         raise ValueError(f"--epsilon {args.epsilon!r} must be positive")
+    if epsilon >= 1:
+        # No sample deviates from a proper arc's measure by 1 or more.
+        raise ValueError(f"--epsilon {args.epsilon!r} must be below 1, or every sample passes")
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     rows = [r.to_csv() for r in sweep.rows]
     fieldnames = ["N", "trials", "successes", "min_sup_deviation", "max_sup_deviation"]

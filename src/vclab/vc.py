@@ -1,16 +1,18 @@
 """Shattering, VC dimension and dual VC dimension, for explicit finite
 families and for translate families.
 
-All three searches share one level-wise search with subset pruning (a set
+All the searches share one level-wise search with subset pruning (a set
 can only be shattered if the set minus its largest point was), each under a
 budget whose exhaustion raises BudgetExceededError with the last complete
 size.  Finite families are bitmask rows over a finite ground set, searched
-exhaustively.  Translate families over the continuous line are kept
-implicit: the translators g with p in g + X form the constructible set
-p - X, and every such set of the candidate grid is put once on one integer
-lattice of sweep keys, so a candidate point tuple is tested by one merged
-walk that must see all 2^k membership signatures inside the translator
-window.  The translators of the tuple reported are read off that walk and
+exhaustively.  Translate families in Z_N are searched with the first point
+(or, in the dual, the first row) fixed at 0, and a tuple is tested by the
+Venn cells of its N-bit masks; the tuple found is re-checked on the rows.
+Translate families over the continuous line are kept implicit: the
+translators g with p in g + X form the constructible set p - X, and every
+such set of the candidate grid is put once on one integer lattice of sweep
+keys, so a candidate point tuple is tested by one merged walk that must see
+all 2^k membership signatures inside the translator window.  The translators of the tuple reported are read off that walk and
 re-verified by membership, so lower bounds come with verified certificates
 while upper bounds remain search outcomes.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .constructible import ConstructibleSet
 from .errors import BudgetExceededError
@@ -29,6 +31,9 @@ from .rational import format_rational
 
 # Default budget of the finite searches, in row-against-point checks.
 MAX_CHECKS = 5_000_000
+
+# Default budget of the translate-family searches in Z_N, in index tuples.
+MAX_CYCLIC_TRIES = 250_000
 
 # Default budget of the line-translate search, in candidate point tuples.
 MAX_TRANSLATE_TRIES = 100_000
@@ -63,9 +68,14 @@ class SetSystem:
         """Materialize the family of all translates of a base subset of a
         cyclic group model.  The elements are 0..n-1, so each translate's
         label (its index) is its translator."""
-        base = tuple(base)
-        elements = model.elements()
-        return cls.from_sets(elements, (model.translate_subset(base, g) for g in elements))
+        mask = 0
+        for v in base:
+            mask |= 1 << model.normalize(v)
+        seen = {}
+        for g, row in enumerate(_rotations(mask, model.n)):
+            seen.setdefault(row, g)
+        rows = tuple(sorted(seen))
+        return cls(tuple(model.elements()), rows, tuple(seen[m] for m in rows))
 
     def __len__(self):
         return len(self.rows)
@@ -125,11 +135,12 @@ def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> Shatte
     return ShatterReport(points, witnesses)
 
 
-def _levelwise(n: int, witness, best, max_tries: int, name: str):
+def _levelwise(n: int, witness, best, max_tries: int, name: str, heads: Optional[int] = None):
     """Hereditary level-wise search over increasing index tuples of range(n):
     a (k+1)-tuple is tried only as an extension of a k-tuple that has a
     witness, which is complete because shattering (and the dual property) is
     hereditary.  `witness(t)` returns a witness for the tuple t or None.
+    Only tuples whose first index is below `heads` (default n) are tried.
 
     Returns (d, w): d is the largest size with a witnessed tuple and w the
     witness of the first such d-tuple, or `best` when d = 0.  Trying more
@@ -142,7 +153,7 @@ def _levelwise(n: int, witness, best, max_tries: int, name: str):
         nxt = []
         nxt_best = None
         for t in level:
-            for i in range(t[-1] + 1 if t else 0, n):
+            for i in range(t[-1] + 1, n) if t else range(n if heads is None else heads):
                 tries += 1
                 if tries > max_tries:
                     raise BudgetExceededError(
@@ -226,6 +237,84 @@ def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
         if len(seen) == want:
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# translate families in Z_N
+
+
+def _rotations(mask: int, n: int) -> list[int]:
+    """The n rotations of an n-bit mask; entry g moves bit v to bit v + g mod n."""
+    full = (1 << n) - 1
+    return [(mask << g | mask >> (n - g)) & full for g in range(n)]
+
+
+def _venn_witness(masks: Sequence[int], n: int):
+    """`witness(cand)` for `_levelwise`: cand itself when all 2^k Venn cells
+    of its n-bit masks, built with & and & ~, are nonempty, else None.  The
+    cells of cand[:-1] are kept between calls, since `_levelwise` tries all
+    extensions of one tuple in a row."""
+    prefix, cells = None, []
+
+    def witness(cand: tuple[int, ...]):
+        nonlocal prefix, cells
+        if cand[:-1] != prefix:
+            prefix, cells = cand[:-1], [(1 << n) - 1]
+            for i in prefix:
+                cells = [part for c in cells for part in (c & masks[i], c & ~masks[i])]
+        m = masks[cand[-1]]
+        for c in cells:
+            cut = c & m
+            if not cut or cut == c:
+                return None
+        return cand
+
+    return witness
+
+
+def cyclic_vc_dimension(system: SetSystem, max_tries: int = MAX_CYCLIC_TRIES) -> tuple[int, ShatterReport]:
+    """`vc_dimension` of `SetSystem.from_translates` on Z_N, with the same
+    report, by a translation-symmetric search.  A translate of a shattered
+    set is shattered, so the lexicographically first shattered d-tuple
+    starts at point 0, and the search fixes the first point there.  The
+    translators g with t in g + X form t - X, a rotation of the mask of -X,
+    and a point tuple is shattered iff the Venn cells of those masks are all
+    nonempty.  The report of the tuple found is built by row intersection
+    and must show it shattered.  Trying more than max_tries tuples raises
+    BudgetExceededError whose `partial` is the report of the last complete
+    size."""
+    n = len(system.ground)
+    base = system.rows[system.row_labels.index(0)]
+    reflected = 0
+    for v in range(n):
+        reflected |= (base >> v & 1) << (-v % n)
+
+    def report(cand: tuple[int, ...]) -> ShatterReport:
+        rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
+        if not rep.shattered:
+            raise AssertionError("shattered tuple failed independent re-check")
+        return rep
+
+    try:
+        d, cand = _levelwise(n, _venn_witness(_rotations(reflected, n), n), (), max_tries,
+                             "vc_dimension", heads=1)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), exc.lower_bound, report(exc.partial)) from None
+    return d, report(cand)
+
+
+def cyclic_dual_vc_dimension(system: SetSystem, max_tries: int = MAX_CYCLIC_TRIES) -> tuple[int, tuple]:
+    """`dual_vc_dimension` of `SetSystem.from_translates` on Z_N, with the
+    same witness rows.  Every row is a translate of every other, and shifting
+    all translators by one h keeps the Venn cells nonempty, so the search
+    fixes the first row at 0 and tests the cells on the row masks.  The rows
+    found are re-checked by a scan of the ground set.  Budget as in
+    `cyclic_vc_dimension`, with the last complete rows as `partial`."""
+    d, rows = _levelwise(len(system.rows), _venn_witness(system.rows, len(system.ground)), (),
+                         max_tries, "dual_vc_dimension", heads=1)
+    if not _all_cells_nonempty(system, rows):
+        raise AssertionError("dual witness rows failed independent re-check")
+    return d, rows
 
 
 def sauer_shelah_table(system: SetSystem, d: int) -> tuple[bool, list[dict]]:

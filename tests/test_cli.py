@@ -1,10 +1,11 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from vclab.cli import main
+from vclab.cli import MAX_VCDIM_ORDER, main
 from vclab.cantor import FatCantorSet
 from vclab.constructible import parse_set
 from vclab.witness import ShatterWitness, verify_witness
@@ -44,23 +45,31 @@ def test_witness_budget_exhaustion_exits_3(tmp_path, capsys):
     assert verify_witness(partial, FatCantorSet()).ok
 
 
+# A seeded base holding 45% of the group at the order cap: nearly every pair
+# and triple through 0 is shattered, so the search spends its budget on the
+# 3-point tuples.
+DENSE_AT_CAP = "list:" + ",".join(
+    str(v) for v in sorted(random.Random("dense").sample(range(MAX_VCDIM_ORDER), MAX_VCDIM_ORDER * 9 // 20))
+)
+
+
 def test_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
-    code = main(["vcdim", "--group", "cyclic:400", "--set", "list:0,1,3,7,12,20,30,44",
+    code = main(["vcdim", "--group", f"cyclic:{MAX_VCDIM_ORDER}", "--set", DENSE_AT_CAP,
                  "--out", str(tmp_path / "v.json")])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "VC dimension >= 1" in captured.err and captured.err.count("\n") == 1
+    assert "VC dimension >= 2" in captured.err and captured.err.count("\n") == 1
     payload = json.loads((tmp_path / "v.json").read_text())
-    assert payload["vc_dimension_lower_bound"] == 1
+    assert payload["vc_dimension_lower_bound"] == 2
     assert "vc_dimension" not in payload
     report = payload["shatter_report"]
-    assert report["shattered"] and len(report["points"]) == 1
+    assert report["shattered"] and len(report["points"]) == 2
     # each recorded translator really cuts out its pattern on the points
     base = set(payload["base_set"])
     for pattern, g in report["witness_translators"].items():
         for bit, p in zip(pattern[::-1], report["points"]):
-            assert ((p - g) % 400 in base) == (bit == "1")
+            assert ((p - g) % MAX_VCDIM_ORDER in base) == (bit == "1")
 
 
 # Stage 3 of the fat Cantor set at scale 4/5: the translate search certifies
@@ -113,6 +122,35 @@ def test_translate_vcdim_artifact_bytes_are_pinned(tmp_path, argv, code, sha256)
     out = tmp_path / "translate_vcdim.json"
     assert main(["translate-vcdim", *argv, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "group, base, sha256",
+    [
+        ("cyclic:12", "arc:3", "0778edfb16e944adb42d4e0372dde36b5d31115267b1acbeb859ef9ed022cbfb"),
+        ("cyclic:23", "list:2,7,11,19", "4215bf9612b0dbfeda0d2b856ab64597489362fcb77f7dcb97cc86a59737fcd1"),
+        ("cyclic:17", "list:0,3,4", "d683fd4cdb7339465a0eeab6c5fe73a2375042c6acfcb1daaacbf91689c0766a"),
+        ("cyclic:28", "list:1,5,6,13", "4e30083202d8f7c433c0b7c213b949fe82d2c6c681c007cf0b1fbdbeb2296808"),
+        ("cyclic:12", "list:0,1,4,5,8,9", "7160548ef97e24319c73991df6a00f13eb2e61baaf73ebccf8a70cfe6e79bda0"),
+        ("cyclic:7", "arc:7", "08fa286508c8083a51d5d3ea3557e8e22d99438b43d45186ea1c9f9d9494b97f"),
+        ("cyclic:10", "list:3", "a15ad9f4115ea045ef2ced681247510ec6767d0d7dcd8bdc898b7e9587f88f2b"),
+        ("cyclic:30", "list:0,2,3,7,11,12,18", "eb044fc1b82b157ed185e32157056c2a594fb8421699d5bb2d68b2a8b8f2001f"),
+    ],
+    ids=["arc-3", "families-23", "families-17", "families-28", "period-4", "full-group",
+         "singleton", "dimension-3"],
+)
+def test_vcdim_artifact_bytes_are_pinned(tmp_path, group, base, sha256):
+    # Digests recorded from the generic point-by-point search: the
+    # translation-symmetric search must report the same tuples and rows.
+    out = tmp_path / "vcdim.json"
+    assert main(["vcdim", "--group", group, "--set", base, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_vcdim_arc_at_former_cap_finishes(tmp_path, capsys):
+    code, _ = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:2236", "--set", "arc:3"])
+    assert code == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 def test_vcdim_prints_dimension(tmp_path, capsys):
@@ -332,9 +370,9 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["translate-vcdim", "--set", "{}"], "--set '{}' is empty, so the run would check nothing"),
         (["translate-vcdim", "--set", ""], "--set '' is empty, so the run would check nothing"),
         (["theorem5-report", "--set", "{}"], "--set '{}' is empty, so the run would check nothing"),
-        (["vcdim", "--group", "cyclic:2237"], "--group cyclic:2237 is above the cap of cyclic:2236"),
+        (["vcdim", "--group", "cyclic:8193"], "--group cyclic:8193 is above the cap of cyclic:8192"),
         (["vcdim", "--group", "cyclic:100000", "--set", "arc:3"],
-         "--group cyclic:100000 is above the cap of cyclic:2236"),
+         "--group cyclic:100000 is above the cap of cyclic:8192"),
         (["witness", "--depth", "0"], "--depth must be >= 1, got 0"),
         (["witness", "--depth", "-1"], "--depth must be >= 1, got -1"),
         (["counterexample", "--matched", "0"], "--matched must be >= 1, got 0"),
@@ -342,6 +380,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["counterexample", "--points-per", "0"], "--points-per must be >= 1, got 0"),
         (["eps-approx", "--epsilon", "0", "--trials", "2"], "--epsilon '0' must be positive"),
         (["eps-approx", "--epsilon", "-1/5", "--trials", "2"], "--epsilon '-1/5' must be positive"),
+        (["eps-approx", "--epsilon", "1", "--trials", "2"], "--epsilon '1' must be below 1"),
+        (["eps-approx", "--epsilon", "3/2", "--trials", "2"], "--epsilon '3/2' must be below 1"),
         (["witness", "--depth", "2", "--removed-scale", "1"],
          "--removed-scale '1' must lie strictly between 0 and 1"),
         (["steinhaus", "--removed-scale", "0"],
@@ -369,6 +409,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "translate-vcdim-empty-set", "translate-vcdim-blank-set", "theorem5-empty-set",
          "group-above-vcdim-cap", "group-far-above-vcdim-cap", "no-depth", "negative-depth",
          "no-matched", "no-intervals", "no-points-per", "zero-epsilon", "negative-epsilon",
+         "epsilon-one", "epsilon-above-one",
          "witness-removed-scale-one", "steinhaus-removed-scale-zero",
          "counterexample-removed-scale-above-one"],
 )

@@ -18,6 +18,8 @@ from vclab.vc import (
     _read_translators,
     _signature_ranges,
     _translator_keys,
+    cyclic_dual_vc_dimension,
+    cyclic_vc_dimension,
     dual_vc_dimension,
     interesting_grid,
     sauer_shelah_table,
@@ -133,6 +135,66 @@ def test_primal_dual_both_finite():
         assert 0 <= n < 2 ** (d + 1)
     arc = SetSystem.from_translates(CyclicGroup(12), range(3))
     assert vc_dimension(arc)[0] > 0 and dual_vc_dimension(arc)[0] > 0
+
+
+def random_translate_base(rng):
+    """A seeded (N, base) with N < 30: a singleton, the whole group, a base of
+    period p dividing N, or any base.  Two draws in three take N < 20, and
+    above N = 14 a period holds at most 5 points, so the generic oracle stays
+    quick."""
+    n = rng.randrange(1, rng.choice((20, 20, 30)))
+    kind = rng.random()
+    if kind < 0.1:
+        return n, [rng.randrange(n)]
+    if kind < 0.2:
+        return n, list(range(n))
+    p = rng.choice([p for p in range(2, n + 1) if n % p == 0] or [n]) if kind < 0.45 else n
+    pattern = rng.sample(range(p), rng.randint(1, p if n <= 14 else min(p, 5)))
+    return n, [v + j * p for v in pattern for j in range(n // p)]
+
+
+def test_cyclic_search_matches_generic_oracle():
+    # The translation-symmetric searches give the generic searches' results:
+    # dimension, report and dual rows alike.
+    rng = random.Random("cyclic-oracle")
+    dims, periodic = set(), 0
+    for _ in range(1000):
+        n, base = random_translate_base(rng)
+        model = CyclicGroup(n)
+        system = SetSystem.from_translates(model, base)
+        assert system == SetSystem.from_sets(
+            model.elements(), (model.translate_subset(base, g) for g in model.elements())
+        )
+        d, report = cyclic_vc_dimension(system)
+        assert (d, report) == vc_dimension(system)
+        assert cyclic_dual_vc_dimension(system) == dual_vc_dimension(system)
+        dims.add(d)
+        periodic += 1 < len(system) < n
+    assert dims == {0, 1, 2, 3} and periodic > 50
+
+
+def test_cyclic_search_budget_error_carries_lower_bound():
+    system = SetSystem.from_translates(CyclicGroup(50), range(3))
+    with pytest.raises(BudgetExceededError) as err:
+        cyclic_vc_dimension(system, max_tries=10)
+    assert str(err.value) == "vc_dimension budget exceeded at size 2"
+    assert err.value.lower_bound == 1
+    assert err.value.partial == ShatterReport((0,), {0: 1, 1: 0})
+    with pytest.raises(BudgetExceededError) as err:
+        cyclic_dual_vc_dimension(system, max_tries=60)
+    assert str(err.value) == "dual_vc_dimension budget exceeded at size 3"
+    assert err.value.lower_bound == 2 and err.value.partial == (0, 1)
+
+
+def test_cyclic_search_certificate_is_rechecked(monkeypatch):
+    # A mask test that passes every tuple must not reach the report: the
+    # tuple is re-checked by row intersection, the dual rows by a ground scan.
+    monkeypatch.setattr(vclab.vc, "_venn_witness", lambda masks, n: lambda cand: cand)
+    system = SetSystem.from_translates(CyclicGroup(6), range(2))
+    with pytest.raises(AssertionError, match="independent re-check"):
+        cyclic_vc_dimension(system, max_tries=100)
+    with pytest.raises(AssertionError, match="independent re-check"):
+        cyclic_dual_vc_dimension(system, max_tries=100)
 
 
 def test_sauer_shelah_examples():
