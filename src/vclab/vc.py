@@ -12,9 +12,10 @@ Translate families over the continuous line are kept implicit: the
 translators g with p in g + X form the constructible set p - X, and every
 such set of the candidate grid is put once on one integer lattice of sweep
 keys, so a candidate point tuple is tested by one merged walk that must see
-all 2^k membership signatures inside the translator window.  The translators of the tuple reported are read off that walk and
-re-verified by membership, so lower bounds come with verified certificates
-while upper bounds remain search outcomes.
+all 2^k membership signatures inside the translator window.  The
+translators of the tuple reported are read off that walk and re-verified by
+membership, so lower bounds come with verified certificates while upper
+bounds remain search outcomes.
 """
 
 from __future__ import annotations
