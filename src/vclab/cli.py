@@ -33,7 +33,7 @@ from .counterexample import counterexample_points, matched_budget_points, no_sha
 from .errors import BudgetExceededError, HittingSetError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
-from .vc import SetSystem, cyclic_dual_vc_dimension, cyclic_vc_dimension, translate_vc_dimension
+from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
@@ -184,31 +184,32 @@ def cmd_vcdim(args) -> int:
     base = _parse_base_set(args.set)
     system = SetSystem.from_translates(model, base)
     payload = {"group": model.describe(), "base_set": sorted(model.normalize(v) for v in base)}
+
+    def translators(rows):
+        return [system.row_labels[i] for i in rows]
+
     try:
-        d, report = cyclic_vc_dimension(system)
+        d, report = vc_dimension(system)
+        payload.update(vc_dimension=d, shatter_report=_shatter_json(system, report))
+        print(d)
+        # A translate family's dual is the family of translates of the
+        # reflected base set, so this search takes about as long as the one above.
+        dual, dual_rows = dual_vc_dimension(system)
     except BudgetExceededError as exc:
         # The spent search still proved a lower bound; write it with its witness.
-        payload.update(
-            vc_dimension_lower_bound=exc.lower_bound,
-            shatter_report=_shatter_json(system, exc.partial),
-        )
+        if "vc_dimension" in payload:
+            bound = "dual VC dimension"
+            payload.update(dual_vc_dimension_lower_bound=exc.lower_bound,
+                           dual_witness_translators=translators(exc.partial))
+        else:
+            bound = "VC dimension"
+            payload.update(vc_dimension_lower_bound=exc.lower_bound,
+                           shatter_report=_shatter_json(system, exc.partial))
         _emit(_json_text(payload), _out_path(args, "vcdim.json"))
-        print(
-            f"budget exhausted: {exc}; wrote the partial report "
-            f"(VC dimension >= {exc.lower_bound})",
-            file=sys.stderr,
-        )
+        print(f"budget exhausted: {exc}; wrote the partial report ({bound} >= {exc.lower_bound})",
+              file=sys.stderr)
         return 3
-    # A translate family's dual is the family of translates of the reflected
-    # base set, so this search takes about as long as the one above.
-    dual, dual_rows = cyclic_dual_vc_dimension(system)
-    payload.update(
-        vc_dimension=d,
-        shatter_report=_shatter_json(system, report),
-        dual_vc_dimension=dual,
-        dual_witness_translators=[system.row_labels[i] for i in dual_rows],
-    )
-    print(d)
+    payload.update(dual_vc_dimension=dual, dual_witness_translators=translators(dual_rows))
     _emit(_json_text(payload), _out_path(args, "vcdim.json"))
     return 0
 

@@ -3,11 +3,14 @@ families and for translate families.
 
 All the searches share one level-wise search with subset pruning (a set
 can only be shattered if the set minus its largest point was), each under a
-budget whose exhaustion raises BudgetExceededError with the last complete
-size.  Finite families are bitmask rows over a finite ground set, searched
-exhaustively.  Translate families in Z_N are searched with the first point
-(or, in the dual, the first row) fixed at 0, and a tuple is tested by the
-Venn cells of its N-bit masks; the tuple found is re-checked on the rows.
+budget of tuples tried whose exhaustion raises BudgetExceededError with the
+last complete size.  Finite families are bitmask rows over a finite ground
+set.  A point tuple is tested by the Venn cells of its point masks (the rows
+holding each point), a tuple of rows by the Venn cells of the rows, and the
+tuple found is re-checked on the rows.  When the rows are exactly the
+rotations of one mask, as for a translate family in Z_N, both searches fix
+the first index at 0 and the point masks are the rotations of the reflected
+base.
 Translate families over the continuous line are kept implicit: the
 translators g with p in g + X form the constructible set p - X, and every
 such set of the candidate grid is put once on one integer lattice of sweep
@@ -20,8 +23,10 @@ bounds remain search outcomes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Optional, Sequence
@@ -30,11 +35,8 @@ from .constructible import ConstructibleSet
 from .errors import BudgetExceededError
 from .rational import format_rational
 
-# Default budget of the finite searches, in row-against-point checks.
-MAX_CHECKS = 5_000_000
-
-# Default budget of the translate-family searches in Z_N, in index tuples.
-MAX_CYCLIC_TRIES = 250_000
+# Default budget of the finite searches, in index tuples tried.
+MAX_TRIES = 250_000
 
 # Default budget of the line-translate search, in candidate point tuples.
 MAX_TRANSLATE_TRIES = 100_000
@@ -80,6 +82,25 @@ class SetSystem:
 
     def __len__(self):
         return len(self.rows)
+
+    @cached_property
+    def _orbit_base(self) -> Optional[int]:
+        """rows[0] when the rows are exactly its rotations over the ground
+        positions, as `from_translates` builds them; else None.  They are iff
+        the first len(rows) rotations are distinct rows, found by bisection
+        in the sorted rows, and the next rotation is rows[0] again.  Cached,
+        since both searches ask."""
+        n, rows = len(self.ground), self.rows
+        if len(rows) > n:
+            return None
+        base, full = rows[0], (1 << n) - 1
+        for g in range(1, len(rows) + 1):
+            rot = (base << g | base >> (n - g)) & full
+            if g == len(rows):
+                return base if rot == base else None
+            i = bisect_left(rows, rot)
+            if rot == base or i == len(rows) or rows[i] != rot:
+                return None
 
 
 @dataclass
@@ -136,60 +157,104 @@ def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> Shatte
     return ShatterReport(points, witnesses)
 
 
-def _levelwise(n: int, witness, best, max_tries: int, name: str, heads: Optional[int] = None):
+def _levelwise(n: int, test, max_tries: int, name: str, heads: Optional[int] = None):
     """Hereditary level-wise search over increasing index tuples of range(n):
-    a (k+1)-tuple is tried only as an extension of a k-tuple that has a
-    witness, which is complete because shattering (and the dual property) is
-    hereditary.  `witness(t)` returns a witness for the tuple t or None.
-    Only tuples whose first index is below `heads` (default n) are tried.
+    a (k+1)-tuple is tried only as an extension of a k-tuple that passes
+    `test`, which is complete because shattering (and the dual property) is
+    hereditary.  Only tuples whose first index is below `heads` (default n)
+    are tried.
 
-    Returns (d, w): d is the largest size with a witnessed tuple and w the
-    witness of the first such d-tuple, or `best` when d = 0.  Trying more
-    than max_tries tuples raises BudgetExceededError carrying the last
-    complete level as `lower_bound` and its witness as `partial`."""
+    Returns (d, t): d is the largest size of a passing tuple and t the first
+    such d-tuple.  Trying more than max_tries tuples raises
+    BudgetExceededError carrying the last complete level as `lower_bound`
+    and its first tuple as `partial`."""
     level: list[tuple[int, ...]] = [()]
-    d = 0
     tries = 0
     while True:
         nxt = []
-        nxt_best = None
         for t in level:
             for i in range(t[-1] + 1, n) if t else range(n if heads is None else heads):
                 tries += 1
                 if tries > max_tries:
-                    raise BudgetExceededError(
-                        f"{name} budget exceeded at size {d + 1}", lower_bound=d, partial=best
-                    )
+                    raise BudgetExceededError(f"{name} budget exceeded at size {len(t) + 1}",
+                                              lower_bound=len(t), partial=level[0])
                 cand = t + (i,)
-                w = witness(cand)
-                if w is not None:
+                if test(cand):
                     nxt.append(cand)
-                    if nxt_best is None:
-                        nxt_best = w
         if not nxt:
-            break
-        d += 1
+            return len(level[0]), level[0]
         level = nxt
-        best = nxt_best
-    return d, best
 
 
-def vc_dimension(system: SetSystem, max_checks: int = MAX_CHECKS) -> tuple[int, ShatterReport]:
-    """Exact VC dimension by level-wise exhaustive search.  Each candidate
-    point set costs one check per family row, so k candidates overrun
-    max_checks exactly when k > max_checks // rows.  Returns one maximal
-    shattered set as certificate."""
+def _rotations(mask: int, n: int) -> list[int]:
+    """The n rotations of an n-bit mask; entry g moves bit v to bit v + g mod n."""
+    full = (1 << n) - 1
+    return [(mask << g | mask >> (n - g)) & full for g in range(n)]
+
+
+def _venn_witness(masks: Sequence[int], n: int):
+    """`test(cand)` for `_levelwise`: whether all 2^k Venn cells of the n-bit
+    masks of cand, built with & and & ~, are nonempty.  The cells of
+    cand[:-1] are kept between calls, since `_levelwise` tries all
+    extensions of one tuple in a row."""
+    prefix, cells = None, []
+
+    def test(cand: tuple[int, ...]) -> bool:
+        nonlocal prefix, cells
+        if cand[:-1] != prefix:
+            prefix, cells = cand[:-1], [(1 << n) - 1]
+            for i in prefix:
+                cells = [part for c in cells for part in (c & masks[i], c & ~masks[i])]
+        m = masks[cand[-1]]
+        for c in cells:
+            cut = c & m
+            if not cut or cut == c:
+                return False
+        return True
+
+    return test
+
+
+def _venn_search(masks: Sequence[int], width: int, heads: Optional[int], max_tries: int, name: str, check):
+    """`_levelwise` over the index tuples of `masks` whose width-bit masks
+    have all Venn cells nonempty.  The tuple found, and the budget partial,
+    are passed through `check`, a re-check on the rows."""
+    try:
+        d, cand = _levelwise(len(masks), _venn_witness(masks, width), max_tries, name, heads)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), exc.lower_bound, check(exc.partial)) from None
+    return d, check(cand)
+
+
+def vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, ShatterReport]:
+    """Exact VC dimension, with one maximal shattered set as certificate.  A
+    point tuple is shattered iff the Venn cells of its point masks, the sets
+    of rows holding each point, are all nonempty.  In a translate family of
+    Z_N (see `SetSystem._orbit_base`) the translators g with t in g + X form
+    t - X, a rotation of the mask of -X; a translate of a shattered set is
+    shattered, so the lexicographically first shattered d-tuple starts at
+    point 0, and the search fixes the first point there.  The report of the
+    tuple found is built by row intersection and must show it shattered.
+    Trying more than max_tries tuples raises BudgetExceededError whose
+    `partial` is the report of the last complete size."""
     if not system.rows:
         raise ValueError("empty family has no VC dimension")
+    n, rows = len(system.ground), system.rows
+    base = system._orbit_base
+    if base is None:
+        masks = [sum((row >> j & 1) << r for r, row in enumerate(rows)) for j in range(n)]
+        width, heads = len(rows), None
+    else:
+        reflected = sum(1 << (-v % n) for v in range(n) if base >> v & 1)
+        masks, width, heads = _rotations(reflected, n), n, 1
 
-    def shattered(cand):
+    def report(cand: tuple[int, ...]) -> ShatterReport:
         rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
-        return rep if rep.shattered else None
+        if not rep.shattered:
+            raise AssertionError("shattered tuple failed independent re-check")
+        return rep
 
-    return _levelwise(
-        len(system.ground), shattered, _shatter_report(system, [], ()),
-        max_tries=max_checks // len(system.rows), name="vc_dimension",
-    )
+    return _venn_search(masks, width, heads, max_tries, "vc_dimension", report)
 
 
 def vc_dimension_naive(system: SetSystem) -> int:
@@ -211,18 +276,26 @@ def vc_dimension_naive(system: SetSystem) -> int:
     return d
 
 
-def dual_vc_dimension(system: SetSystem, max_checks: int = MAX_CHECKS) -> tuple[int, tuple]:
+def dual_vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, tuple]:
     """Largest n such that n family members generate a Venn diagram all of
     whose 2^n cells contain a ground element; returns witness row indices.
-    Each candidate costs one check per ground element."""
+    In a translate family every row is a translate of rows[0], and shifting
+    all translators by one h keeps the cells nonempty, so the search fixes
+    the first row at 0.  The rows found are re-checked by a scan of the
+    ground set.  Budget as in `vc_dimension`, with the last complete rows as
+    `partial`."""
     if not system.rows:
         raise ValueError("empty family has no dual VC dimension")
     if not system.ground:
         raise ValueError("empty ground set")
-    return _levelwise(
-        len(system.rows), lambda cand: cand if _all_cells_nonempty(system, cand) else None, (),
-        max_tries=max_checks // len(system.ground), name="dual_vc_dimension",
-    )
+
+    def recheck(rows: tuple[int, ...]) -> tuple[int, ...]:
+        if not _all_cells_nonempty(system, rows):
+            raise AssertionError("dual witness rows failed independent re-check")
+        return rows
+
+    heads = None if system._orbit_base is None else 1
+    return _venn_search(system.rows, len(system.ground), heads, max_tries, "dual_vc_dimension", recheck)
 
 
 def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
@@ -238,84 +311,6 @@ def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
         if len(seen) == want:
             return True
     return False
-
-
-# --------------------------------------------------------------------------
-# translate families in Z_N
-
-
-def _rotations(mask: int, n: int) -> list[int]:
-    """The n rotations of an n-bit mask; entry g moves bit v to bit v + g mod n."""
-    full = (1 << n) - 1
-    return [(mask << g | mask >> (n - g)) & full for g in range(n)]
-
-
-def _venn_witness(masks: Sequence[int], n: int):
-    """`witness(cand)` for `_levelwise`: cand itself when all 2^k Venn cells
-    of its n-bit masks, built with & and & ~, are nonempty, else None.  The
-    cells of cand[:-1] are kept between calls, since `_levelwise` tries all
-    extensions of one tuple in a row."""
-    prefix, cells = None, []
-
-    def witness(cand: tuple[int, ...]):
-        nonlocal prefix, cells
-        if cand[:-1] != prefix:
-            prefix, cells = cand[:-1], [(1 << n) - 1]
-            for i in prefix:
-                cells = [part for c in cells for part in (c & masks[i], c & ~masks[i])]
-        m = masks[cand[-1]]
-        for c in cells:
-            cut = c & m
-            if not cut or cut == c:
-                return None
-        return cand
-
-    return witness
-
-
-def cyclic_vc_dimension(system: SetSystem, max_tries: int = MAX_CYCLIC_TRIES) -> tuple[int, ShatterReport]:
-    """`vc_dimension` of `SetSystem.from_translates` on Z_N, with the same
-    report, by a translation-symmetric search.  A translate of a shattered
-    set is shattered, so the lexicographically first shattered d-tuple
-    starts at point 0, and the search fixes the first point there.  The
-    translators g with t in g + X form t - X, a rotation of the mask of -X,
-    and a point tuple is shattered iff the Venn cells of those masks are all
-    nonempty.  The report of the tuple found is built by row intersection
-    and must show it shattered.  Trying more than max_tries tuples raises
-    BudgetExceededError whose `partial` is the report of the last complete
-    size."""
-    n = len(system.ground)
-    base = system.rows[system.row_labels.index(0)]
-    reflected = 0
-    for v in range(n):
-        reflected |= (base >> v & 1) << (-v % n)
-
-    def report(cand: tuple[int, ...]) -> ShatterReport:
-        rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
-        if not rep.shattered:
-            raise AssertionError("shattered tuple failed independent re-check")
-        return rep
-
-    try:
-        d, cand = _levelwise(n, _venn_witness(_rotations(reflected, n), n), (), max_tries,
-                             "vc_dimension", heads=1)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(str(exc), exc.lower_bound, report(exc.partial)) from None
-    return d, report(cand)
-
-
-def cyclic_dual_vc_dimension(system: SetSystem, max_tries: int = MAX_CYCLIC_TRIES) -> tuple[int, tuple]:
-    """`dual_vc_dimension` of `SetSystem.from_translates` on Z_N, with the
-    same witness rows.  Every row is a translate of every other, and shifting
-    all translators by one h keeps the Venn cells nonempty, so the search
-    fixes the first row at 0 and tests the cells on the row masks.  The rows
-    found are re-checked by a scan of the ground set.  Budget as in
-    `cyclic_vc_dimension`, with the last complete rows as `partial`."""
-    d, rows = _levelwise(len(system.rows), _venn_witness(system.rows, len(system.ground)), (),
-                         max_tries, "dual_vc_dimension", heads=1)
-    if not _all_cells_nonempty(system, rows):
-        raise AssertionError("dual witness rows failed independent re-check")
-    return d, rows
 
 
 def sauer_shelah_table(system: SetSystem, d: int) -> tuple[bool, list[dict]]:
@@ -490,13 +485,13 @@ def translate_vc_dimension(
     grid = interesting_grid(x, (lo, hi), refine, grid_max)
     keys, start, end, den = _translator_keys(x, grid, (lo, hi))
 
-    def shattered(cand: tuple[int, ...]):
-        ranges = _signature_ranges(keys, start, end, cand)
-        return (cand, ranges) if len(ranges) == 1 << len(cand) else None
+    def shattered(cand: tuple[int, ...]) -> bool:
+        return len(_signature_ranges(keys, start, end, cand)) == 1 << len(cand)
 
-    def report(best: tuple, status: str) -> TranslateVCReport:
-        cand, ranges = best
+    def report(cand: tuple[int, ...], status: str) -> TranslateVCReport:
         points = tuple(grid[j] for j in cand)
+        # The empty tuple is reported without translators.
+        ranges = _signature_ranges(keys, start, end, cand) if cand else {}
         witnesses = _read_translators(x, points, ranges, den)
         width = max(1, len(points))
         return TranslateVCReport(
@@ -508,11 +503,9 @@ def translate_vc_dimension(
         )
 
     try:
-        d, best = _levelwise(
-            len(grid), shattered, ((), {}), max_tries=max_tries, name="translate_vc_dimension",
-        )
+        d, cand = _levelwise(len(grid), shattered, max_tries, "translate_vc_dimension")
     except BudgetExceededError as exc:
         status = (f"search budget of {max_tries} tries spent at size {exc.lower_bound + 1}; "
                   "larger sets were not all tried")
         raise BudgetExceededError(str(exc), exc.lower_bound, report(exc.partial, status)) from None
-    return report(best, f"no shattered {d + 1}-point set found among {len(grid)} grid candidates")
+    return report(cand, f"no shattered {d + 1}-point set found among {len(grid)} grid candidates")

@@ -153,6 +153,28 @@ def test_vcdim_arc_at_former_cap_finishes(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_vcdim_dual_budget_keeps_primal_result(tmp_path, capsys):
+    # The primal search finishes and the dual one spends its budget on
+    # 3-row tuples: the artifact keeps the VC dimension and its report, and
+    # adds the dual lower bound with the translators of its partial rows.
+    code, out = run(tmp_path, "v.json", [
+        "vcdim", "--group", "cyclic:3531", "--set", "list:197,237,296,385,617,1497,1617,2078,2194,2387,2666,3363",
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert "(dual VC dimension >= 2)" in captured.err and captured.err.count("\n") == 1
+    payload = json.loads(out.read_text())
+    assert payload["vc_dimension"] == 2 and payload["shatter_report"]["shattered"]
+    assert payload["dual_vc_dimension_lower_bound"] == 2
+    assert "dual_vc_dimension" not in payload
+    # the translates by the recorded translators cut all four Venn cells
+    base = set(payload["base_set"])
+    translators = payload["dual_witness_translators"]
+    assert len(translators) == 2
+    assert len({tuple((v - g) % 3531 in base for g in translators) for v in range(3531)}) == 4
+
+
 def test_vcdim_prints_dimension(tmp_path, capsys):
     code, out = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:12", "--set", "arc:3"])
     assert code == 0

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import generic_vc
 import vclab.vc
 from fraction_translate import points_shattered_by_translates
 from vclab.border import random_constructible
@@ -18,8 +19,6 @@ from vclab.vc import (
     _read_translators,
     _signature_ranges,
     _translator_keys,
-    cyclic_dual_vc_dimension,
-    cyclic_vc_dimension,
     dual_vc_dimension,
     interesting_grid,
     sauer_shelah_table,
@@ -65,6 +64,8 @@ def test_vc_matches_naive_oracle_randomized():
         d, rep = vc_dimension(system)
         assert d == vc_dimension_naive(system)
         assert rep.verify(system)
+        assert (d, rep) == generic_vc.vc_dimension(system)
+        assert dual_vc_dimension(system) == generic_vc.dual_vc_dimension(system)
 
 
 def test_vc_monotone_under_subfamilies():
@@ -85,27 +86,28 @@ def test_vc_monotone_under_subfamilies():
 
 def test_vc_budget_error_carries_lower_bound():
     # The error carries the last complete level and the witness of its first
-    # tuple, at each budget.
+    # tuple, at each budget.  The budgets count tuples: 8 points, then their
+    # 28 pairs; 256 rows, then the pairs of the 254 that cut the ground set.
     system = powerset_system(tuple(range(8)))
     with pytest.raises(BudgetExceededError) as err:
-        vc_dimension(system, max_checks=2000)
+        vc_dimension(system, max_tries=7)
     assert str(err.value) == "vc_dimension budget exceeded at size 1"
     assert err.value.lower_bound == 0
     assert err.value.partial == ShatterReport((), {0: 0})
     with pytest.raises(BudgetExceededError) as err:
-        vc_dimension(system, max_checks=10_000)
+        vc_dimension(system, max_tries=39)
     assert str(err.value) == "vc_dimension budget exceeded at size 3"
     assert err.value.lower_bound == 2
     assert err.value.partial == ShatterReport((0, 1), {0: 0, 1: 1, 2: 2, 3: 3})
     with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_checks=50)
+        dual_vc_dimension(system, max_tries=6)
     assert str(err.value) == "dual_vc_dimension budget exceeded at size 1"
     assert err.value.lower_bound == 0 and err.value.partial == ()
     with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_checks=3000)
+        dual_vc_dimension(system, max_tries=375)
     assert err.value.lower_bound == 1 and err.value.partial == (1,)
     with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_checks=300_000)
+        dual_vc_dimension(system, max_tries=37_500)
     assert err.value.lower_bound == 2 and err.value.partial == (3, 5)
 
 
@@ -154,47 +156,70 @@ def random_translate_base(rng):
 
 
 def test_cyclic_search_matches_generic_oracle():
-    # The translation-symmetric searches give the generic searches' results:
-    # dimension, report and dual rows alike.
+    # The searches give the row-scan searches' results, dimension, report and
+    # dual rows alike: on translate families, on copies of them with string
+    # labels, and on rotation-invariant families of two orbits, which are
+    # searched as explicit families.
     rng = random.Random("cyclic-oracle")
-    dims, periodic = set(), 0
-    for _ in range(1000):
-        n, base = random_translate_base(rng)
-        model = CyclicGroup(n)
-        system = SetSystem.from_translates(model, base)
-        assert system == SetSystem.from_sets(
-            model.elements(), (model.translate_subset(base, g) for g in model.elements())
-        )
-        d, report = cyclic_vc_dimension(system)
-        assert (d, report) == vc_dimension(system)
-        assert cyclic_dual_vc_dimension(system) == dual_vc_dimension(system)
-        dims.add(d)
-        periodic += 1 < len(system) < n
-    assert dims == {0, 1, 2, 3} and periodic > 50
+    dims, periodic, two_orbit = set(), 0, 0
+    for i in range(1000):
+        if i % 4 == 3:
+            # Two orbits hold up to 2N rows, so N stays small for the oracle.
+            model = CyclicGroup(rng.randrange(2, 10))
+            bases = [rng.sample(range(model.n), rng.randint(1, model.n)) for _ in range(2)]
+            single = len(SetSystem.from_translates(model, bases[0]))
+            system = SetSystem.from_sets(
+                model.elements(), (model.translate_subset(b, g) for b in bases for g in model.elements())
+            )
+            two_orbit += len(system) > single
+            assert (system._orbit_base is None) == (len(system) > single)
+        else:
+            n, base = random_translate_base(rng)
+            model = CyclicGroup(n)
+            system = SetSystem.from_translates(model, base)
+            assert system == SetSystem.from_sets(
+                model.elements(), (model.translate_subset(base, g) for g in model.elements())
+            )
+            if i % 4 == 2:
+                labels = [f"p{v}" for v in model.elements()]
+                system = SetSystem.from_sets(
+                    labels, ([labels[v] for v in model.translate_subset(base, g)] for g in model.elements())
+                )
+            assert system._orbit_base is not None
+        d, report = vc_dimension(system)
+        assert (d, report) == generic_vc.vc_dimension(system)
+        assert dual_vc_dimension(system) == generic_vc.dual_vc_dimension(system)
+        if i % 4 != 3:
+            dims.add(d)
+            periodic += 1 < len(system) < model.n
+    assert dims == {0, 1, 2, 3} and periodic > 50 and two_orbit > 150
 
 
 def test_cyclic_search_budget_error_carries_lower_bound():
     system = SetSystem.from_translates(CyclicGroup(50), range(3))
     with pytest.raises(BudgetExceededError) as err:
-        cyclic_vc_dimension(system, max_tries=10)
+        vc_dimension(system, max_tries=10)
     assert str(err.value) == "vc_dimension budget exceeded at size 2"
     assert err.value.lower_bound == 1
     assert err.value.partial == ShatterReport((0,), {0: 1, 1: 0})
     with pytest.raises(BudgetExceededError) as err:
-        cyclic_dual_vc_dimension(system, max_tries=60)
+        dual_vc_dimension(system, max_tries=60)
     assert str(err.value) == "dual_vc_dimension budget exceeded at size 3"
     assert err.value.lower_bound == 2 and err.value.partial == (0, 1)
 
 
-def test_cyclic_search_certificate_is_rechecked(monkeypatch):
+@pytest.mark.parametrize("system", [
+    SetSystem.from_translates(CyclicGroup(6), range(2)),
+    SetSystem.from_sets(range(4), [(0,), (1, 2), (0, 3)]),
+], ids=["translate", "explicit"])
+def test_search_certificate_is_rechecked(monkeypatch, system):
     # A mask test that passes every tuple must not reach the report: the
     # tuple is re-checked by row intersection, the dual rows by a ground scan.
     monkeypatch.setattr(vclab.vc, "_venn_witness", lambda masks, n: lambda cand: cand)
-    system = SetSystem.from_translates(CyclicGroup(6), range(2))
     with pytest.raises(AssertionError, match="independent re-check"):
-        cyclic_vc_dimension(system, max_tries=100)
+        vc_dimension(system, max_tries=100)
     with pytest.raises(AssertionError, match="independent re-check"):
-        cyclic_dual_vc_dimension(system, max_tries=100)
+        dual_vc_dimension(system, max_tries=100)
 
 
 def test_sauer_shelah_examples():
