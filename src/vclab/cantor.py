@@ -207,15 +207,6 @@ class FatCantorSet:
                 lo = hi - width
         return Interval(self._value(lo, d, m), self._value(hi, d, m), True, True)
 
-    def branch_gap_containing(self, x: Fraction, branch: int, budget: int) -> Optional[Interval]:
-        """The removed middle of the given branch containing x, searched down
-        to the stage budget; None if x is not inside one."""
-        res = self.descend(x, budget)
-        if res[0] == "gap" and branch_of_stage(res[1]) == branch:
-            _, _, a, b = res
-            return Interval(a, b, False, False)
-        return None
-
     def child_gaps(
         self, lo: Fraction, hi: Fraction, from_stage: int, depth: int
     ) -> list[tuple[int, int, Interval]]:

@@ -29,11 +29,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
-from .cantor import FatCantorSet
-from .constructible import Interval
+from .cantor import FatCantorSet, branch_of_stage
 from .errors import BudgetExceededError
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,6 @@ class WitnessCondition:
     stage: int
     slack: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "pattern": self.pattern,
-            "value": format_rational(self.value),
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "stage": self.stage,
-            "slack": format_rational(self.slack),
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "WitnessCondition":
-        return cls(
-            level=int(d["level"]),
-            pattern=str(d["pattern"]),
-            value=parse_rational(d["value"]),
-            lo=parse_rational(d["lo"]),
-            hi=parse_rational(d["hi"]),
-            stage=int(d["stage"]),
-            slack=parse_rational(d["slack"]),
-        )
-
 
 @dataclass
 class ShatterWitness:
@@ -83,33 +60,38 @@ class ShatterWitness:
     stage_bound: int
     conditions: tuple[WitnessCondition, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "stage_bound": self.stage_bound,
-            "translators": [format_rational(g) for g in self.translators],
-            "points": {p: format_rational(x) for p, x in sorted(self.points.items())},
-            "conditions": [
-                c.to_json() for c in sorted(self.conditions, key=lambda c: (c.level, c.pattern))
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ShatterWitness":
-        return cls(
-            depth=int(d["depth"]),
-            translators=tuple(parse_rational(g) for g in d["translators"]),
-            points={p: parse_rational(x) for p, x in d["points"].items()},
-            stage_bound=int(d["stage_bound"]),
-            conditions=tuple(WitnessCondition.from_json(c) for c in d["conditions"]),
-        )
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        """The JSON text `json.dumps(..., sort_keys=True, indent=2)` gives, written
+        directly: rationals as str(Fraction), conditions in (level, pattern) order."""
+        conditions = ",\n".join(
+            f'    {{\n      "hi": "{c.hi!s}",\n      "level": {c.level},\n      "lo": "{c.lo!s}",\n'
+            f'      "pattern": {_quote(c.pattern)},\n      "slack": "{c.slack!s}",\n'
+            f'      "stage": {c.stage},\n      "value": "{c.value!s}"\n    }}'
+            for c in sorted(self.conditions, key=lambda c: (c.level, c.pattern))
+        )
+        points = ",\n".join(f'    {_quote(p)}: "{x!s}"' for p, x in sorted(self.points.items()))
+        translators = ",\n".join(f'    "{g!s}"' for g in self.translators)
+        return (
+            f'{{\n  "conditions": {_nest("[]", conditions)},\n  "depth": {self.depth},\n'
+            f'  "points": {_nest("{}", points)},\n  "stage_bound": {self.stage_bound},\n'
+            f'  "translators": {_nest("[]", translators)}\n}}\n'
+        )
 
     @classmethod
     def loads(cls, text: str) -> "ShatterWitness":
-        return cls.from_json(json.loads(text))
+        d, num = json.loads(text), parse_rational
+        conditions = tuple(
+            WitnessCondition(int(c["level"]), str(c["pattern"]), num(c["value"]), num(c["lo"]),
+                             num(c["hi"]), int(c["stage"]), num(c["slack"]))
+            for c in d["conditions"]
+        )
+        return cls(int(d["depth"]), tuple(num(g) for g in d["translators"]),
+                   {p: num(x) for p, x in d["points"].items()}, int(d["stage_bound"]), conditions)
+
+
+def _nest(brackets: str, items: str) -> str:
+    """A top-level member's array or object around its indented items."""
+    return f"{brackets[0]}\n{items}\n  {brackets[1]}" if items else brackets
 
 
 @dataclass
@@ -157,26 +139,21 @@ def _bitstrings(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(2**k)]
 
 
-def _slack(value: Fraction, gap: Interval) -> Fraction:
-    return min(value - gap.lo, gap.hi - value)
+def _width(p: int, q: int, stage: int) -> int:
+    """W_s, the common stage-s component width in units 1/(q 2^(2s+1)) (vclab.cantor)."""
+    return p + ((2 * q - p) << stage)
 
 
-def _conditions(translators, points, gaps):
-    """(level, pattern, value, gap, stage) in (level, pattern) order: condition
-    (k, p) is that g_k + x_p lies in the gap chosen for the prefix p[:k+1]."""
-    patterns = sorted(points)
-    for k, g in enumerate(translators):
-        for pattern in patterns:
-            gap, stage = gaps[pattern[: k + 1]]
-            yield k, pattern, g + points[pattern], gap, stage
+def _condition(level, pattern, value, gap, stage):
+    """The fields of a WitnessCondition; None unless value is strictly inside the gap."""
+    below, above = value - gap.lo, gap.hi - value
+    if below <= 0 or above <= 0:
+        return None
+    return (level, pattern, value, gap.lo, gap.hi, stage, min(below, above))
 
 
-def construct_witness(
-    fc: FatCantorSet,
-    depth: int,
-    seed: int = 0,
-    stage_budget: int = 2000,
-) -> ShatterWitness:
+def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
+                      stage_budget: int = 2000) -> ShatterWitness:
     """Build a depth-n certificate level by level.
 
     At each level the engine deepens the stage until every current point's
@@ -194,45 +171,42 @@ def construct_witness(
         return ShatterWitness(0, (), {}, 0, ())
 
     rng = random.Random(f"witness/{seed}")
+    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
     points: dict[str, Fraction] = {"": fc.window[0]}
-    gaps: dict[str, tuple[Interval, int]] = {}
+    gaps = {}  # pattern prefix -> (removed middle, stage)
+    # The conditions of the completed levels at `points`, as WitnessCondition
+    # fields: each value and slack is computed once.
+    conditions: list[tuple] = []
     translators: list[Fraction] = []
     m = 0
 
     def partial() -> ShatterWitness:
         # Every call comes before the current level's translator is appended,
         # so this is the certificate of the completed levels.
-        return _assemble(translators, points, gaps)
+        return _assemble(translators, points, conditions)
 
     for level in range(depth):
         patterns = sorted(points)
         # Deepen until components fit inside every slack ball and are
         # pairwise distinct.
-        min_sigma = min(
-            (_slack(v, gap) for _, _, v, gap, _ in _conditions(translators, points, gaps)),
-            default=None,
-        )
+        sigma = min((c[-1] for c in conditions), default=None)
         while True:
             if m > stage_budget:
-                raise BudgetExceededError(
-                    f"stage budget exhausted while separating level {level}",
-                    partial=partial(),
-                )
-            lam = fc.component_length(m)
-            if min_sigma is not None and lam >= min_sigma:
-                m += 1
-                continue
-            comps = {pat: fc.component_of(points[pat], m) for pat in patterns}
-            if any(c is None for c in comps.values()):
-                raise BudgetExceededError(
-                    "a point left the core approximation", partial=partial()
-                )
-            if len({(c.lo, c.hi) for c in comps.values()}) < len(patterns):
-                m += 1
-                continue
-            break
+                raise BudgetExceededError(f"stage budget exhausted while separating level {level}",
+                                          partial=partial())
+            # The component length W_m u_m, compared on integers, is below sigma.
+            if sigma is None or (
+                _width(p, q, m) * sigma.denominator < sigma.numerator * (q << (2 * m + 1))
+            ):
+                comps = {pat: fc.component_of(points[pat], m) for pat in patterns}
+                if any(c is None for c in comps.values()):
+                    raise BudgetExceededError("a point left the core approximation",
+                                              partial=partial())
+                if len({(c.lo, c.hi) for c in comps.values()}) == len(patterns):
+                    break
+            m += 1
         # Admissible shift radius from the per-component quantitative bound.
-        radius = (2 * fc.component_limit_measure(m) - lam) / 2
+        radius = (2 * fc.component_limit_measure(m) - fc.component_length(m)) / 2
 
         # One shared translator for the level, small enough to push any gap
         # edge of the pools strictly inside its gap, and well inside the
@@ -244,52 +218,43 @@ def construct_witness(
         sign = rng.choice((1, -1))
         g_level = sign * min(min_gap, radius) * ratio
 
+        # The two patterns sharing a parent take gaps of different branches
+        # from its pool, and distinct parents have disjoint pools, so no gap
+        # and no gap edge is taken twice.
         new_points: dict[str, Fraction] = {}
-        used_gaps: set[tuple[Fraction, Fraction]] = set()
-        used_points: set[Fraction] = set()
+        placed = []
         for pattern in _bitstrings(level + 1):
             parent, bit = pattern[:-1], int(pattern[-1])
-            choices = [
-                (stage, iv)
-                for branch, stage, iv in pools[parent]
-                if branch == bit and (iv.lo, iv.hi) not in used_gaps
-            ]
-            if not choices:
-                raise BudgetExceededError(
-                    f"no unused branch-{bit} gap for pattern {pattern}",
-                    partial=partial(),
-                )
+            choices = [(stage, iv) for branch, stage, iv in pools[parent] if branch == bit]
             shallowest = min(stage for stage, _ in choices)
             stage, iv = rng.choice([c for c in choices if c[0] == shallowest])
             x = iv.lo if g_level > 0 else iv.hi
-            value = x + g_level
-            if not (iv.lo < value < iv.hi) or x in used_points:
-                raise BudgetExceededError(
-                    f"edge placement failed for pattern {pattern}", partial=partial()
-                )
-            used_gaps.add((iv.lo, iv.hi))
-            used_points.add(x)
+            condition = _condition(level, pattern, x + g_level, iv, stage)
+            if condition is None:
+                raise BudgetExceededError(f"edge placement failed for pattern {pattern}",
+                                          partial=partial())
             new_points[pattern] = x
             gaps[pattern] = (iv, stage)
+            placed.append(condition)
 
         # The earlier levels' conditions (k < level), now at the new points.
-        for _, _, value, gap, _ in _conditions(translators, new_points, gaps):
-            if not (gap.lo < value < gap.hi):
-                raise BudgetExceededError(
-                    "inherited condition broke; budgets too tight",
-                    partial=partial(),
-                )
+        inherited = []
+        for k, g in enumerate(translators):
+            for pattern, x in new_points.items():
+                condition = _condition(k, pattern, g + x, *gaps[pattern[: k + 1]])
+                if condition is None:
+                    raise BudgetExceededError("inherited condition broke; budgets too tight",
+                                              partial=partial())
+                inherited.append(condition)
         translators.append(g_level)
         points = new_points
+        conditions = inherited + placed
 
-    return _assemble(translators, points, gaps)
+    return _assemble(translators, points, conditions)
 
 
-def _assemble(translators, points, gaps) -> ShatterWitness:
-    conditions = tuple(
-        WitnessCondition(k, pattern, v, gap.lo, gap.hi, stage, _slack(v, gap))
-        for k, pattern, v, gap, stage in _conditions(translators, points, gaps)
-    )
+def _assemble(translators, points, conditions) -> ShatterWitness:
+    conditions = tuple(WitnessCondition(*c) for c in conditions)
     stage_bound = max((c.stage for c in conditions), default=0)
     return ShatterWitness(len(translators), tuple(translators), points, stage_bound, conditions)
 
@@ -299,27 +264,71 @@ def _assemble(translators, points, gaps) -> ShatterWitness:
 
 
 def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationResult:
-    """Re-check every membership by exact arithmetic against the set's own
-    removal schedule; never consults the construction's recorded intervals."""
+    """Check every recorded field of a certificate in closed form, with no
+    membership walk.  Per condition (k, p): value = g_k + x_p, lo < value < hi,
+    slack = min(value - lo, hi - value), (lo, hi) a removed middle of the
+    recorded stage (`_middle_defect`, once per distinct middle) and that stage
+    feeding branch p[k].  Exactly one condition per (level, pattern), and
+    stage_bound the largest stage.  Failures are (level, pattern, message)."""
     failures = []
-    expected = set(_bitstrings(witness.depth)) if witness.depth else set()
-    if set(witness.points) != expected:
+    depth, points, translators = witness.depth, witness.points, witness.translators
+    if set(points) != (set(_bitstrings(depth)) if depth else set()):
         failures.append(("structure", "", "point patterns do not match the depth"))
-    if len(set(witness.points.values())) != len(witness.points):
+    if len(set(points.values())) != len(points):
         failures.append(("structure", "", "points are not pairwise distinct"))
-    if len(witness.translators) != witness.depth:
+    if len(translators) != depth:
         failures.append(("structure", "", "translator count does not match the depth"))
+    if sorted((c.level, c.pattern) for c in witness.conditions) != [
+            (k, pattern) for k in range(depth) for pattern in sorted(points)]:
+        failures.append(("structure", "", "not exactly one condition per level and pattern"))
+    top = max((c.stage for c in witness.conditions), default=0)
+    if witness.stage_bound != top:
+        failures.append(("structure", "", f"stage bound {witness.stage_bound} is not the top stage {top}"))
     if failures:
         return VerificationResult(False, failures)
-    for pattern in sorted(witness.points):
-        x = witness.points[pattern]
-        for k in range(witness.depth):
-            bit = int(pattern[k])
-            y = witness.translators[k] + x
-            iv = fc.branch_gap_containing(y, bit, witness.stage_bound)
-            if iv is None:
-                failures.append((k, pattern, f"{y} is not in branch {bit}"))
-                continue
-            if not (iv.lo < y < iv.hi):
-                failures.append((k, pattern, f"{y} touches the boundary of {iv}"))
+    middles = {}  # keyed on integers, so no Fraction is hashed
+    for c in witness.conditions:
+        k, pattern = c.level, c.pattern
+        if c.value != translators[k] + points[pattern]:
+            failures.append((k, pattern, f"value {c.value} is not g_{k} + x_{pattern}"))
+        below, above = c.value - c.lo, c.hi - c.value
+        if below <= 0 or above <= 0:
+            failures.append((k, pattern, f"{c.value} is not strictly inside ({c.lo}, {c.hi})"))
+        elif c.slack != min(below, above):
+            failures.append((k, pattern, f"slack {c.slack} is not {min(below, above)}"))
+        if branch_of_stage(c.stage) != int(pattern[k]):
+            failures.append((k, pattern, f"stage {c.stage} feeds the other branch"))
+        key = (c.stage, c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
+        if key not in middles:
+            middles[key] = _middle_defect(fc, c.stage, c.lo, c.hi)
+        if middles[key]:
+            failures.append((k, pattern, middles[key]))
     return VerificationResult(not failures, failures)
+
+
+def _middle_defect(fc: FatCantorSet, stage: int, lo: Fraction, hi: Fraction):
+    """Why (lo, hi) is not a removed middle of the stage, or None.  For scale
+    p/q, in units u_s = 1/(q 2^(2s+1)), the stage-s middles are
+    (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p), where by the lattice lemma of
+    vclab.cantor L = 3p spread4(b) + (2q - p) 2^(s-1) b is the left end of the
+    stage-(s-1) component with binary address b < 2^(s-1) (spread4 reads b's
+    digits in base 4).  Bit i of b adds c_i = 3p 4^i + (2q - p) 2^(s-1+i), more
+    than all lower c_j together, so b decodes top bit first."""
+    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
+    if stage < 1:
+        return f"stage {stage} removes no middle"
+    # The width p/(q 4^s) fixes the stage: test it before building the
+    # stage's lattice, so that a bogus stage allocates nothing.
+    num, den = (Fraction(hi - lo) * q / p).as_integer_ratio()
+    if num != 1 or den.bit_length() != 2 * stage + 1 or den & (den - 1):
+        return f"({lo}, {hi}) is not as wide as a stage-{stage} middle"
+    left = Fraction(lo) * (q << (2 * stage + 1))
+    rest, off = divmod(left.numerator - 2 * _width(p, q, stage - 1) + p, 4)
+    spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
+    for _ in range(stage - 1):
+        spread >>= 2
+        step >>= 1
+        if rest >= spread + step:
+            rest -= spread + step
+    bad = left.denominator != 1 or off or rest
+    return f"({lo}, {hi}) is not a removed middle of stage {stage}" if bad else None

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from replay_witness import branch_gap_containing
 from vclab.cantor import FatCantorSet, branch_of_stage
 from vclab.constructible import ConstructibleSet, Interval
 
@@ -102,10 +103,10 @@ def test_parity_split(fc):
 
 def test_branch_membership(fc):
     # inside the stage-1 middle
-    assert fc.branch_gap_containing(F(1, 2), 0, 1) == Interval(F(2, 5), F(3, 5), False, False)
-    assert fc.branch_gap_containing(F(1, 5), 0, 2) is None  # stage-2 middle belongs to branch 1
-    assert fc.branch_gap_containing(F(1, 5), 1, 2) is not None
-    assert fc.branch_gap_containing(F(0), 0, 5) is None
+    assert branch_gap_containing(fc, F(1, 2), 0, 1) == Interval(F(2, 5), F(3, 5), False, False)
+    assert branch_gap_containing(fc, F(1, 5), 0, 2) is None  # stage-2 middle belongs to branch 1
+    assert branch_gap_containing(fc, F(1, 5), 1, 2) is not None
+    assert branch_gap_containing(fc, F(0), 0, 5) is None
 
 
 def test_child_gaps_edges_persist(fc):

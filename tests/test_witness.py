@@ -1,14 +1,20 @@
+import dataclasses
 import hashlib
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from replay_witness import replay_witness
 from vclab.cantor import FatCantorSet
 from vclab.cli import main
 from vclab.constructible import ConstructibleSet
 from vclab.errors import BudgetExceededError
+from vclab.rational import format_rational
 from vclab.witness import (
     ShatterWitness,
+    WitnessCondition,
     construct_witness,
     core_overlap,
     steinhaus_neighborhood,
@@ -16,6 +22,7 @@ from vclab.witness import (
 )
 
 F = Fraction
+SCALES = [F(4, 5), F(2, 3), F(7, 8), F(38, 39)]
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +188,167 @@ def test_witness_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
     out = tmp_path / "witness.json"
     assert main(["witness", *argv, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# --------------------------------------------------------------------------
+# the closed-form checker against the replay, and against mutants
+
+
+def unit(fc, stage):
+    """One unit of the stage lattice, 1/(q 2^(2s+1))."""
+    return F(1, fc.removed_scale.denominator << (2 * stage + 1))
+
+
+def with_condition(w, index, **fields):
+    conditions = list(w.conditions)
+    conditions[index] = dataclasses.replace(conditions[index], **fields)
+    return dataclasses.replace(w, conditions=tuple(conditions))
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+def test_closed_form_and_replay_accept_the_same_certificates(scale):
+    fc = FatCantorSet(scale)
+    certificates = [construct_witness(fc, d, seed=s) for d in range(1, 7) for s in range(3)]
+    for budget in (10, 40):
+        for seed in range(3):
+            with pytest.raises(BudgetExceededError) as err:
+                construct_witness(fc, 6, seed=seed, stage_budget=budget)
+            assert err.value.partial.depth >= 1
+            certificates.append(err.value.partial)
+    for w in certificates:
+        assert verify_witness(w, fc).ok
+        assert replay_witness(w, fc).ok
+
+
+@pytest.fixture(scope="module")
+def depth_six(fc):
+    return construct_witness(fc, 6, seed=0)
+
+
+@pytest.mark.parametrize("scale, units", [(F(4, 5), 1), (F(38, 39), 4)], ids=["one-unit", "four-units"])
+def test_shifted_middle_fools_only_the_replay(scale, units):
+    # The replay never reads the recorded conditions: moving the last
+    # condition's middle along the lattice, with the value still strictly
+    # inside and an honest slack, leaves it satisfied.  Four units keep the
+    # middle's left end in the form 4L + 2W - p, so only the address decode
+    # can tell.
+    fc = FatCantorSet(scale)
+    w = construct_witness(fc, 6, seed=0)
+    c = w.conditions[-1]
+    u = units * unit(fc, c.stage) * (1 if c.value - c.lo > units * unit(fc, c.stage) else -1)
+    lo, hi = c.lo + u, c.hi + u
+    assert lo < c.value < hi
+    mutant = with_condition(w, -1, lo=lo, hi=hi, slack=min(c.value - lo, hi - c.value))
+    assert replay_witness(mutant, fc).ok
+    result = verify_witness(mutant, fc)
+    assert result.failures == [(c.level, c.pattern, f"({lo}, {hi}) is not a removed middle of stage {c.stage}")]
+
+
+# (field, step): a rational field moves by step lattice units of its stage,
+# the stage itself by step.
+FIELD_MUTATIONS = [(name, sign) for name in ("value", "lo", "hi", "slack") for sign in (1, -1)]
+FIELD_MUTATIONS += [("stage", step) for step in (1, 2, -1, -2)]
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("name, step", FIELD_MUTATIONS, ids=[f"{n}{s:+d}" for n, s in FIELD_MUTATIONS])
+def test_every_recorded_field_is_checked(fc, depth_six, name, step, index):
+    c = depth_six.conditions[index]
+    delta = step if name == "stage" else step * unit(fc, c.stage)
+    mutant = with_condition(depth_six, index, **{name: getattr(c, name) + delta})
+    result = verify_witness(mutant, fc)
+    assert not result.ok
+    assert any(f[:2] in ((c.level, c.pattern), ("structure", "")) for f in result.failures)
+
+
+def test_condition_count_and_stage_bound_are_checked(fc, depth_six):
+    conditions = depth_six.conditions
+    mutants = [
+        dataclasses.replace(depth_six, conditions=conditions[:-1]),
+        dataclasses.replace(depth_six, conditions=conditions + conditions[-1:]),
+        dataclasses.replace(depth_six, stage_bound=depth_six.stage_bound - 1),
+        dataclasses.replace(depth_six, stage_bound=depth_six.stage_bound + 1),
+    ]
+    for mutant in mutants:
+        result = verify_witness(mutant, fc)
+        assert not result.ok and result.failures[0][:2] == ("structure", "")
+
+
+def test_wrong_branch_parity_and_boundary_values_are_rejected(fc):
+    # Depth 1 at translator 0: the stage-1 middle (2/5, 3/5) feeds branch 0
+    # and the stage-2 middle (7/40, 9/40) branch 1.
+    def depth_one(x0, x1, *conditions):
+        return ShatterWitness(1, (F(0),), {"0": x0, "1": x1}, 2, tuple(
+            WitnessCondition(0, pattern, x, lo, hi, stage, min(x - lo, hi - x))
+            for pattern, x, lo, hi, stage in conditions))
+
+    stage1, stage2 = (F(2, 5), F(3, 5), 1), (F(7, 40), F(9, 40), 2)
+    honest = depth_one(F(1, 2), F(1, 5), ("0", F(1, 2), *stage1), ("1", F(1, 5), *stage2))
+    assert verify_witness(honest, fc).ok and replay_witness(honest, fc).ok
+    swapped = depth_one(F(1, 5), F(1, 2), ("0", F(1, 5), *stage2), ("1", F(1, 2), *stage1))
+    assert verify_witness(swapped, fc).failures == [
+        (0, "0", "stage 2 feeds the other branch"), (0, "1", "stage 1 feeds the other branch")]
+    assert not replay_witness(swapped, fc).ok
+    edge = depth_one(F(2, 5), F(1, 5), ("0", F(2, 5), *stage1), ("1", F(1, 5), *stage2))
+    assert verify_witness(edge, fc).failures == [(0, "0", "2/5 is not strictly inside (2/5, 3/5)")]
+    assert not replay_witness(edge, fc).ok
+
+
+def test_huge_stage_is_rejected_without_building_its_lattice(fc, depth_six):
+    # With a matching stage bound the structure holds, so the middle check
+    # itself must refuse the stage from the interval's width.
+    mutant = dataclasses.replace(with_condition(depth_six, -1, stage=10**9), stage_bound=10**9)
+    start = time.perf_counter()
+    result = verify_witness(mutant, fc)
+    assert time.perf_counter() - start < 1.0
+    c = depth_six.conditions[-1]
+    assert (c.level, c.pattern, f"({c.lo}, {c.hi}) is not as wide as a stage-1000000000 middle") \
+        in result.failures
+
+
+def test_verify_walks_nothing(fc, monkeypatch):
+    w = construct_witness(fc, 5, seed=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_witness walked the set")
+
+    for name in ("_walk", "descend", "_split"):
+        monkeypatch.setattr(FatCantorSet, name, refuse)
+    assert verify_witness(w, fc).ok
+
+
+# --------------------------------------------------------------------------
+# the writer against the json module
+
+
+def old_to_json(w):
+    """The dict that json.dumps(..., sort_keys=True, indent=2) used to write."""
+    return {
+        "depth": w.depth,
+        "stage_bound": w.stage_bound,
+        "translators": [format_rational(g) for g in w.translators],
+        "points": {p: format_rational(x) for p, x in sorted(w.points.items())},
+        "conditions": [
+            {"level": c.level, "pattern": c.pattern, "value": format_rational(c.value),
+             "lo": format_rational(c.lo), "hi": format_rational(c.hi), "stage": c.stage,
+             "slack": format_rational(c.slack)}
+            for c in sorted(w.conditions, key=lambda c: (c.level, c.pattern))
+        ],
+    }
+
+
+def test_dumps_matches_the_json_module(fc):
+    cases = [construct_witness(fc, d, seed=2) for d in range(7)]
+    cases.append(ShatterWitness(0, (), {"": F(0)}, 0, ()))
+    cases.append(ShatterWitness(1, (F(-3, 4),), {"0": F(2), "1": F(-5, 3)}, 7, (
+        WitnessCondition(0, "1", F(5), F(-1, 6), F(9), 2, F(-2)),
+        WitnessCondition(0, "0", F(-7, 2), F(-4), F(3), 7, F(1, 2)),
+    )))
+    quoted = 'a"\u00e9'
+    cases.append(ShatterWitness.loads(json.dumps({
+        "depth": 1, "stage_bound": 3, "translators": ["1/2"], "points": {quoted: "1", "0": "-2"},
+        "conditions": [{"level": 0, "pattern": quoted, "value": "3/2", "lo": "1", "hi": "2",
+                        "stage": 3, "slack": "1/2"}],
+    })))
+    for w in cases:
+        assert w.dumps() == json.dumps(old_to_json(w), sort_keys=True, indent=2) + "\n"
