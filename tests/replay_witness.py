@@ -23,8 +23,10 @@ def branch_gap_containing(fc, x, branch, budget):
 
 
 def replay_witness(witness, fc):
+    """Re-derive every membership by descent, down to the stage bound."""
     failures = []
-    expected = {format(i, f"0{witness.depth}b") for i in range(2**witness.depth)} if witness.depth else set()
+    depth = witness.depth
+    expected = {format(i, f"0{depth}b") for i in range(2**depth)} if depth else set()
     if set(witness.points) != expected:
         failures.append(("structure", "", "point patterns do not match the depth"))
     if len(set(witness.points.values())) != len(witness.points):

@@ -241,7 +241,8 @@ def test_shifted_middle_fools_only_the_replay(scale, units):
     mutant = with_condition(w, -1, lo=lo, hi=hi, slack=min(c.value - lo, hi - c.value))
     assert replay_witness(mutant, fc).ok
     result = verify_witness(mutant, fc)
-    assert result.failures == [(c.level, c.pattern, f"({lo}, {hi}) is not a removed middle of stage {c.stage}")]
+    message = f"({lo}, {hi}) is not a removed middle of stage {c.stage}"
+    assert result.failures == [(c.level, c.pattern, message)]
 
 
 # (field, step): a rational field moves by step lattice units of its stage,
