@@ -5,8 +5,7 @@ The sup-deviation over all translates is computed exactly in integer
 arithmetic: the base set is decomposed into circular arcs so every
 translate's sample count comes from prefix sums, and the deviation
 comparison |count*n - |X|*N| happens on integers before any Fraction is
-formed.  A naive per-translate recount is kept alongside as an independent
-oracle for the fast path.
+formed.
 """
 
 from __future__ import annotations
@@ -60,19 +59,6 @@ class FiniteTranslateFamily:
                 count += prefix[s + length] - prefix[s]
             best_num = max(best_num, abs(count * n - base_size * n_samp))
         return Fraction(best_num, n * n_samp)
-
-    def sup_deviation_naive(self, sample: Sequence) -> Fraction:
-        """Independent recount: translate-by-translate membership loop."""
-        mu = self.member_measure()
-        n_samp = len(sample)
-        vals = [self.model.normalize(p) for p in sample]
-        best = Fraction(0)
-        base = set(self.base)
-        for g in self.model.elements():
-            ginv = self.model.invert(g)
-            hits = sum(1 for p in vals if self.model.compose(ginv, p) in base)
-            best = max(best, abs(Fraction(hits, n_samp) - mu))
-        return best
 
 
 def _circular_arcs(vals: list[int], n: int) -> list[tuple[int, int]]:

@@ -161,15 +161,6 @@ class FatCantorSet:
             for a, b in gaps:
                 yield (s, self._value(a, 1, s), self._value(b, 1, s))
 
-    def branch_stage_set(self, branch: int, m: int) -> ConstructibleSet:
-        """Union of removed middles of one branch among stages <= m."""
-        pieces = [
-            (a, b, False, False)
-            for s, a, b in self.removed_intervals(m)
-            if branch_of_stage(s) == branch
-        ]
-        return ConstructibleSet.from_pieces(pieces)
-
     # ------------------------------------------------------- local queries
 
     def descend(self, x: Fraction, budget: int):

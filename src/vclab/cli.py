@@ -30,14 +30,11 @@ from .border import (
 from .cantor import FatCantorSet
 from .constructible import parse_set
 from .counterexample import counterexample_points, matched_budget_points, no_shatter3_check
-from .errors import BudgetExceededError, HittingSetError
+from .errors import BudgetExceededError
 from .groups import parse_model_spec
 from .rational import format_rational, parse_rational
 from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
-from .selftest import run_selftest
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
-
-BUDGET_ERRORS = (BudgetExceededError, HittingSetError)
 
 # The stage set of `steinhaus --stage m` has 2^m intervals.
 MAX_STEINHAUS_STAGE = 16
@@ -353,10 +350,6 @@ def cmd_theorem5_report(args) -> int:
     return 0 if report.consistent else 1
 
 
-def cmd_selftest(args) -> int:
-    return 0 if run_selftest() else 1
-
-
 def cmd_translate_vcdim(args) -> int:
     x = _parse_set_flag(args.set)
     try:
@@ -449,10 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="0,1")
     p.set_defaults(fn=cmd_translate_vcdim)
 
-    p = sub.add_parser("selftest", help="run the invariant battery")
-    common(p)
-    p.set_defaults(fn=cmd_selftest)
-
     return parser
 
 
@@ -507,7 +496,7 @@ def main(argv=None) -> int:
             at = tokens.index(args.command) + 1
             args = parser.parse_args(tokens[:at] + _config_tokens(args.config, args) + tokens[at:])
         return args.fn(args)
-    except BUDGET_ERRORS as exc:
+    except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

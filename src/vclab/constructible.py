@@ -155,13 +155,9 @@ class ConstructibleSet:
     def difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
         return _sweep((self.components(), other.components()), lambda a, b: a and not b)
 
-    def symmetric_difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        return _sweep((self.components(), other.components()), lambda a, b: a != b)
-
     __or__ = union
     __and__ = intersection
     __sub__ = difference
-    __xor__ = symmetric_difference
 
     def is_subset(self, other: "ConstructibleSet") -> bool:
         return self.difference(other).is_empty
@@ -194,20 +190,6 @@ class ConstructibleSet:
         )
         points = tuple(p + g for p in self.points)
         return ConstructibleSet(intervals, points)
-
-    def reflect(self) -> "ConstructibleSet":
-        """{-x : x in self}."""
-        pieces = [(-iv.hi, -iv.lo, iv.hi_closed, iv.lo_closed) for iv in self.intervals]
-        pieces += [(-p, -p, True, True) for p in self.points]
-        return ConstructibleSet.from_pieces(pieces)
-
-    def minkowski_diff(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        """{a - b : a in self, b in other}, exact."""
-        pieces: list[Piece] = []
-        for alo, ahi, alc, ahc in self.components():
-            for blo, bhi, blc, bhc in other.components():
-                pieces.append((alo - bhi, ahi - blo, alc and bhc, ahc and blc))
-        return ConstructibleSet.from_pieces(pieces)
 
     def r_neighborhood(self, r) -> "ConstructibleSet":
         """Union of closed balls of radius r around every component."""

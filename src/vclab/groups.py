@@ -44,10 +44,6 @@ class CyclicGroup:
         vals = {self.normalize(v) for v in subset}
         return Fraction(len(vals), self.n)
 
-    def translate_subset(self, subset: Iterable[int], g) -> frozenset:
-        g = self.normalize(g)
-        return frozenset((self.normalize(v) + g) % self.n for v in subset)
-
     def elements(self) -> range:
         return range(self.n)
 

@@ -11,12 +11,21 @@ reads its translators off one integer signature sweep, against this.
 from vclab.constructible import ConstructibleSet
 
 
+def minkowski_diff(a, b):
+    """{x - y : x in a, y in b}, exact."""
+    pieces = []
+    for alo, ahi, alc, ahc in a.components():
+        for blo, bhi, blc, bhc in b.components():
+            pieces.append((alo - bhi, ahi - blo, alc and bhc, ahc and blc))
+    return ConstructibleSet.from_pieces(pieces)
+
+
 def points_shattered_by_translates(x, points, window):
     """{pattern: translator} for all 2^k patterns of the points, or None when
     some pattern has no translator in the window.  Each translator is the
     midpoint of the first interval of its region, or its first point when
     the region has no interval."""
-    diffs = [ConstructibleSet.from_points([p]).minkowski_diff(x) for p in points]
+    diffs = [minkowski_diff(ConstructibleSet.from_points([p]), x) for p in points]
     witnesses = {}
     for pattern in range(2 ** len(points)):
         region = ConstructibleSet.interval(*window)

@@ -8,8 +8,15 @@ the tests run both on the same certificates.
 """
 
 from vclab.cantor import branch_of_stage
-from vclab.constructible import Interval
+from vclab.constructible import ConstructibleSet, Interval
 from vclab.witness import VerificationResult
+
+
+def branch_stage_set(fc, branch, m):
+    """The union of the open removed middles of one branch among stages <= m."""
+    return ConstructibleSet.from_pieces(
+        (a, b, False, False) for s, a, b in fc.removed_intervals(m) if branch_of_stage(s) == branch
+    )
 
 
 def branch_gap_containing(fc, x, branch, budget):

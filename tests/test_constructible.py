@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_translate import minkowski_diff
 from vclab.border import random_constructible
 from vclab.cantor import FatCantorSet
 from vclab.constructible import (
@@ -68,7 +69,6 @@ def test_membership_matches_structure():
         "union": lambda p, q: p or q,
         "intersection": lambda p, q: p and q,
         "difference": lambda p, q: p and not q,
-        "symmetric_difference": lambda p, q: p != q,
     }
     for _ in range(100):
         a, b = rset(rng), rset(rng)
@@ -139,12 +139,12 @@ def test_translate():
 
 def test_minkowski_diff_examples():
     q = ConstructibleSet.interval(0, F(1, 4))
-    assert q.minkowski_diff(q) == ConstructibleSet.interval(F(-1, 4), F(1, 4))
+    assert minkowski_diff(q, q) == ConstructibleSet.interval(F(-1, 4), F(1, 4))
     z = ConstructibleSet.from_points([0])
-    assert z.minkowski_diff(z) == z
+    assert minkowski_diff(z, z) == z
     fc = FatCantorSet()
     k2 = fc.stage_set(2)
-    d = k2.minkowski_diff(k2)
+    d = minkowski_diff(k2, k2)
     # difference set of a positive-measure set contains an interval around 0
     zero_component = [iv for iv in d.intervals if iv.contains(F(0))]
     assert zero_component and zero_component[0].lo < 0 < zero_component[0].hi
@@ -156,9 +156,10 @@ def test_minkowski_diff_properties():
         a = rset(rng)
         if a.is_empty:
             continue
-        d = a.minkowski_diff(a)
+        d = minkowski_diff(a, a)
         assert d.contains(0)
-        assert d.reflect() == d
+        # {0} - d is -d
+        assert minkowski_diff(ConstructibleSet.from_points([0]), d) == d
 
 
 def test_minkowski_diff_against_translate_oracle():
@@ -168,7 +169,7 @@ def test_minkowski_diff_against_translate_oracle():
         a, b = rset(rng), rset(rng)
         if a.is_empty or b.is_empty:
             continue
-        d = a.minkowski_diff(b)
+        d = minkowski_diff(a, b)
         for _ in range(25):
             q = F(rng.randrange(-5000, 5001), 1000)
             assert d.contains(q) == (not a.intersection(b.translate(q)).is_empty)

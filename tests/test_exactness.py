@@ -24,7 +24,6 @@ ALLOWED = Counter({
     ("approx.py", "hitting_set_for_translates", "float()"): 1,
     # rng.random() < 0.5 coin flips
     ("border.py", "random_constructible", "0.5"): 2,
-    ("selftest.py", "check_vc_oracle", "0.5"): 1,
 })
 
 

@@ -12,7 +12,6 @@ LAYERS = [
     {"constructible"},
     {"cantor"},
     {"approx", "border", "counterexample", "vc", "witness"},
-    {"selftest"},
     {"cli"},
 ]
 LAYER_OF = {name: i for i, names in enumerate(LAYERS) for name in names}

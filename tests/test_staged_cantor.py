@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from replay_witness import branch_gap_containing
+from replay_witness import branch_gap_containing, branch_stage_set
 from vclab.cantor import FatCantorSet, branch_of_stage
 from vclab.constructible import ConstructibleSet, Interval
 
@@ -34,7 +34,7 @@ def test_stage_zero_and_monotonicity(fc):
     for m in range(8):
         assert fc.stage_set(m + 1).is_subset(fc.stage_set(m))
         for branch in (0, 1):
-            assert fc.branch_stage_set(branch, m).is_subset(fc.branch_stage_set(branch, m + 1))
+            assert branch_stage_set(fc, branch, m).is_subset(branch_stage_set(fc, branch, m + 1))
 
 
 @pytest.mark.parametrize("scale", ["4/5", "2/3", "7/8", "38/39", "1/3"])
@@ -88,13 +88,13 @@ def test_component_of_matches_materialized(fc):
 
 def test_parity_split(fc):
     # m = 2: branch 0 holds the one stage-1 middle, branch 1 the two stage-2 middles
-    v0 = fc.branch_stage_set(0, 2)
-    v1 = fc.branch_stage_set(1, 2)
+    v0 = branch_stage_set(fc, 0, 2)
+    v1 = branch_stage_set(fc, 1, 2)
     assert v0 == ConstructibleSet.interval(F(2, 5), F(3, 5), False, False)
     assert len(v1.intervals) == 2
     for m in range(1, 9):
-        a = fc.branch_stage_set(0, m)
-        b = fc.branch_stage_set(1, m)
+        a = branch_stage_set(fc, 0, m)
+        b = branch_stage_set(fc, 1, m)
         assert a.intersection(b).is_empty
         assert a.measure() + b.measure() == F(2, 5) - F(2, 5) / 2**m
         window = ConstructibleSet.interval(0, 1)

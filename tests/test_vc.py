@@ -139,6 +139,11 @@ def test_primal_dual_both_finite():
     assert vc_dimension(arc)[0] > 0 and dual_vc_dimension(arc)[0] > 0
 
 
+def cyclic_translate(model, base, g):
+    """The translate g + base, through the group's own operation."""
+    return frozenset(model.compose(g, v) for v in base)
+
+
 def random_translate_base(rng):
     """A seeded (N, base) with N < 30: a singleton, the whole group, a base of
     period p dividing N, or any base.  Two draws in three take N < 20, and
@@ -169,7 +174,7 @@ def test_cyclic_search_matches_generic_oracle():
             bases = [rng.sample(range(model.n), rng.randint(1, model.n)) for _ in range(2)]
             single = len(SetSystem.from_translates(model, bases[0]))
             system = SetSystem.from_sets(
-                model.elements(), (model.translate_subset(b, g) for b in bases for g in model.elements())
+                model.elements(), (cyclic_translate(model, b, g) for b in bases for g in model.elements())
             )
             two_orbit += len(system) > single
             assert (system._orbit_base is None) == (len(system) > single)
@@ -178,12 +183,12 @@ def test_cyclic_search_matches_generic_oracle():
             model = CyclicGroup(n)
             system = SetSystem.from_translates(model, base)
             assert system == SetSystem.from_sets(
-                model.elements(), (model.translate_subset(base, g) for g in model.elements())
+                model.elements(), (cyclic_translate(model, base, g) for g in model.elements())
             )
             if i % 4 == 2:
                 labels = [f"p{v}" for v in model.elements()]
                 system = SetSystem.from_sets(
-                    labels, ([labels[v] for v in model.translate_subset(base, g)] for g in model.elements())
+                    labels, ([labels[v] for v in cyclic_translate(model, base, g)] for g in model.elements())
                 )
             assert system._orbit_base is not None
         d, report = vc_dimension(system)

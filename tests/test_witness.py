@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from replay_witness import replay_witness
+from replay_witness import branch_stage_set, replay_witness
 from vclab.cantor import FatCantorSet
 from vclab.cli import main
 from vclab.constructible import ConstructibleSet
@@ -133,7 +133,7 @@ def test_steinhaus_neighborhood_values(fc):
 def test_validate_stages(fc):
     # branch stages are open, carry no isolated points, and are disjoint
     for m in range(7):
-        s0, s1 = fc.branch_stage_set(0, m), fc.branch_stage_set(1, m)
+        s0, s1 = branch_stage_set(fc, 0, m), branch_stage_set(fc, 1, m)
         for s in (s0, s1):
             assert not s.points
             assert not any(iv.lo_closed or iv.hi_closed for iv in s.intervals)
