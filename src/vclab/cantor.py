@@ -2,36 +2,50 @@
 scale*4^(-m) is removed from each of the 2^(m-1) components, so the limit
 keeps positive measure (3/5 with the default scale 4/5).
 
-Besides materialized stages, this module provides O(stage) local queries
-(descend along one component chain) so deep stages never have to be built:
-the witness engine works hundreds of stages down, where a stage has 2^m
-components.
+Besides materialized stages, this module gives every stage-s component and
+removed middle a closed-form position from its binary address, so deep
+stages never have to be built: the witness engine works hundreds of stages
+down, where a stage has 2^s components.
 
 Stage-m removed middles alternate between two branches by parity: odd
 stages feed branch 0, even stages branch 1.  Both branches accumulate at
 every point of the limit set, and their closures intersect exactly in it.
 
-All walks run on an exact integer lattice and return Fractions only at the
-API boundary.  Lattice lemma: write removed_scale = p/q in lowest terms and
-u_s = 1/(q * 2^(2s+1)).  Every stage-s component endpoint and every edge of
-a stage-s removed middle is an integer multiple of u_s.  By induction on s:
-stage 0 is [0, 1] = [0, 2q] in units of u_0.  If [L, H] (integers, in units
-of u_(s-1)) is a stage-(s-1) component, then since u_(s-1) = 4 u_s its ends
-are 4L and 4H in units of u_s, its midpoint is 2(L + H), and the half-gap
-(p/q) 4^(-s) / 2 = p u_s is exactly p.  So the stage-s middle is
-(2(L+H) - p, 2(L+H) + p) and both children have integer ends.  Both
-children are 2(H - L) - p wide, so every stage-s component has the common
-width W_s = p + 2^s (2q - p) > p, and each middle fits strictly inside its
-component.  A query point x = n/d joins the walk on the lattice scaled by d,
-where it is an integer too, so no value is ever rounded.
+All positions are exact integers on a stage lattice, and become Fractions
+only at the API boundary.  Lattice lemma: write removed_scale = p/q in
+lowest terms and u_s = 1/(q * 2^(2s+1)).  Every stage-s component endpoint
+and every edge of a stage-s removed middle is an integer multiple of u_s.
+By induction on s: stage 0 is [0, 1] = [0, 2q] in units of u_0.  If [L, H]
+(integers, in units of u_(s-1)) is a stage-(s-1) component, then since
+u_(s-1) = 4 u_s its ends are 4L and 4H in units of u_s, its midpoint is
+2(L + H), and the half-gap (p/q) 4^(-s) / 2 = p u_s is exactly p.  So the
+stage-s middle is (2(L+H) - p, 2(L+H) + p) and both children have integer
+ends.  Both children are 2(H - L) - p wide, so every stage-s component has
+the common width W_s = p + 2^s (2q - p) > p, and each middle fits strictly
+inside its component.
+
+Address formula: number the stage-s components by binary addresses
+b < 2^s, whose top bit is the stage-1 choice (0 left, 1 right) and whose
+low bit the stage-s choice, so components 2b and 2b + 1 of stage s are the
+children of component b of stage s-1.  Then component b has left end
+L_s(b) = 3p spread4(b) + (2q - p) 2^s b, where spread4 reads b's binary
+digits in base 4.  By induction on s: L_0(0) = 0.  By the lemma the children
+of [L, L + W_(s-1)] start at 4L and at 4L + 2W_(s-1) + p = 4L + 3p +
+2^s (2q - p); as spread4(2b + c) = 4 spread4(b) + c, the formula gives both
+L_s(2b) = 4 L_(s-1)(b) and L_s(2b+1) = 4 L_(s-1)(b) + 3p + 2^s (2q - p).
+So the stage-s middle cut from component b of stage s-1 is
+(L_s(2b) + W_s, L_s(2b+1)), 2p wide.  A component endpoint stays one at every
+later stage: the left end of b is the left end of child 2b, the right end the
+right end of child 2b + 1.  So the stage-m component holding an end of
+stage-s component b is b >> (s - m) for m <= s, and for m > s it is
+b << (m - s), plus 2^(m-s) - 1 for a right end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .constructible import ConstructibleSet, Interval
 
@@ -70,7 +84,8 @@ class FatCantorSet:
         return 1 - self.removed_scale / 2
 
     def component_length(self, m: int) -> Fraction:
-        return self.stage_measure(m) / 2**m
+        """W_m u_m, which equals stage_measure(m) / 2^m."""
+        return self.value(m, self.width(m))
 
     def component_limit_measure(self, m: int) -> Fraction:
         """Exact limit measure inside each stage-m component (removals are
@@ -79,72 +94,87 @@ class FatCantorSet:
 
     # ------------------------------------------------------------- lattice
 
-    def _frame(self, stage: int, *values) -> tuple[int, list[int]]:
-        """Place values on the stage lattice scaled by d: returns d, the
-        least positive integer for which every v * d * q * 2^(2*stage+1) is
-        an integer, and those integers."""
-        unit = self.removed_scale.denominator << (2 * stage + 1)
-        scaled = [Fraction(v) * unit for v in values]
-        d = lcm(*(f.denominator for f in scaled))
-        return d, [f.numerator * (d // f.denominator) for f in scaled]
+    def value(self, s: int, n: int) -> Fraction:
+        """The rational n u_s at integer n of the stage-s lattice."""
+        return Fraction(n, self.removed_scale.denominator << (2 * s + 1))
 
-    def _value(self, n: int, d: int, stage: int) -> Fraction:
-        """The rational at integer n of the stage lattice scaled by d."""
-        return Fraction(n, d * (self.removed_scale.denominator << (2 * stage + 1)))
+    def width(self, s: int) -> int:
+        """W_s, the common width of the stage-s components, in units u_s."""
+        p, q = self.removed_scale.numerator, self.removed_scale.denominator
+        return p + ((2 * q - p) << s)
+
+    def left(self, s: int, b: int) -> int:
+        """The left end, in units u_s, of the stage-s component with address b."""
+        p, q = self.removed_scale.numerator, self.removed_scale.denominator
+        return 3 * p * int(format(b, "b"), 4) + ((2 * q - p) * b << s)
+
+    def middle(self, s: int, b: int) -> tuple[int, int]:
+        """The stage-s middle cut from component b of stage s-1, in units u_s."""
+        lo = self.left(s, 2 * b) + self.width(s)
+        return lo, lo + 2 * self.removed_scale.numerator
 
     @staticmethod
-    def _split(lo: int, hi: int, half: int, stage: int) -> tuple[int, int, int, int]:
+    def address(s: int, b: int, right: bool, m: int) -> int:
+        """The address of the stage-m component holding the left end (or the
+        right end) of the stage-s component with address b."""
+        if m <= s:
+            return b >> (s - m)
+        return ((b + 1) << (m - s)) - 1 if right else b << (m - s)
+
+    @staticmethod
+    def _split(lo: int, hi: int, half: int) -> tuple[int, int, int, int]:
         """Refine a previous-stage component [lo, hi] onto the stage lattice
         (4x finer) and cut out its middle: returns (lo, a, b, hi) there."""
         lo, hi = lo << 2, hi << 2
         mid = (lo + hi) >> 1
-        a, b = mid - half, mid + half
-        if a <= lo:
-            raise ValueError(f"stage-{stage} gap does not fit inside its component")
-        return lo, a, b, hi
+        return lo, mid - half, mid + half, hi
 
-    def _refine(self, comps, half, first: int, last: int):
-        """Split every component stage by stage from `first` to `last`,
-        yielding (stage, removed middles, components) on each stage's lattice."""
-        for s in range(first, last + 1):
+    def _refine(self, last: int):
+        """Split [0, 1] stage by stage down to `last`, yielding
+        (stage, removed middles, components) on each stage's lattice."""
+        comps, half = [(0, 2 * self.removed_scale.denominator)], self.removed_scale.numerator
+        for s in range(1, last + 1):
             gaps, nxt = [], []
             for lo, hi in comps:
-                lo, a, b, hi = self._split(lo, hi, half, s)
+                lo, a, b, hi = self._split(lo, hi, half)
                 gaps.append((a, b))
                 nxt += ((lo, a), (b, hi))
             comps = nxt
             yield s, gaps, comps
 
-    def _walk(self, x, budget: int) -> tuple:
-        """The descent behind `descend` and `component_of`: returns
-        (kind, stage, lo, hi, n, d) with kind as in `descend`, and the
-        interval and x itself (n) as integers of the stage lattice scaled by d."""
-        d, (n,) = self._frame(0, x)
-        lo, hi = 0, 2 * self.removed_scale.denominator * d
-        if not lo <= n <= hi:
-            return ("outside", 0, lo, hi, n, d)
-        half = self.removed_scale.numerator * d
-        for s in range(1, budget + 1):
-            if n == lo or n == hi:
-                return ("endpoint", s - 1, lo, hi, n, d)
-            n <<= 2
-            lo, a, b, hi = self._split(lo, hi, half, s)
-            if n <= a:
-                hi = a
-            elif n >= b:
-                lo = b
-            else:
-                return ("gap", s, a, b, n, d)
-        kind = "endpoint" if n == lo or n == hi else "component"
-        return (kind, budget, lo, hi, n, d)
+    def middle_defect(self, stage: int, lo: Fraction, hi: Fraction):
+        """Why (lo, hi) is not a removed middle of the stage, or None.  This
+        decodes the address on its own rather than through `left`: the
+        stage-s middles are (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p) with
+        L = L_(s-1)(b) for an address b < 2^(s-1).  Bit i of b adds
+        c_i = 3p 4^i + (2q - p) 2^(s-1+i), more than all lower c_j together,
+        so b decodes top bit first."""
+        p, q = self.removed_scale.numerator, self.removed_scale.denominator
+        if stage < 1:
+            return f"stage {stage} removes no middle"
+        # The width p/(q 4^s) fixes the stage: test it before building the
+        # stage's lattice, so that a bogus stage allocates nothing.
+        num, den = (Fraction(hi - lo) * q / p).as_integer_ratio()
+        if num != 1 or den.bit_length() != 2 * stage + 1 or den & (den - 1):
+            return f"({lo}, {hi}) is not as wide as a stage-{stage} middle"
+        left = Fraction(lo) * (q << (2 * stage + 1))
+        rest, off = divmod(left.numerator - 2 * self.width(stage - 1) + p, 4)
+        spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
+        for _ in range(stage - 1):
+            spread >>= 2
+            step >>= 1
+            if rest >= spread + step:
+                rest -= spread + step
+        bad = left.denominator != 1 or off or rest
+        return f"({lo}, {hi}) is not a removed middle of stage {stage}" if bad else None
 
     # -------------------------------------------------------- construction
 
     def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
         comps = [(0, 2 * self.removed_scale.denominator)]
-        for _, _, comps in self._refine(comps, self.removed_scale.numerator, 1, m):
+        for _, _, comps in self._refine(m):
             pass
-        return [(self._value(lo, 1, m), self._value(hi, 1, m)) for lo, hi in comps]
+        return [(self.value(m, lo), self.value(m, hi)) for lo, hi in comps]
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
@@ -156,62 +186,9 @@ class FatCantorSet:
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:
         """All removed middles of stages <= upto, in (stage, position) order."""
-        comps = [(0, 2 * self.removed_scale.denominator)]
-        for s, gaps, _ in self._refine(comps, self.removed_scale.numerator, 1, upto):
+        for s, gaps, _ in self._refine(upto):
             for a, b in gaps:
-                yield (s, self._value(a, 1, s), self._value(b, 1, s))
-
-    # ------------------------------------------------------- local queries
-
-    def descend(self, x: Fraction, budget: int):
-        """Walk x's component chain for `budget` stages.
-
-        Returns one of
-          ("outside",)
-          ("gap", stage, a, b)          x strictly inside a removed middle
-          ("endpoint", stage, lo, hi)   x is a component endpoint (in the limit)
-          ("component", budget, lo, hi) still inside a component at the budget
-        """
-        kind, stage, lo, hi, _, d = self._walk(x, budget)
-        if kind == "outside":
-            return ("outside",)
-        return (kind, stage, self._value(lo, d, stage), self._value(hi, d, stage))
-
-    def component_of(self, x: Fraction, m: int) -> Optional[Interval]:
-        """The stage-m component containing x, without materializing stage m.
-
-        A component endpoint never falls inside a later removed middle: from
-        the stage where x first is an endpoint, every component containing it
-        keeps that end and has the common stage width W_m, so the walk stops
-        there."""
-        kind, stage, lo, hi, n, d = self._walk(x, m)
-        if kind in ("outside", "gap"):
-            return None
-        if stage < m:
-            p, q = self.removed_scale.numerator, self.removed_scale.denominator
-            shift, width = 2 * (m - stage), (p + ((2 * q - p) << m)) * d  # W_m, scaled
-            if n == lo:
-                lo <<= shift
-                hi = lo + width
-            else:
-                hi <<= shift
-                lo = hi - width
-        return Interval(self._value(lo, d, m), self._value(hi, d, m), True, True)
-
-    def child_gaps(
-        self, lo: Fraction, hi: Fraction, from_stage: int, depth: int
-    ) -> list[tuple[int, int, Interval]]:
-        """Removed middles strictly inside the stage-`from_stage` component
-        [lo, hi], down to relative depth `depth`, as (branch, stage, interval)
-        triples.  Their edges are persistent points of the limit set."""
-        d, comp = self._frame(from_stage, lo, hi)
-        half = self.removed_scale.numerator * d
-        return [
-            (branch_of_stage(s), s,
-             Interval(self._value(a, d, s), self._value(b, d, s), False, False))
-            for s, gaps, _ in self._refine([comp], half, from_stage + 1, from_stage + depth)
-            for a, b in gaps
-        ]
+                yield (s, self.value(s, a), self.value(s, b))
 
     def boundary_pair(self) -> "FatCantorSet":
         """The set itself: the witness engine reads its two parity branches

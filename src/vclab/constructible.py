@@ -155,10 +155,6 @@ class ConstructibleSet:
     def difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
         return _sweep((self.components(), other.components()), lambda a, b: a and not b)
 
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
     def is_subset(self, other: "ConstructibleSet") -> bool:
         return self.difference(other).is_empty
 

@@ -139,17 +139,22 @@ def _bitstrings(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(2**k)]
 
 
-def _width(p: int, q: int, stage: int) -> int:
-    """W_s, the common stage-s component width in units 1/(q 2^(2s+1)) (vclab.cantor)."""
-    return p + ((2 * q - p) << stage)
-
-
-def _condition(level, pattern, value, gap, stage):
-    """The fields of a WitnessCondition; None unless value is strictly inside the gap."""
-    below, above = value - gap.lo, gap.hi - value
+def _condition(level, pattern, value, lo, hi, stage):
+    """The fields of a WitnessCondition; None unless value is strictly inside (lo, hi)."""
+    below, above = value - lo, hi - value
     if below <= 0 or above <= 0:
         return None
-    return (level, pattern, value, gap.lo, gap.hi, stage, min(below, above))
+    return (level, pattern, value, lo, hi, stage, min(below, above))
+
+
+def _pool(fc: FatCantorSet, m: int, c: int) -> list[tuple]:
+    """The removed middles of the next two stages inside the stage-m component
+    with address c, as (stage, address of the component cut, lo, hi)."""
+    pool = []
+    for s, b in ((m + 1, c), (m + 2, 2 * c), (m + 2, 2 * c + 1)):
+        lo, hi = fc.middle(s, b)
+        pool.append((s, b, fc.value(s, lo), fc.value(s, hi)))
+    return pool
 
 
 def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
@@ -171,9 +176,11 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
         return ShatterWitness(0, (), {}, 0, ())
 
     rng = random.Random(f"witness/{seed}")
-    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
     points: dict[str, Fraction] = {"": fc.window[0]}
-    gaps = {}  # pattern prefix -> (removed middle, stage)
+    # Each point as (stage s, address b, right end?): it is that end of the
+    # stage-s component b, so its component at every stage is known.
+    ends = {"": (0, 0, False)}
+    gaps = {}  # pattern prefix -> (lo, hi, stage) of its removed middle
     # The conditions of the completed levels at `points`, as WitnessCondition
     # fields: each value and slack is computed once.
     conditions: list[tuple] = []
@@ -194,15 +201,9 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
             if m > stage_budget:
                 raise BudgetExceededError(f"stage budget exhausted while separating level {level}",
                                           partial=partial())
-            # The component length W_m u_m, compared on integers, is below sigma.
-            if sigma is None or (
-                _width(p, q, m) * sigma.denominator < sigma.numerator * (q << (2 * m + 1))
-            ):
-                comps = {pat: fc.component_of(points[pat], m) for pat in patterns}
-                if any(c is None for c in comps.values()):
-                    raise BudgetExceededError("a point left the core approximation",
-                                              partial=partial())
-                if len({(c.lo, c.hi) for c in comps.values()}) == len(patterns):
+            if sigma is None or fc.component_length(m) < sigma:
+                comps = {pat: fc.address(*ends[pat], m) for pat in patterns}
+                if len(set(comps.values())) == len(patterns):
                     break
             m += 1
         # Admissible shift radius from the per-component quantitative bound.
@@ -212,29 +213,32 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
         # edge of the pools strictly inside its gap, and well inside the
         # admissible difference-set radius.  Each pool holds the removed
         # middles of the next two stages, so it offers gaps of both branches.
-        pools = {pat: fc.child_gaps(comps[pat].lo, comps[pat].hi, m, 2) for pat in patterns}
-        min_gap = min(iv.length for pool in pools.values() for _, _, iv in pool)
+        pools = {pat: _pool(fc, m, comps[pat]) for pat in patterns}
+        min_gap = min(hi - lo for pool in pools.values() for _, _, lo, hi in pool)
         ratio = Fraction(rng.randrange(96, 161), 256)  # in [3/8, 5/8]
         sign = rng.choice((1, -1))
         g_level = sign * min(min_gap, radius) * ratio
 
         # The two patterns sharing a parent take gaps of different branches
         # from its pool, and distinct parents have disjoint pools, so no gap
-        # and no gap edge is taken twice.
+        # and no gap edge is taken twice.  The pool's two stages feed
+        # different branches, so each pattern chooses within one stage.
         new_points: dict[str, Fraction] = {}
         placed = []
         for pattern in _bitstrings(level + 1):
             parent, bit = pattern[:-1], int(pattern[-1])
-            choices = [(stage, iv) for branch, stage, iv in pools[parent] if branch == bit]
-            shallowest = min(stage for stage, _ in choices)
-            stage, iv = rng.choice([c for c in choices if c[0] == shallowest])
-            x = iv.lo if g_level > 0 else iv.hi
-            condition = _condition(level, pattern, x + g_level, iv, stage)
+            stage, b, lo, hi = rng.choice([g for g in pools[parent] if branch_of_stage(g[0]) == bit])
+            # The lower edge is the right end of component 2b, the upper edge
+            # the left end of component 2b + 1.
+            if g_level > 0:
+                new_points[pattern], ends[pattern] = lo, (stage, 2 * b, True)
+            else:
+                new_points[pattern], ends[pattern] = hi, (stage, 2 * b + 1, False)
+            condition = _condition(level, pattern, new_points[pattern] + g_level, lo, hi, stage)
             if condition is None:
                 raise BudgetExceededError(f"edge placement failed for pattern {pattern}",
                                           partial=partial())
-            new_points[pattern] = x
-            gaps[pattern] = (iv, stage)
+            gaps[pattern] = (lo, hi, stage)
             placed.append(condition)
 
         # The earlier levels' conditions (k < level), now at the new points.
@@ -267,9 +271,10 @@ def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationRes
     """Check every recorded field of a certificate in closed form, with no
     membership walk.  Per condition (k, p): value = g_k + x_p, lo < value < hi,
     slack = min(value - lo, hi - value), (lo, hi) a removed middle of the
-    recorded stage (`_middle_defect`, once per distinct middle) and that stage
-    feeding branch p[k].  Exactly one condition per (level, pattern), and
-    stage_bound the largest stage.  Failures are (level, pattern, message)."""
+    recorded stage (`FatCantorSet.middle_defect`, once per distinct middle)
+    and that stage feeding branch p[k].  Exactly one condition per (level,
+    pattern), and stage_bound the largest stage.  Failures are (level,
+    pattern, message)."""
     failures = []
     depth, points, translators = witness.depth, witness.points, witness.translators
     if set(points) != (set(_bitstrings(depth)) if depth else set()):
@@ -300,35 +305,8 @@ def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationRes
             failures.append((k, pattern, f"stage {c.stage} feeds the other branch"))
         key = (c.stage, c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
         if key not in middles:
-            middles[key] = _middle_defect(fc, c.stage, c.lo, c.hi)
+            middles[key] = fc.middle_defect(c.stage, c.lo, c.hi)
         if middles[key]:
             failures.append((k, pattern, middles[key]))
     return VerificationResult(not failures, failures)
 
-
-def _middle_defect(fc: FatCantorSet, stage: int, lo: Fraction, hi: Fraction):
-    """Why (lo, hi) is not a removed middle of the stage, or None.  For scale
-    p/q, in units u_s = 1/(q 2^(2s+1)), the stage-s middles are
-    (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p), where by the lattice lemma of
-    vclab.cantor L = 3p spread4(b) + (2q - p) 2^(s-1) b is the left end of the
-    stage-(s-1) component with binary address b < 2^(s-1) (spread4 reads b's
-    digits in base 4).  Bit i of b adds c_i = 3p 4^i + (2q - p) 2^(s-1+i), more
-    than all lower c_j together, so b decodes top bit first."""
-    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
-    if stage < 1:
-        return f"stage {stage} removes no middle"
-    # The width p/(q 4^s) fixes the stage: test it before building the
-    # stage's lattice, so that a bogus stage allocates nothing.
-    num, den = (Fraction(hi - lo) * q / p).as_integer_ratio()
-    if num != 1 or den.bit_length() != 2 * stage + 1 or den & (den - 1):
-        return f"({lo}, {hi}) is not as wide as a stage-{stage} middle"
-    left = Fraction(lo) * (q << (2 * stage + 1))
-    rest, off = divmod(left.numerator - 2 * _width(p, q, stage - 1) + p, 4)
-    spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
-    for _ in range(stage - 1):
-        spread >>= 2
-        step >>= 1
-        if rest >= spread + step:
-            rest -= spread + step
-    bad = left.denominator != 1 or off or rest
-    return f"({lo}, {hi}) is not a removed middle of stage {stage}" if bad else None

@@ -2,8 +2,9 @@
 
 Every value is recomputed from the removal schedule alone (the midpoint of
 the component minus and plus half of scale * 4^-stage), with no lattice and
-no integer scaling.  The tests compare `vclab.cantor`, which walks an exact
-integer lattice, against these functions.
+no integer scaling.  The tests compare `vclab.cantor`, which reads positions
+off closed-form addresses on an exact integer lattice, against these
+functions, and the witness replay oracle walks `descend`.
 """
 
 from fractions import Fraction

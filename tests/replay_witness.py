@@ -1,12 +1,14 @@
 """Replay check of a shattering certificate: every membership g_k + x_p in
-branch p[k] is re-derived by walking the fat Cantor set's own removal
-schedule (`FatCantorSet.descend`), down to the recorded stage bound.
+branch p[k] is re-derived by walking the fat Cantor set's removal schedule
+in plain Fractions (`fraction_cantor.descend`), down to the recorded stage
+bound.
 
-It never reads the recorded conditions, so it is independent of
-`vclab.witness.verify_witness`, which checks those conditions in closed form;
-the tests run both on the same certificates.
+It never reads the recorded conditions and shares no lattice arithmetic with
+`vclab`, so it is independent of `vclab.witness.verify_witness`, which checks
+those conditions in closed form; the tests run both on the same certificates.
 """
 
+import fraction_cantor
 from vclab.cantor import branch_of_stage
 from vclab.constructible import ConstructibleSet, Interval
 from vclab.witness import VerificationResult
@@ -22,7 +24,7 @@ def branch_stage_set(fc, branch, m):
 def branch_gap_containing(fc, x, branch, budget):
     """The removed middle of the given branch containing x, searched down to
     the stage budget; None if x is not inside one."""
-    res = fc.descend(x, budget)
+    res = fraction_cantor.descend(fc.removed_scale, x, budget)
     if res[0] == "gap" and branch_of_stage(res[1]) == branch:
         _, _, a, b = res
         return Interval(a, b, False, False)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_cantor as ref
 from replay_witness import branch_gap_containing, branch_stage_set
-from vclab.cantor import FatCantorSet, branch_of_stage
+from vclab.cantor import FatCantorSet
 from vclab.constructible import ConstructibleSet, Interval
 
 F = Fraction
@@ -51,13 +52,15 @@ def test_quantitative_regime_identities(scale):
 
 
 def test_lazy_membership_examples(fc):
-    # out: inside a removed middle or outside [0, 1]; in: a component endpoint
-    assert fc.descend(F(1, 2), 1)[0] == "gap"
-    assert fc.descend(F(0), 1)[0] == "endpoint"
-    assert fc.descend(F(1), 1)[0] == "endpoint"
+    # The reference walk behind the replay oracle.  Out: inside a removed
+    # middle or outside [0, 1]; in: a component endpoint.
+    scale = fc.removed_scale
+    assert ref.descend(scale, F(1, 2), 1)[0] == "gap"
+    assert ref.descend(scale, F(0), 1)[0] == "endpoint"
+    assert ref.descend(scale, F(1), 1)[0] == "endpoint"
     # gap endpoints persist
-    assert fc.descend(F(2, 5), 3)[0] == "endpoint"
-    assert fc.descend(F(-1, 7), 1) == ("outside",)
+    assert ref.descend(scale, F(2, 5), 3)[0] == "endpoint"
+    assert ref.descend(scale, F(-1, 7), 1) == ("outside",)
 
 
 def test_lazy_membership_soundness(fc):
@@ -65,25 +68,26 @@ def test_lazy_membership_soundness(fc):
     deep = fc.stage_set(9)
     for _ in range(300):
         x = F(rng.randrange(0, 1009), 1008)
-        kind = fc.descend(x, 3)[0]
+        kind = ref.descend(fc.removed_scale, x, 3)[0]
         if kind == "endpoint":
             assert deep.contains(x)
         elif kind in ("gap", "outside"):
             assert not deep.contains(x)
 
 
-def test_component_of_matches_materialized(fc):
-    rng = random.Random("comp")
-    for m in range(6):
-        stage = fc.stage_set(m)
-        for _ in range(40):
-            x = F(rng.randrange(0, 241), 240)
-            got = fc.component_of(x, m)
-            want = [iv for iv in stage.intervals if iv.contains(x)]
-            if want:
-                assert got == want[0]
-            else:
-                assert got is None
+def test_addresses_match_materialized():
+    # Component b of stage m is the b-th interval of the stage, and the
+    # middle it loses at stage m + 1 the b-th removed middle of that stage.
+    for scale in (F(4, 5), F(2, 3), F(7, 8), F(38, 39)):
+        fc = FatCantorSet(scale)
+        for m in range(9):
+            comps = fc.stage_components(m)
+            middles = [(a, b) for s, a, b in fc.removed_intervals(m + 1) if s == m + 1]
+            assert len(comps) == len(middles) == 2**m
+            for b in range(2**m):
+                left = fc.left(m, b)
+                assert (fc.value(m, left), fc.value(m, left + fc.width(m))) == comps[b]
+                assert tuple(fc.value(m + 1, v) for v in fc.middle(m + 1, b)) == middles[b]
 
 
 def test_parity_split(fc):
@@ -110,10 +114,9 @@ def test_branch_membership(fc):
 
 
 def test_child_gaps_edges_persist(fc):
-    gaps = fc.child_gaps(F(0), F(1), 0, 3)
-    assert len(gaps) == 1 + 2 + 4
-    for branch, stage, iv in gaps:
-        assert branch == branch_of_stage(stage)
-        assert fc.descend(iv.lo, stage + 4)[0] == "endpoint"
-        assert fc.descend(iv.hi, stage + 4)[0] == "endpoint"
-
+    # The middles of stages 1-3 all have edges that are endpoints of the
+    # limit set, by the reference walk.
+    for s in range(1, 4):
+        for b in range(2 ** (s - 1)):
+            for edge in fc.middle(s, b):
+                assert ref.descend(fc.removed_scale, fc.value(s, edge), s + 4)[0] == "endpoint"

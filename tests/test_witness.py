@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_cantor
 from replay_witness import branch_stage_set, replay_witness
 from vclab.cantor import FatCantorSet
 from vclab.cli import main
@@ -162,7 +163,7 @@ def test_witness_realizes_all_patterns(fc):
     for pattern, x in w.points.items():
         bits = []
         for g in w.translators:
-            verdict = fc.descend(g + x, w.stage_bound)
+            verdict = fraction_cantor.descend(fc.removed_scale, g + x, w.stage_bound)
             assert verdict[0] == "gap"
             bits.append(str(verdict[1] % 2 ^ 1))  # odd stage -> branch 0
         assert "".join(bits) == pattern
@@ -179,8 +180,11 @@ def test_witness_realizes_all_patterns(fc):
          "5f8d1a097e6f1fbcb71e10cb0d3a858bbbd31e41d24f8688aff3ac343451a383"),
         (["--depth", "6", "--stage-budget", "40"], 3,
          "e1c414cfbb411eb7716eb7fb2dd2791a7ef626fdb2fae4cda9e71785bafa6089"),
+        # stage bound 637
+        (["--depth", "8", "--seed", "0"], 0,
+         "87d65e574e3c7452f52758e9b214aa796e40ff13cd9f170356e3342e20c5daf4"),
     ],
-    ids=["depth-6", "depth-5-scale-38/39", "partial-stage-budget-40"],
+    ids=["depth-6", "depth-5-scale-38/39", "partial-stage-budget-40", "depth-8"],
 )
 def test_witness_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
     # Digests recorded from earlier commits: a change to the construction
@@ -308,12 +312,15 @@ def test_huge_stage_is_rejected_without_building_its_lattice(fc, depth_six):
 
 
 def test_verify_walks_nothing(fc, monkeypatch):
-    w = construct_witness(fc, 5, seed=2)
-
+    # Construction reads positions off the closed-form addresses, and the
+    # checker decodes them without the construction's `left` and `middle`.
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_witness walked the set")
+        raise AssertionError("the set was walked")
 
-    for name in ("_walk", "descend", "_split"):
+    for name in ("_split", "_refine"):
+        monkeypatch.setattr(FatCantorSet, name, refuse)
+    w = construct_witness(fc, 5, seed=2)
+    for name in ("left", "middle"):
         monkeypatch.setattr(FatCantorSet, name, refuse)
     assert verify_witness(w, fc).ok
 
