@@ -83,15 +83,6 @@ class FatCantorSet:
     def limit_measure(self) -> Fraction:
         return 1 - self.removed_scale / 2
 
-    def component_length(self, m: int) -> Fraction:
-        """W_m u_m, which equals stage_measure(m) / 2^m."""
-        return self.value(m, self.width(m))
-
-    def component_limit_measure(self, m: int) -> Fraction:
-        """Exact limit measure inside each stage-m component (removals are
-        spread uniformly over components, so this is limit/2^m)."""
-        return self.limit_measure() / 2**m
-
     # ------------------------------------------------------------- lattice
 
     def value(self, s: int, n: int) -> Fraction:
@@ -142,31 +133,31 @@ class FatCantorSet:
             comps = nxt
             yield s, gaps, comps
 
-    def middle_defect(self, stage: int, lo: Fraction, hi: Fraction):
-        """Why (lo, hi) is not a removed middle of the stage, or None.  This
-        decodes the address on its own rather than through `left`: the
-        stage-s middles are (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p) with
-        L = L_(s-1)(b) for an address b < 2^(s-1).  Bit i of b adds
-        c_i = 3p 4^i + (2q - p) 2^(s-1+i), more than all lower c_j together,
-        so b decodes top bit first."""
+    def middle_defect(self, stage: int, lo: int, hi: int, den: int):
+        """Why (lo/den, hi/den) is not a removed middle of the stage, or None.
+        A stage-s middle is p/(q 4^s) wide, a denominator above 4^s, so
+        den <= 4^s refuses the stage before its lattice u_s is built.  The
+        address is decoded on its own, not through `left`: the stage-s middles
+        are (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p) on u_s, L = L_(s-1)(b) for
+        b < 2^(s-1).  Bit i of b adds c_i = 3p 4^i + (2q - p) 2^(s-1+i), more
+        than all lower c_j together, so b decodes top bit first."""
         p, q = self.removed_scale.numerator, self.removed_scale.denominator
         if stage < 1:
             return f"stage {stage} removes no middle"
-        # The width p/(q 4^s) fixes the stage: test it before building the
-        # stage's lattice, so that a bogus stage allocates nothing.
-        num, den = (Fraction(hi - lo) * q / p).as_integer_ratio()
-        if num != 1 or den.bit_length() != 2 * stage + 1 or den & (den - 1):
-            return f"({lo}, {hi}) is not as wide as a stage-{stage} middle"
-        left = Fraction(lo) * (q << (2 * stage + 1))
-        rest, off = divmod(left.numerator - 2 * self.width(stage - 1) + p, 4)
-        spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
-        for _ in range(stage - 1):
-            spread >>= 2
-            step >>= 1
-            if rest >= spread + step:
-                rest -= spread + step
-        bad = left.denominator != 1 or off or rest
-        return f"({lo}, {hi}) is not a removed middle of stage {stage}" if bad else None
+        wide = den.bit_length() > 2 * stage and (hi - lo) * (q << 2 * stage + 1) == 2 * p * den
+        if wide:
+            left, off = divmod(lo * (q << 2 * stage + 1), den)
+            rest, off4 = divmod(left - 2 * self.width(stage - 1) + p, 4)
+            spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
+            for _ in range(stage - 1):
+                spread >>= 2
+                step >>= 1
+                if rest >= spread + step:
+                    rest -= spread + step
+            if not (off or off4 or rest):
+                return None
+        why = f"a removed middle of stage {stage}" if wide else f"as wide as a stage-{stage} middle"
+        return f"({Fraction(lo, den)}, {Fraction(hi, den)}) is not {why}"
 
     # -------------------------------------------------------- construction
 

@@ -16,11 +16,27 @@ strictly into its adjacent middle.  The admissible translator range comes
 from a quantitative difference-set bound: if the limit set keeps measure f
 inside every length-L component and 2f > L, then for every |u| <= (2f - L)/2
 it meets its own u-translate inside that component in positive measure.
-For removed scale s in (0, 1) the bound always applies: at stage m,
-f = (1 - s/2)/2^m and 2f - L = (1 - s/2 - s*2^-(m+1))/2^m > 0.
-Per-level slacks therefore shrink by a bounded factor per level (the next
-level's components must fit inside the current slack balls), which keeps
-stage depth singly exponential in the witness depth.
+Per-level slacks shrink by a bounded factor per level (the next level's
+components must fit inside the current slack balls), which keeps stage
+depth singly exponential in the witness depth.
+
+Construction and checking run on integers; Fractions appear only in the
+fields of a ShatterWitness.  Level-lattice lemma: with removed_scale = p/q
+and u_s = 1/(q 2^(2s+1)) as in `vclab.cantor`, let T_m = 1/(q 2^(2m+13)) =
+u_(m+2)/256.  At a level of stage m every point, translator, middle edge,
+value and slack is an integer multiple of T_m, and the level's translator is
++-min(2p, 8((2q - p) 2^m - p)) r T_m for the drawn ratio r/256.  Proof:
+stages never decrease, and a point placed at stage m' <= m is an edge of a
+stage-(m'+1) or stage-(m'+2) middle, so points and middle edges lie on u_s
+for s <= m + 2, and u_s = 4^(m+2-s) u_(m+2).  Every stage-s middle is
+2p u_s wide, so the pool's narrowest is 2p u_(m+2).  The radius (2f - L)/2
+has f = (1 - p/(2q)) 2^-m = (2q - p) 2^(m+4) u_(m+2) and L = W_m u_m =
+16 (p + 2^m (2q - p)) u_(m+2), so it is 8((2q - p) 2^m - p) u_(m+2) > 0.
+The smaller of the two times r/256 lies on T_m, earlier translators on
+T_m' = 4^(m-m') T_m, and values and slacks are their sums and differences.
+So u_s reaches T_m by a left shift of 2(m - s) + 12 bits, and the deepening
+test W_m' u_m' < sigma T_m, for the least slack sigma on T_m of the previous
+level, reads W_m' << (2m + 13) < sigma << (2m' + 1).
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 from .cantor import FatCantorSet, branch_of_stage
 from .errors import BudgetExceededError
@@ -139,24 +156,6 @@ def _bitstrings(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(2**k)]
 
 
-def _condition(level, pattern, value, lo, hi, stage):
-    """The fields of a WitnessCondition; None unless value is strictly inside (lo, hi)."""
-    below, above = value - lo, hi - value
-    if below <= 0 or above <= 0:
-        return None
-    return (level, pattern, value, lo, hi, stage, min(below, above))
-
-
-def _pool(fc: FatCantorSet, m: int, c: int) -> list[tuple]:
-    """The removed middles of the next two stages inside the stage-m component
-    with address c, as (stage, address of the component cut, lo, hi)."""
-    pool = []
-    for s, b in ((m + 1, c), (m + 2, 2 * c), (m + 2, 2 * c + 1)):
-        lo, hi = fc.middle(s, b)
-        pool.append((s, b, fc.value(s, lo), fc.value(s, hi)))
-    return pool
-
-
 def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
                       stage_budget: int = 2000) -> ShatterWitness:
     """Build a depth-n certificate level by level.
@@ -175,22 +174,20 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
     if depth == 0:
         return ShatterWitness(0, (), {}, 0, ())
 
+    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
     rng = random.Random(f"witness/{seed}")
-    points: dict[str, Fraction] = {"": fc.window[0]}
+    # The completed levels' translators, points and conditions, each computed
+    # once, with every value and slack an integer on the last level's lattice
+    # T_m = 1/(q 2^e), and the stage m.
+    translators, points, conditions, e, m = [], {"": 0}, [], 13, 0
     # Each point as (stage s, address b, right end?): it is that end of the
     # stage-s component b, so its component at every stage is known.
     ends = {"": (0, 0, False)}
-    gaps = {}  # pattern prefix -> (lo, hi, stage) of its removed middle
-    # The conditions of the completed levels at `points`, as WitnessCondition
-    # fields: each value and slack is computed once.
-    conditions: list[tuple] = []
-    translators: list[Fraction] = []
-    m = 0
+    gaps = {}  # pattern prefix -> (lo, hi, stage) of its removed middle on u_stage
 
     def partial() -> ShatterWitness:
-        # Every call comes before the current level's translator is appended,
-        # so this is the certificate of the completed levels.
-        return _assemble(translators, points, conditions)
+        # Called before a level replaces the completed levels' data.
+        return _assemble(q, e, translators, points, conditions)
 
     for level in range(depth):
         patterns = sorted(points)
@@ -201,66 +198,72 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
             if m > stage_budget:
                 raise BudgetExceededError(f"stage budget exhausted while separating level {level}",
                                           partial=partial())
-            if sigma is None or fc.component_length(m) < sigma:
+            if sigma is None or fc.width(m) << e < sigma << (2 * m + 1):
                 comps = {pat: fc.address(*ends[pat], m) for pat in patterns}
                 if len(set(comps.values())) == len(patterns):
                     break
             m += 1
-        # Admissible shift radius from the per-component quantitative bound.
-        radius = (2 * fc.component_limit_measure(m) - fc.component_length(m)) / 2
+        lattice = 2 * m + 13
 
-        # One shared translator for the level, small enough to push any gap
-        # edge of the pools strictly inside its gap, and well inside the
-        # admissible difference-set radius.  Each pool holds the removed
-        # middles of the next two stages, so it offers gaps of both branches.
-        pools = {pat: _pool(fc, m, comps[pat]) for pat in patterns}
-        min_gap = min(hi - lo for pool in pools.values() for _, _, lo, hi in pool)
-        ratio = Fraction(rng.randrange(96, 161), 256)  # in [3/8, 5/8]
+        # One shared translator for the level, small enough to push any pool
+        # gap's edge strictly inside it, and well inside the difference-set
+        # radius.  A pool offers gaps of both branches: the removed middles
+        # of the next two stages.
+        pools = {pat: [(s, b, *fc.middle(s, b)) for s, b in
+                       ((m + 1, c), (m + 2, 2 * c), (m + 2, 2 * c + 1))] for pat, c in comps.items()}
+        ratio = rng.randrange(96, 161)  # r/256 in [3/8, 5/8]
         sign = rng.choice((1, -1))
-        g_level = sign * min(min_gap, radius) * ratio
+        g_level = sign * min(2 * p, 8 * (((2 * q - p) << m) - p)) * ratio
 
         # The two patterns sharing a parent take gaps of different branches
         # from its pool, and distinct parents have disjoint pools, so no gap
         # and no gap edge is taken twice.  The pool's two stages feed
         # different branches, so each pattern chooses within one stage.
-        new_points: dict[str, Fraction] = {}
-        placed = []
+        new_points = {}
         for pattern in _bitstrings(level + 1):
             parent, bit = pattern[:-1], int(pattern[-1])
             stage, b, lo, hi = rng.choice([g for g in pools[parent] if branch_of_stage(g[0]) == bit])
             # The lower edge is the right end of component 2b, the upper edge
             # the left end of component 2b + 1.
             if g_level > 0:
-                new_points[pattern], ends[pattern] = lo, (stage, 2 * b, True)
+                x, ends[pattern] = lo, (stage, 2 * b, True)
             else:
-                new_points[pattern], ends[pattern] = hi, (stage, 2 * b + 1, False)
-            condition = _condition(level, pattern, new_points[pattern] + g_level, lo, hi, stage)
-            if condition is None:
-                raise BudgetExceededError(f"edge placement failed for pattern {pattern}",
-                                          partial=partial())
+                x, ends[pattern] = hi, (stage, 2 * b + 1, False)
+            new_points[pattern] = x << (lattice - 2 * stage - 1)
             gaps[pattern] = (lo, hi, stage)
-            placed.append(condition)
 
-        # The earlier levels' conditions (k < level), now at the new points.
-        inherited = []
-        for k, g in enumerate(translators):
+        # The conditions of every level k <= this one at the new points, as
+        # WitnessCondition fields with the middle as its gap: level k's middle
+        # is the one the pattern's length-(k+1) prefix took.
+        new_translators = [g << (lattice - e) for g in translators] + [g_level]
+        new_conditions = []
+        for k, g in enumerate(new_translators):
             for pattern, x in new_points.items():
-                condition = _condition(k, pattern, g + x, *gaps[pattern[: k + 1]])
-                if condition is None:
-                    raise BudgetExceededError("inherited condition broke; budgets too tight",
+                gap = gaps[pattern[: k + 1]]
+                shift, value = lattice - 2 * gap[2] - 1, g + x
+                below, above = value - (gap[0] << shift), (gap[1] << shift) - value
+                if below <= 0 or above <= 0:
+                    raise BudgetExceededError(f"edge placement failed for pattern {pattern}" if k == level
+                                              else "inherited condition broke; budgets too tight",
                                               partial=partial())
-                inherited.append(condition)
-        translators.append(g_level)
-        points = new_points
-        conditions = inherited + placed
+                new_conditions.append((k, pattern, value, gap, min(below, above)))
+        translators, points, conditions, e = new_translators, new_points, new_conditions, lattice
 
-    return _assemble(translators, points, conditions)
+    return _assemble(q, e, translators, points, conditions)
 
 
-def _assemble(translators, points, conditions) -> ShatterWitness:
-    conditions = tuple(WitnessCondition(*c) for c in conditions)
-    stage_bound = max((c.stage for c in conditions), default=0)
-    return ShatterWitness(len(translators), tuple(translators), points, stage_bound, conditions)
+def _assemble(q, e, translators, points, conditions) -> ShatterWitness:
+    """The certificate's Fractions: translators, points, values and slacks are
+    integers on 1/(q 2^e), and each distinct middle's ends become Fractions once."""
+    middles = {(lo, hi, s): (Fraction(lo, q << (2 * s + 1)), Fraction(hi, q << (2 * s + 1)))
+               for lo, hi, s in {c[3] for c in conditions}}
+    den = q << e
+    built = tuple(WitnessCondition(level, pattern, Fraction(value, den), *middles[gap], gap[2],
+                                   Fraction(slack, den))
+                  for level, pattern, value, gap, slack in conditions)
+    return ShatterWitness(len(translators), tuple(Fraction(g, den) for g in translators),
+                          {pat: Fraction(x, den) for pat, x in points.items()},
+                          max((c.stage for c in built), default=0), built)
 
 
 # --------------------------------------------------------------------------
@@ -269,44 +272,50 @@ def _assemble(translators, points, conditions) -> ShatterWitness:
 
 def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationResult:
     """Check every recorded field of a certificate in closed form, with no
-    membership walk.  Per condition (k, p): value = g_k + x_p, lo < value < hi,
-    slack = min(value - lo, hi - value), (lo, hi) a removed middle of the
-    recorded stage (`FatCantorSet.middle_defect`, once per distinct middle)
-    and that stage feeding branch p[k].  Exactly one condition per (level,
-    pattern), and stage_bound the largest stage.  Failures are (level,
-    pattern, message)."""
+    membership walk, as integers on 1/D for D the lcm of all denominators.
+    Per condition (k, p): value = g_k + x_p, lo < value < hi, slack =
+    min(value - lo, hi - value), and (lo, hi) a removed middle of the recorded
+    stage (`FatCantorSet.middle_defect`, once per distinct middle) feeding
+    branch p[k].  Exactly one condition per (level, pattern), and stage_bound
+    the top stage.  Failures are (level, pattern, message)."""
+    depth, points, translators, conditions = (witness.depth, witness.points, witness.translators,
+                                              witness.conditions)
+    ratios = [f.as_integer_ratio() for f in (*translators, *points.values(), *(
+        f for c in conditions for f in (c.value, c.lo, c.hi, c.slack)))]
+    dens = {d for _, d in ratios}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    ints = iter([n * scale[d] for n, d in ratios])
+    g, x = [next(ints) for _ in translators], {pattern: next(ints) for pattern in points}
     failures = []
-    depth, points, translators = witness.depth, witness.points, witness.translators
     if set(points) != (set(_bitstrings(depth)) if depth else set()):
         failures.append(("structure", "", "point patterns do not match the depth"))
-    if len(set(points.values())) != len(points):
+    if len(set(x.values())) != len(points):
         failures.append(("structure", "", "points are not pairwise distinct"))
     if len(translators) != depth:
         failures.append(("structure", "", "translator count does not match the depth"))
-    if sorted((c.level, c.pattern) for c in witness.conditions) != [
+    if sorted((c.level, c.pattern) for c in conditions) != [
             (k, pattern) for k in range(depth) for pattern in sorted(points)]:
         failures.append(("structure", "", "not exactly one condition per level and pattern"))
-    top = max((c.stage for c in witness.conditions), default=0)
+    top = max((c.stage for c in conditions), default=0)
     if witness.stage_bound != top:
         failures.append(("structure", "", f"stage bound {witness.stage_bound} is not the top stage {top}"))
     if failures:
         return VerificationResult(False, failures)
-    middles = {}  # keyed on integers, so no Fraction is hashed
-    for c in witness.conditions:
+    middles = {}
+    for c, value, lo, hi, slack in zip(conditions, ints, ints, ints, ints):
         k, pattern = c.level, c.pattern
-        if c.value != translators[k] + points[pattern]:
+        if value != g[k] + x[pattern]:
             failures.append((k, pattern, f"value {c.value} is not g_{k} + x_{pattern}"))
-        below, above = c.value - c.lo, c.hi - c.value
+        below, above = value - lo, hi - value
         if below <= 0 or above <= 0:
             failures.append((k, pattern, f"{c.value} is not strictly inside ({c.lo}, {c.hi})"))
-        elif c.slack != min(below, above):
-            failures.append((k, pattern, f"slack {c.slack} is not {min(below, above)}"))
+        elif slack != min(below, above):
+            failures.append((k, pattern, f"slack {c.slack} is not {Fraction(min(below, above), den)}"))
         if branch_of_stage(c.stage) != int(pattern[k]):
             failures.append((k, pattern, f"stage {c.stage} feeds the other branch"))
-        key = (c.stage, c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
-        if key not in middles:
-            middles[key] = fc.middle_defect(c.stage, c.lo, c.hi)
+        if (key := (c.stage, lo, hi)) not in middles:
+            middles[key] = fc.middle_defect(c.stage, lo, hi, den)
         if middles[key]:
             failures.append((k, pattern, middles[key]))
     return VerificationResult(not failures, failures)
-

@@ -54,7 +54,7 @@ def test_lattice_lemma(scale):
     for stage, (address, (lo, hi), (a, b)) in deep_chain(scale, 0).items():
         assert on_lattice(lo, scale, stage) and on_lattice(hi, scale, stage)
         assert on_lattice(a, scale, stage + 1) and on_lattice(b, scale, stage + 1)
-        assert hi - lo == fc.component_length(stage)
+        assert hi - lo == fc.value(stage, fc.width(stage))
         assert component(fc, stage, address) == (lo, hi)
         assert tuple(fc.value(stage + 1, v) for v in fc.middle(stage + 1, address)) == (a, b)
 

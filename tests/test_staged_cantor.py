@@ -40,14 +40,18 @@ def test_stage_zero_and_monotonicity(fc):
 
 @pytest.mark.parametrize("scale", ["4/5", "2/3", "7/8", "38/39", "1/3"])
 def test_quantitative_regime_identities(scale):
-    # the witness engine relies on these without checking them at run time
+    # the witness engine relies on these without checking them at run time:
+    # the limit keeps limit/2^m in each stage-m component of length W_m u_m,
+    # and half the difference is 8((2q - p) 2^m - p) units of u_(m+2)
     s = F(scale)
     fc = FatCantorSet(s)
+    p, q = s.numerator, s.denominator
     limit = fc.limit_measure()
     assert 2 * limit - 1 == 1 - s > 0
     for m in range(65):
-        gap = 2 * fc.component_limit_measure(m) - fc.component_length(m)
+        gap = 2 * limit / 2**m - fc.value(m, fc.width(m))
         assert gap == (1 - s / 2 - s / 2 ** (m + 1)) / 2**m > 0
+        assert gap / 2 == fc.value(m + 2, 8 * (((2 * q - p) << m) - p))
         assert fc.stage_measure(m) >= limit
 
 

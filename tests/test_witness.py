@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_cantor
+import fraction_witness
 from replay_witness import branch_stage_set, replay_witness
 from vclab.cantor import FatCantorSet
 from vclab.cli import main
@@ -107,8 +109,8 @@ def test_density_core_stage(fc):
     # component keeps the per-component floor of limit measure
     assert fc.boundary_pair() is fc
     assert fc.stage_set(0) == ConstructibleSet.interval(0, 1)
-    assert fc.component_limit_measure(0) == F(3, 5)
-    approx3, floor3 = fc.stage_set(3), fc.component_limit_measure(3)
+    assert fc.limit_measure() == F(3, 5)
+    approx3, floor3 = fc.stage_set(3), fc.limit_measure() / 8
     assert len(approx3.intervals) == 8
     assert floor3 == F(3, 5) / 8
     # floor is honest: each component really carries at least that much of
@@ -183,8 +185,12 @@ def test_witness_realizes_all_patterns(fc):
         # stage bound 637
         (["--depth", "8", "--seed", "0"], 0,
          "87d65e574e3c7452f52758e9b214aa796e40ff13cd9f170356e3342e20c5daf4"),
+        # stage bound 380; an even q, so lattice denominators and numerators
+        # share extra factors of 2
+        (["--depth", "7", "--seed", "3", "--removed-scale", "5/8"], 0,
+         "e6c828351e427eaaa36643e518ef55911813ad375be9d0ebfccaaf55f1667c2e"),
     ],
-    ids=["depth-6", "depth-5-scale-38/39", "partial-stage-budget-40", "depth-8"],
+    ids=["depth-6", "depth-5-scale-38/39", "partial-stage-budget-40", "depth-8", "depth-7-scale-5/8"],
 )
 def test_witness_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
     # Digests recorded from earlier commits: a change to the construction
@@ -209,8 +215,10 @@ def with_condition(w, index, **fields):
     return dataclasses.replace(w, conditions=tuple(conditions))
 
 
-@pytest.mark.parametrize("scale", SCALES, ids=str)
-def test_closed_form_and_replay_accept_the_same_certificates(scale):
+@functools.cache
+def honest_certificates(scale):
+    """Complete certificates of depths 1-6 and partial ones from spent stage
+    budgets, three seeds each."""
     fc = FatCantorSet(scale)
     certificates = [construct_witness(fc, d, seed=s) for d in range(1, 7) for s in range(3)]
     for budget in (10, 40):
@@ -219,14 +227,38 @@ def test_closed_form_and_replay_accept_the_same_certificates(scale):
                 construct_witness(fc, 6, seed=seed, stage_budget=budget)
             assert err.value.partial.depth >= 1
             certificates.append(err.value.partial)
-    for w in certificates:
+    return certificates
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+def test_closed_form_and_replay_accept_the_same_certificates(scale):
+    fc = FatCantorSet(scale)
+    for w in honest_certificates(scale):
         assert verify_witness(w, fc).ok
         assert replay_witness(w, fc).ok
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+def test_lattice_and_fraction_checkers_accept_the_same_certificates(scale):
+    fc = FatCantorSet(scale)
+    for w in honest_certificates(scale):
+        assert verify_witness(w, fc).failures == fraction_witness.verify_witness(w, fc).failures == []
 
 
 @pytest.fixture(scope="module")
 def depth_six(fc):
     return construct_witness(fc, 6, seed=0)
+
+
+def shifted_middle(scale, units):
+    """The last condition's middle moved along the stage lattice by `units`,
+    with the value still strictly inside and an honest slack."""
+    fc = FatCantorSet(scale)
+    w = construct_witness(fc, 6, seed=0)
+    c = w.conditions[-1]
+    u = units * unit(fc, c.stage) * (1 if c.value - c.lo > units * unit(fc, c.stage) else -1)
+    lo, hi = c.lo + u, c.hi + u
+    return fc, with_condition(w, -1, lo=lo, hi=hi, slack=min(c.value - lo, hi - c.value))
 
 
 @pytest.mark.parametrize("scale, units", [(F(4, 5), 1), (F(38, 39), 4)], ids=["one-unit", "four-units"])
@@ -236,16 +268,12 @@ def test_shifted_middle_fools_only_the_replay(scale, units):
     # inside and an honest slack, leaves it satisfied.  Four units keep the
     # middle's left end in the form 4L + 2W - p, so only the address decode
     # can tell.
-    fc = FatCantorSet(scale)
-    w = construct_witness(fc, 6, seed=0)
-    c = w.conditions[-1]
-    u = units * unit(fc, c.stage) * (1 if c.value - c.lo > units * unit(fc, c.stage) else -1)
-    lo, hi = c.lo + u, c.hi + u
-    assert lo < c.value < hi
-    mutant = with_condition(w, -1, lo=lo, hi=hi, slack=min(c.value - lo, hi - c.value))
+    fc, mutant = shifted_middle(scale, units)
+    c = mutant.conditions[-1]
+    assert c.lo < c.value < c.hi
     assert replay_witness(mutant, fc).ok
     result = verify_witness(mutant, fc)
-    message = f"({lo}, {hi}) is not a removed middle of stage {c.stage}"
+    message = f"({c.lo}, {c.hi}) is not a removed middle of stage {c.stage}"
     assert result.failures == [(c.level, c.pattern, message)]
 
 
@@ -279,15 +307,20 @@ def test_condition_count_and_stage_bound_are_checked(fc, depth_six):
         assert not result.ok and result.failures[0][:2] == ("structure", "")
 
 
-def test_wrong_branch_parity_and_boundary_values_are_rejected(fc):
-    # Depth 1 at translator 0: the stage-1 middle (2/5, 3/5) feeds branch 0
-    # and the stage-2 middle (7/40, 9/40) branch 1.
-    def depth_one(x0, x1, *conditions):
-        return ShatterWitness(1, (F(0),), {"0": x0, "1": x1}, 2, tuple(
-            WitnessCondition(0, pattern, x, lo, hi, stage, min(x - lo, hi - x))
-            for pattern, x, lo, hi, stage in conditions))
+def depth_one(x0, x1, *conditions):
+    """A depth-1 certificate at translator 0 with honest slacks."""
+    return ShatterWitness(1, (F(0),), {"0": x0, "1": x1}, 2, tuple(
+        WitnessCondition(0, pattern, x, lo, hi, stage, min(x - lo, hi - x))
+        for pattern, x, lo, hi, stage in conditions))
 
-    stage1, stage2 = (F(2, 5), F(3, 5), 1), (F(7, 40), F(9, 40), 2)
+
+# At scale 4/5 the stage-1 middle (2/5, 3/5) feeds branch 0 and the stage-2
+# middle (7/40, 9/40) branch 1.
+STAGE1, STAGE2 = (F(2, 5), F(3, 5), 1), (F(7, 40), F(9, 40), 2)
+
+
+def test_wrong_branch_parity_and_boundary_values_are_rejected(fc):
+    stage1, stage2 = STAGE1, STAGE2
     honest = depth_one(F(1, 2), F(1, 5), ("0", F(1, 2), *stage1), ("1", F(1, 5), *stage2))
     assert verify_witness(honest, fc).ok and replay_witness(honest, fc).ok
     swapped = depth_one(F(1, 5), F(1, 2), ("0", F(1, 5), *stage2), ("1", F(1, 2), *stage1))
@@ -323,6 +356,62 @@ def test_verify_walks_nothing(fc, monkeypatch):
     for name in ("left", "middle"):
         monkeypatch.setattr(FatCantorSet, name, refuse)
     assert verify_witness(w, fc).ok
+
+
+# --------------------------------------------------------------------------
+# the lattice checker against the Fraction checker
+
+
+def mutants(fc, w):
+    """Every mutant of a scale-4/5 certificate that the tests above build."""
+    for index in (0, -1):
+        c = w.conditions[index]
+        for name, step in FIELD_MUTATIONS:
+            delta = step if name == "stage" else step * unit(fc, c.stage)
+            yield with_condition(w, index, **{name: getattr(c, name) + delta})
+    yield from (dataclasses.replace(w, conditions=w.conditions[:-1]),
+                dataclasses.replace(w, conditions=w.conditions + w.conditions[-1:]),
+                dataclasses.replace(w, stage_bound=w.stage_bound - 1),
+                dataclasses.replace(w, stage_bound=w.stage_bound + 1),
+                dataclasses.replace(with_condition(w, -1, stage=10**9), stage_bound=10**9),
+                ShatterWitness(w.depth, w.translators, dict(list(w.points.items())[:3]), w.stage_bound))
+    patterns = sorted(w.points)
+    for x in (w.points[patterns[1]], w.points[patterns[0]] + F(1, 9)):
+        yield dataclasses.replace(w, points={**w.points, patterns[0]: x})
+    yield depth_one(F(1, 5), F(1, 2), ("0", F(1, 5), *STAGE2), ("1", F(1, 2), *STAGE1))
+    yield depth_one(F(2, 5), F(1, 5), ("0", F(2, 5), *STAGE1), ("1", F(1, 5), *STAGE2))
+
+
+def test_lattice_and_fraction_checkers_fail_alike_on_every_mutant(fc, depth_six):
+    cases = [(fc, w) for w in mutants(fc, depth_six)]
+    cases += [shifted_middle(F(4, 5), 1), shifted_middle(F(38, 39), 4)]
+    for scale_fc, w in cases:
+        failures = verify_witness(w, scale_fc).failures
+        assert failures and failures == fraction_witness.verify_witness(w, scale_fc).failures
+
+
+# A rational field moved off the stage lattice: by a denominator with a
+# factor 7, or by a large prime one.
+OFF_LATTICE = {"factor-7": F(1, 7 << 90), "prime": F(1, 2**127 - 1)}
+
+
+@pytest.mark.parametrize("delta", OFF_LATTICE.values(), ids=OFF_LATTICE.keys())
+@pytest.mark.parametrize("field", ["translator", "value", "lo", "slack", "middle"])
+def test_off_lattice_fields_loaded_from_json_fail_alike(fc, field, delta):
+    data = json.loads(construct_witness(fc, 3, seed=5).dumps())
+    if field == "translator":
+        data["translators"][1] = str(F(data["translators"][1]) + delta)
+    for name in {"translator": (), "middle": ("lo", "hi")}.get(field, (field,)):
+        data["conditions"][-1][name] = str(F(data["conditions"][-1][name]) + delta)
+    mutant = ShatterWitness.loads(json.dumps(data))
+    result = verify_witness(mutant, fc)
+    assert not result.ok
+    assert result.failures == fraction_witness.verify_witness(mutant, fc).failures
+    if field == "middle":
+        # The width is still exact, so only the lattice read can tell.
+        c = mutant.conditions[-1]
+        assert (c.level, c.pattern, f"({c.lo}, {c.hi}) is not a removed middle of stage {c.stage}") \
+            in result.failures
 
 
 # --------------------------------------------------------------------------
