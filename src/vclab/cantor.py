@@ -112,27 +112,6 @@ class FatCantorSet:
             return b >> (s - m)
         return ((b + 1) << (m - s)) - 1 if right else b << (m - s)
 
-    @staticmethod
-    def _split(lo: int, hi: int, half: int) -> tuple[int, int, int, int]:
-        """Refine a previous-stage component [lo, hi] onto the stage lattice
-        (4x finer) and cut out its middle: returns (lo, a, b, hi) there."""
-        lo, hi = lo << 2, hi << 2
-        mid = (lo + hi) >> 1
-        return lo, mid - half, mid + half, hi
-
-    def _refine(self, last: int):
-        """Split [0, 1] stage by stage down to `last`, yielding
-        (stage, removed middles, components) on each stage's lattice."""
-        comps, half = [(0, 2 * self.removed_scale.denominator)], self.removed_scale.numerator
-        for s in range(1, last + 1):
-            gaps, nxt = [], []
-            for lo, hi in comps:
-                lo, a, b, hi = self._split(lo, hi, half)
-                gaps.append((a, b))
-                nxt += ((lo, a), (b, hi))
-            comps = nxt
-            yield s, gaps, comps
-
     def middle_defect(self, stage: int, lo: int, hi: int, den: int):
         """Why (lo/den, hi/den) is not a removed middle of the stage, or None.
         A stage-s middle is p/(q 4^s) wide, a denominator above 4^s, so
@@ -161,11 +140,24 @@ class FatCantorSet:
 
     # -------------------------------------------------------- construction
 
+    def _left_ends(self, last: int) -> Iterator[list[int]]:
+        """The left ends of the stage-s components in address order, in units
+        u_s, for s = 0..last, by the recurrence L_s(2b) = 4 L_(s-1)(b) and
+        L_s(2b+1) = 4 L_(s-1)(b) + 3p + 2^s (2q - p) proved above."""
+        p, q = self.removed_scale.numerator, self.removed_scale.denominator
+        lefts = [0]
+        yield lefts
+        for s in range(1, last + 1):
+            step = 3 * p + ((2 * q - p) << s)
+            lefts = [left for x in lefts for left in (x << 2, (x << 2) + step)]
+            yield lefts
+
     def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
-        comps = [(0, 2 * self.removed_scale.denominator)]
-        for _, _, comps in self._refine(m):
+        """The 2^m components [L, L + W_m] of stage m, in address order."""
+        for lefts in self._left_ends(m):
             pass
-        return [(self.value(m, lo), self.value(m, hi)) for lo, hi in comps]
+        w = self.width(m)
+        return [(self.value(m, left), self.value(m, left + w)) for left in lefts]
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
@@ -176,10 +168,12 @@ class FatCantorSet:
         )
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-        """All removed middles of stages <= upto, in (stage, position) order."""
-        for s, gaps, _ in self._refine(upto):
-            for a, b in gaps:
-                yield (s, self.value(s, a), self.value(s, b))
+        """All removed middles (L_s(2b) + W_s, L_s(2b+1)) of stages <= upto, in
+        (stage, position) order; stage 0 has one component and no middle."""
+        for s, lefts in enumerate(self._left_ends(upto)):
+            w = self.width(s)
+            for left, right in zip(lefts[::2], lefts[1::2]):
+                yield (s, self.value(s, left + w), self.value(s, right))
 
     def boundary_pair(self) -> "FatCantorSet":
         """The set itself: the witness engine reads its two parity branches

@@ -298,17 +298,14 @@ def pair_translate_count(points_set: frozenset, p: Fraction, q: Fraction) -> int
     return 0 if u is None else lattice.difference_counts()[u]
 
 
-def pair_uniqueness_holds(points: Sequence[Fraction] | PointLattice, sample_pairs: Optional[int] = None,
-                          rng: Optional[random.Random] = None) -> bool:
-    """Exhaustive (or sampled) check that every pair lies in at most one
-    common translate."""
+def pair_uniqueness_holds(points: Sequence[Fraction] | PointLattice) -> bool:
+    """Exhaustive check that every pair lies in at most one common translate:
+    every nonzero difference u has count <= 1 in the difference table, which
+    covers all C(n,2) pairs at once.  A repeated point is a pair with
+    difference 0, whose count is the number of distinct points."""
     lattice = points if isinstance(points, PointLattice) else PointLattice(points)
-    pairs = list(combinations(lattice.ints, 2))
-    if sample_pairs is not None and sample_pairs < len(pairs):
-        rng = rng or random.Random(0)
-        pairs = rng.sample(pairs, sample_pairs)
-    counts = lattice.difference_counts()
-    return all(counts[q - p] <= 1 for p, q in pairs)
+    repeated = len(lattice) > len(lattice.members)
+    return all(c <= 1 for u, c in lattice.difference_counts().items() if u or repeated)
 
 
 @dataclass
@@ -344,29 +341,14 @@ def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fra
     return patterns
 
 
-def no_shatter3_check(
-    cx: CounterexamplePoints,
-    n_triples: int,
-    seed: int = 0,
-    extra_triples: Sequence[Sequence[Fraction]] = (),
-) -> ShatterCheckReport:
-    """Enumerate, for seeded random triples from the truncation (plus any
-    caller-supplied ones), every translator that realizes a nonempty pattern,
-    and count the patterns realized; with difference injectivity no triple
-    can reach all eight.  Both checks run on the point set's lattice."""
+def no_shatter3_check(cx: CounterexamplePoints, n_triples: int, seed: int = 0) -> ShatterCheckReport:
+    """Enumerate, for seeded random triples from the truncation, every
+    translator that realizes a nonempty pattern, and count the patterns
+    realized; with difference injectivity no triple can reach all eight.
+    Pair uniqueness is read exhaustively off the same lattice's difference
+    table."""
     rng = random.Random(f"shatter3/{seed}")
     lattice = PointLattice(cx.points)
-    pts = list(cx.points)
-    max_patterns = 0
-    full = False
-    checked = 0
-    triples = [tuple(rng.sample(pts, 3)) for _ in range(n_triples)]
-    triples += [tuple(Fraction(v) for v in t) for t in extra_triples]
-    for triple in triples:
-        pats = realized_patterns(lattice, triple)
-        checked += 1
-        max_patterns = max(max_patterns, len(pats))
-        if len(pats) == 8:
-            full = True
-    uniq = pair_uniqueness_holds(lattice, sample_pairs=2000 if len(pts) > 64 else None)
-    return ShatterCheckReport(checked, max_patterns, full, uniq)
+    counts = [len(realized_patterns(lattice, tuple(rng.sample(cx.points, 3))))
+              for _ in range(n_triples)]
+    return ShatterCheckReport(len(counts), max(counts, default=0), 8 in counts, pair_uniqueness_holds(lattice))

@@ -384,7 +384,6 @@ def interesting_grid(
     if len(ordered) > max_points:
         step = Fraction(len(ordered) - 1, max_points - 1)
         ordered = [ordered[int(i * step)] for i in range(max_points)]
-        ordered = sorted(set(ordered))
     return ordered
 
 

@@ -10,7 +10,6 @@ checks them on an integer lattice, against these functions.
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from vclab.counterexample import sequence_positions
@@ -92,15 +91,12 @@ def pair_translate_count(points_set, p, q):
     return sum(1 for x in points_set if x + delta in points_set)
 
 
-def pair_uniqueness_holds(points, sample_pairs=None, rng=None):
+def pair_uniqueness_holds(points):
     # Counts every difference once instead of calling pair_translate_count
     # per pair: the same numbers, in a fraction of the time.
     pset = frozenset(points)
     counts = Counter(y - x for x in pset for y in pset)
-    pairs = list(combinations(points, 2))
-    if sample_pairs is not None and sample_pairs < len(pairs):
-        pairs = (rng or random.Random(0)).sample(pairs, sample_pairs)
-    return all(counts[q - p] <= 1 for p, q in pairs)
+    return all(counts[q - p] <= 1 for p, q in combinations(points, 2))
 
 
 def realized_patterns(points_set, triple):
@@ -110,14 +106,11 @@ def realized_patterns(points_set, triple):
     return patterns
 
 
-def no_shatter3_check(points, n_triples, seed=0, extra_triples=()):
+def no_shatter3_check(points, n_triples, seed=0):
     """(triples checked, max patterns, full shatter found, pair uniqueness),
     the fields of `ShatterCheckReport` in order."""
     rng = random.Random(f"shatter3/{seed}")
     pts = list(points)
     pset = frozenset(pts)
-    triples = [tuple(rng.sample(pts, 3)) for _ in range(n_triples)]
-    triples += [tuple(Fraction(v) for v in t) for t in extra_triples]
-    counts = [len(realized_patterns(pset, triple)) for triple in triples]
-    uniq = pair_uniqueness_holds(pts, sample_pairs=2000 if len(pts) > 64 else None)
-    return len(triples), max(counts, default=0), 8 in counts, uniq
+    counts = [len(realized_patterns(pset, tuple(rng.sample(pts, 3)))) for _ in range(n_triples)]
+    return n_triples, max(counts, default=0), 8 in counts, pair_uniqueness_holds(pts)

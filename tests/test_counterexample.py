@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,7 @@ import vclab.counterexample as ce
 from vclab.cantor import FatCantorSet
 from vclab.cli import main
 from vclab.counterexample import (
+    CounterexamplePoints,
     counterexample_points,
     matched_budget_points,
     no_shatter3_check,
@@ -175,11 +177,18 @@ def test_28x3_shape_matches_fraction_oracle(fc):
 
 def test_extra_triples_off_the_set_match_fraction_oracle(fc):
     cx = counterexample_points(fc, 3, 3)
+    pset = cx.point_set()
     a, b, c = cx.points[:3]
-    extra = [(F(0), F(1, 3), F(1)), (a, b, F(1, 7)), (a, a + F(1, 11), c), (a, b, c)]
-    report = no_shatter3_check(cx, 30, seed=4, extra_triples=extra)
-    assert report.triples_checked == 34
-    assert report_fields(report) == ref.no_shatter3_check(cx.points, 30, seed=4, extra_triples=extra)
+    for triple in [(F(0), F(1, 3), F(1)), (a, b, F(1, 7)), (a, a + F(1, 11), c), (a, b, c)]:
+        assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+
+
+def test_pair_check_sees_one_repeated_difference_among_201_points():
+    # The difference 1 occurs in only two of the C(201, 2) pairs, (1, 2) and
+    # (2^199, 2^199 + 1), so only a check of every pair is sure to see it.
+    pts = tuple(F(2**i) for i in range(200)) + (F(2**199 + 1),)
+    assert not no_shatter3_check(CounterexamplePoints(pts, ()), 1).pair_uniqueness_ok
+    assert not ref.pair_uniqueness_holds(pts)
 
 
 @pytest.mark.parametrize(
@@ -211,9 +220,28 @@ def test_checks_match_fraction_oracle_on_random_sets():
             assert pair_translate_count(pset, p, q) == ref.pair_translate_count(pset, p, q)
             triple = tuple(rng.sample(pts, 2)) + (rng.choice(pts + [F(1, 5), F(9, 2)]),)
             assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
-        sample = rng.choice((None, 3, 10))
-        assert (pair_uniqueness_holds(pts, sample, random.Random(5))
-                == ref.pair_uniqueness_holds(pts, sample, random.Random(5)))
+        assert pair_uniqueness_holds(pts) == ref.pair_uniqueness_holds(pts)
+    # A repeated point is a pair with difference 0: it breaks uniqueness
+    # once a second distinct point gives that difference a second pair.
+    for pts in ([F(1, 2), F(1, 2)], [F(0), F(1, 3), F(1, 3)], [F(0), F(1), F(3), F(0)]):
+        assert pair_uniqueness_holds(pts) == ref.pair_uniqueness_holds(pts) == (len(set(pts)) == 1)
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["--matched", "6"], "44ab65026e8de6cacc664cc6bf90bb7d57d595c7ce02fe9149c8a235c81021ff"),
+        (["--intervals", "28", "--points-per", "3"],
+         "0629327556b70dc29277d1885404ceb59afb3da92703352caccbd3334d3a0bc1"),
+    ],
+    ids=["matched-6", "28x3"],
+)
+def test_counterexample_artifact_bytes_are_pinned(tmp_path, argv, sha256):
+    # Digests recorded from earlier commits.  The matched-6 truncation has
+    # 219 points, and 28x3 is the shape of criterion 8.
+    out = tmp_path / "counterexample.json"
+    assert main(["counterexample", *argv, "--triples", "1000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_does_not_read_the_pair_count_cache(tmp_path):

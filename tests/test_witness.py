@@ -350,8 +350,7 @@ def test_verify_walks_nothing(fc, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the set was walked")
 
-    for name in ("_split", "_refine"):
-        monkeypatch.setattr(FatCantorSet, name, refuse)
+    monkeypatch.setattr(FatCantorSet, "_left_ends", refuse)
     w = construct_witness(fc, 5, seed=2)
     for name in ("left", "middle"):
         monkeypatch.setattr(FatCantorSet, name, refuse)
