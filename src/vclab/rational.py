@@ -1,6 +1,13 @@
 """Parsing and formatting of exact rationals as "p/q" strings."""
 
+import re
+import sys
 from fractions import Fraction
+
+# Fraction builds 10**exponent for a decimal literal, which takes seconds once
+# the exponent nears 10^7, so exponents are held to the bound CPython puts on
+# the digits of an int literal.
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -8,6 +15,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ValueError("empty rational literal")
+    exponent = _EXPONENT_RE.search(text)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+        raise ValueError(f"rational {text!r} has an exponent above {limit} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -146,6 +146,28 @@ def test_vcdim_artifact_bytes_are_pinned(tmp_path, group, base, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["steinhaus", "--stage", "9", "--removed-scale", "23/37"],
+         "47e2540bdb2a1dcc0a726734ac36dd8f7adb10d6224a2c75ef188e5400fbbd59"),
+        (["steinhaus", "--stage", "8"],
+         "df66ae8417a3727b55c848f15cda5fa4e1602d6300b09c7e4badb6557d72d605"),
+        (["border-sweep", "--sets", "4", "--seed", "1"],
+         "a84b10126fb97d8992f6f0e0eac7b05ac2a25761a55eb762ff373f6c70ef6af9"),
+        (["theorem5-report", "--set", "[0,1/2) u (3/4,1] u {2}"],
+         "b088539266ca00b8a373f5578de0c453f1d692abccc5e63bbaaf04a680acc673"),
+    ],
+    ids=["steinhaus-9-scale-23-37", "steinhaus-8", "border-sweep", "theorem5-report"],
+)
+def test_set_algebra_artifact_bytes_are_pinned(tmp_path, argv, sha256):
+    # Digests recorded from earlier commits: these commands run the boolean
+    # sweep, closure, interior, r-neighborhoods and hull of vclab.constructible.
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_vcdim_arc_at_former_cap_finishes(tmp_path, capsys):
     code, _ = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:2236", "--set", "arc:3"])
     assert code == 0
@@ -409,6 +431,12 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--removed-scale '0' must lie strictly between 0 and 1"),
         (["counterexample", "--removed-scale", "3/2"],
          "--removed-scale '3/2' must lie strictly between 0 and 1"),
+        (["steinhaus", "--shifts", "1e100000000"],
+         "--shifts '1e100000000' must be comma-separated rationals p/q"),
+        (["theorem5-report", "--set", "[0,1e-10000000]"],
+         "--set '[0,1e-10000000]': rational '1e-10000000' has an exponent above 4300 in magnitude"),
+        (["eps-approx", "--group", "cyclic:1000000000000", "--arc", "3", "--trials", "1",
+          "--schedule", "1"], "--group cyclic:1000000000000 is above the cap of cyclic:1000000"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -432,7 +460,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "no-matched", "no-intervals", "no-points-per", "zero-epsilon", "negative-epsilon",
          "epsilon-one", "epsilon-above-one",
          "witness-removed-scale-one", "steinhaus-removed-scale-zero",
-         "counterexample-removed-scale-above-one"],
+         "counterexample-removed-scale-above-one", "shift-exponent-above-cap",
+         "set-exponent-above-cap", "group-above-eps-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -232,5 +232,19 @@ def test_structural_equality_is_set_equality():
 
 
 def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(F(1), F(0))
+    with pytest.raises(ValueError, match="lo > hi"):
+        ConstructibleSet.from_pieces([Interval(F(1), F(0))])
+
+
+@pytest.mark.parametrize(
+    "text, hull",
+    [
+        ("[0,1] u {2}", (F(0), F(2))),
+        ("{-1} u [0,1]", (F(-1), F(1))),
+        ("(0,1/2) u (1/2,3/4]", (F(0), F(3, 4))),
+        ("{}", None),
+    ],
+    ids=["point-after-last-interval", "point-before-first-interval", "open-ends", "empty"],
+)
+def test_hull(text, hull):
+    assert parse_set(text).hull() == hull
