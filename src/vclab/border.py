@@ -125,14 +125,12 @@ def density_report(x: ConstructibleSet, window=None) -> DensityReport:
     ∂X = cl(int X) ∩ cl(ext X); `consistent` records that the hypotheses,
     when both hold, force a null border and the identity.
 
-    The complement is taken inside an ambient window padded well beyond the
-    set's hull, so bounded-window artifacts cannot fake or break either
-    hypothesis.
+    The complement is taken inside an ambient interval padded well beyond
+    the union of the window and the set's hull, so bounded-window artifacts
+    cannot fake or break either hypothesis.
     """
-    if window is None:
-        h = x.hull()
-        window = (h[0], h[1]) if h else (Fraction(0), Fraction(1))
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    ends = [*(window or ()), *(x.hull() or ())] or [0, 1]
+    lo, hi = Fraction(min(ends)), Fraction(max(ends))
     pad = max(hi - lo, Fraction(1))
     ambient = ConstructibleSet.interval(lo - pad, hi + pad)
     complement = ambient.difference(x)

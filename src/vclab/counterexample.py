@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cantor import FatCantorSet
-from .constructible import ConstructibleSet
+from .constructible import ConstructibleSet, on_lattice
 
 MODULUS = 2**61 - 1
 
@@ -255,9 +254,8 @@ class PointLattice:
     ints instead of Fractions."""
 
     def __init__(self, points: Iterable[Fraction]):
-        pts = [Fraction(p) for p in points]
-        self.scale = lcm(*(p.denominator for p in pts))
-        self.ints = tuple(p.numerator * (self.scale // p.denominator) for p in pts)
+        self.scale, ints = on_lattice([Fraction(p) for p in points])
+        self.ints = tuple(ints)
         self.members = frozenset(self.ints)
         self._counts: Optional[Counter] = None
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .constructible import ConstructibleSet
+from .constructible import ConstructibleSet, on_lattice
 from .errors import BudgetExceededError
 from .rational import format_rational
 
@@ -394,27 +394,22 @@ def _translator_keys(
     sorted integer keys where its membership flips, the window's own key
     range [start, end), and the lattice denominator L.
 
-    L is the lcm of the denominators of x's endpoints, the points and the
-    window ends, so every endpoint of every p - x lies on (1/L)ℤ.  As in
-    `constructible._sweep`, (v, False) becomes the key 2·v·L and (v, True)
-    the key 2·v·L + 1, and a piece is a half-open range of keys.  Even keys
-    are the lattice points and odd keys the open cells between them, so each
-    key stands for a nonempty set of translators that every p - x holds
-    whole or not at all.  The component (a, b) of x, closed at the ends lc
-    and hc, gives the piece (p - b, p - a) of p - x, closed at hc and lc."""
-    lo, hi = window
-    comps = list(x.components())
-    den = lcm(lo.denominator, hi.denominator, *(p.denominator for p in points),
-              *(v.denominator for c in comps for v in c[:2]))
-
-    def unit(v: Fraction) -> int:
-        return v.numerator * (den // v.denominator)
-
-    start, end = 2 * unit(lo), 2 * unit(hi) + 1
-    pieces = [(unit(a), unit(b), lc, hc) for a, b, lc, hc in reversed(comps)]
+    `constructible.on_lattice` puts x's endpoints, the points and the window
+    ends on (1/L)ℤ, L the lcm of their denominators, so every endpoint of
+    every p - x lies on it too.  The keys are those of `constructible._sweep`:
+    (v, False) is 2·v·L and (v, True) is 2·v·L + 1, and a piece is a
+    half-open range of keys.  Even keys are the lattice points and odd keys
+    the open cells between them, so each key stands for a nonempty set of
+    translators that every p - x holds whole or not at all.  The component
+    (a, b) of x, closed at the ends lc and hc, gives the piece (p - b, p - a)
+    of p - x, closed at hc and lc."""
+    comps = list(x.components())[::-1]
+    den, (lo, hi, *units) = on_lattice([*window, *points, *(v for c in comps for v in c[:2])])
+    ats, ends = units[:len(points)], units[len(points):]
+    start, end = 2 * lo, 2 * hi + 1
+    pieces = [(a, b, lc, hc) for (_, _, lc, hc), a, b in zip(comps, ends[::2], ends[1::2])]
     keys = []
-    for p in points:
-        at = unit(p)
+    for at in ats:
         flips = []
         for a, b, lc, hc in pieces:
             first = max(2 * (at - b) + (not hc), start)

@@ -46,9 +46,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
 
 from .cantor import FatCantorSet, branch_of_stage
+from .constructible import on_lattice
 from .errors import BudgetExceededError
 from .rational import parse_rational
 
@@ -280,12 +280,9 @@ def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationRes
     the top stage.  Failures are (level, pattern, message)."""
     depth, points, translators, conditions = (witness.depth, witness.points, witness.translators,
                                               witness.conditions)
-    ratios = [f.as_integer_ratio() for f in (*translators, *points.values(), *(
-        f for c in conditions for f in (c.value, c.lo, c.hi, c.slack)))]
-    dens = {d for _, d in ratios}
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}
-    ints = iter([n * scale[d] for n, d in ratios])
+    den, units = on_lattice([*translators, *points.values(), *(
+        f for c in conditions for f in (c.value, c.lo, c.hi, c.slack))])
+    ints = iter(units)
     g, x = [next(ints) for _ in translators], {pattern: next(ints) for pattern in points}
     failures = []
     if set(points) != (set(_bitstrings(depth)) if depth else set()):

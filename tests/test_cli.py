@@ -261,6 +261,19 @@ def test_theorem5_report_cli(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "window", [["--window", "2,3"], ["--window", "125,250"], ["--window=-3,-2"]],
+    ids=["right", "far-right", "left"],
+)
+def test_theorem5_report_window_apart_from_the_set(tmp_path, capsys, window):
+    # The ambient interval pads the union of the window and the set's hull,
+    # so a window that misses the set cannot clip its border.
+    code, out = run(tmp_path, "t.json", ["theorem5-report", "--set", "[0,1]", *window])
+    assert code == 0
+    assert "consistent: True" in capsys.readouterr().out
+    assert json.loads(out.read_text())["identity_holds"]
+
+
 def test_translate_vcdim_cli(tmp_path):
     code, out = run(
         tmp_path, "tv.json", ["translate-vcdim", "--set", "[0,1/4]", "--window", "0,1"]
@@ -361,7 +374,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--schedule '10,x' must be comma-separated integers >= 1"),
         (["eps-approx", "--schedule", "10,0", "--trials", "2"],
          "--schedule '10,0' must be comma-separated integers >= 1"),
-        (["eps-approx", "--arc", "0", "--trials", "2", "--schedule", "10"], "--arc must be >= 1, got 0"),
+        (["eps-approx", "--arc", "0", "--trials", "2", "--schedule", "10"],
+         "--arc must be >= 1, got 0"),
         (["eps-approx", "--arc", "-3", "--trials", "2", "--schedule", "10"],
          "--arc must be >= 1, got -3"),
         (["vcdim", "--set", "arc:0"], "set spec 'arc:0' is empty"),
@@ -369,31 +383,39 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["vcdim", "--set", "list:"], "set spec 'list:' is empty"),
         (["vcdim", "--set", "list:1,x"], "set spec 'list:1,x' must be arc:K or list:a,b,c"),
         (["vcdim", "--set", "arc:x"], "set spec 'arc:x' must be arc:K or list:a,b,c"),
-        (["vcdim", "--group", "cyclic:y"], "group spec 'cyclic:y' must be cyclic:N with an integer N >= 1"),
+        (["vcdim", "--group", "cyclic:y"],
+         "group spec 'cyclic:y' must be cyclic:N with an integer N >= 1"),
         (["vcdim", "--group", "product:2xq"], "group spec 'product:2xq' must be cyclic:N"),
         (["vcdim", "--group", "product:"], "group spec 'product:' must be cyclic:N"),
         (["vcdim", "--group", "reals:0"], "group spec 'reals:0' must be cyclic:N"),
-        (["eps-approx", "--epsilon", "1/0", "--trials", "2"], "--epsilon '1/0' must be a rational p/q"),
+        (["eps-approx", "--epsilon", "1/0", "--trials", "2"],
+         "--epsilon '1/0': rational '1/0' has a zero denominator"),
         (["eps-approx", "--group", "cyclic:10", "--arc", "10", "--trials", "2", "--schedule", "5"],
          "--arc 10 covers all of cyclic:10"),
         (["eps-approx", "--group", "cyclic:10", "--arc", "20", "--trials", "2", "--schedule", "5"],
          "--arc 20 covers all of cyclic:10"),
-        (["steinhaus", "--shifts", ","], "--shifts ',' must be comma-separated rationals p/q"),
-        (["steinhaus", "--shifts", "1/10,abc"], "--shifts '1/10,abc' must be comma-separated rationals"),
-        (["steinhaus", "--shifts", "1/0"], "--shifts '1/0' must be comma-separated rationals"),
+        (["steinhaus", "--shifts", ","], "--shifts ',': empty rational literal"),
+        (["steinhaus", "--shifts", "1/10,abc"],
+         "--shifts '1/10,abc': rational 'abc' must be p/q, an integer"),
+        (["steinhaus", "--shifts", "1/0"], "--shifts '1/0': rational '1/0' has a zero denominator"),
         (["steinhaus", "--stage", "17"], "--stage 17 is above the cap of 16"),
         (["steinhaus", "--stage", "40"], "--stage 40 is above the cap of 16"),
         (["counterexample", "--matched", "9"], "the truncation would place more than 839 points"),
-        (["counterexample", "--matched", "1000000"], "the truncation would place more than 839 points"),
+        (["counterexample", "--matched", "1000000"],
+         "the truncation would place more than 839 points"),
         (["counterexample", "--intervals", "200", "--points-per", "5"],
          "the truncation would place more than 839 points"),
         (["counterexample", "--intervals", "1000000000", "--points-per", "1"],
          "the truncation would place more than 839 points"),
-        (["steinhaus", "--removed-scale", "abc"], "--removed-scale 'abc' must be a rational p/q"),
-        (["eps-approx", "--epsilon", "x", "--trials", "2"], "--epsilon 'x' must be a rational p/q"),
-        (["border-sweep", "--window", "a,b"], "window 'a,b' must be two rationals lo,hi"),
-        (["theorem5-report", "--set", "[0,x]"], "--set '[0,x]': rational 'x' must be p/q, an integer"),
-        (["translate-vcdim", "--set", "[0,x]"], "--set '[0,x]': rational 'x' must be p/q, an integer"),
+        (["steinhaus", "--removed-scale", "abc"],
+         "--removed-scale 'abc': rational 'abc' must be p/q, an integer"),
+        (["eps-approx", "--epsilon", "x", "--trials", "2"],
+         "--epsilon 'x': rational 'x' must be p/q, an integer"),
+        (["border-sweep", "--window", "a,b"], "window 'a,b': rational 'a' must be p/q, an integer"),
+        (["theorem5-report", "--set", "[0,x]"],
+         "--set '[0,x]': rational 'x' must be p/q, an integer"),
+        (["translate-vcdim", "--set", "[0,x]"],
+         "--set '[0,x]': rational 'x' must be p/q, an integer"),
         (["theorem5-report", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
         (["translate-vcdim", "--set", "[0,1"], "--set '[0,1': cannot parse set component '[0,1'"),
         (["theorem5-report", "--set", "[1,0]"],
@@ -401,11 +423,13 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["translate-vcdim", "--set", "[1,0]"],
          "--set '[1,0]': piece '[1,0]' must have lo < hi, or lo = hi with both ends closed"),
         (["theorem5-report", "--set", "[0,1]", "--window", "0,x"],
-         "window '0,x' must be two rationals lo,hi"),
+         "window '0,x': rational 'x' must be p/q, an integer"),
         (["translate-vcdim", "--set", "[0,1]", "--window", "0,1/0"],
-         "window '0,1/0' must be two rationals lo,hi"),
-        (["witness", "--depth", "2", "--removed-scale", "4/"], "--removed-scale '4/' must be a rational p/q"),
-        (["counterexample", "--removed-scale", "1/0"], "--removed-scale '1/0' must be a rational p/q"),
+         "window '0,1/0': rational '1/0' has a zero denominator"),
+        (["witness", "--depth", "2", "--removed-scale", "4/"],
+         "--removed-scale '4/': rational '4/' must be p/q, an integer"),
+        (["counterexample", "--removed-scale", "1/0"],
+         "--removed-scale '1/0': rational '1/0' has a zero denominator"),
         (["translate-vcdim", "--set", "(0,0)"],
          "--set '(0,0)': piece '(0,0)' must have lo < hi, or lo = hi with both ends closed"),
         (["theorem5-report", "--set", "[1/2,1/2)"],
@@ -432,7 +456,13 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["counterexample", "--removed-scale", "3/2"],
          "--removed-scale '3/2' must lie strictly between 0 and 1"),
         (["steinhaus", "--shifts", "1e100000000"],
-         "--shifts '1e100000000' must be comma-separated rationals p/q"),
+         "--shifts '1e100000000': rational '1e100000000' has an exponent above 4300 in magnitude"),
+        (["border-sweep", "--window=-1,1e99999"],
+         "window '-1,1e99999': rational '1e99999' has an exponent above 4300 in magnitude"),
+        (["witness", "--depth", "2", "--removed-scale", "1e-9999"],
+         "--removed-scale '1e-9999': rational '1e-9999' has an exponent above 4300 in magnitude"),
+        (["eps-approx", "--epsilon", "1e-5000", "--trials", "2"],
+         "--epsilon '1e-5000': rational '1e-5000' has an exponent above 4300 in magnitude"),
         (["theorem5-report", "--set", "[0,1e-10000000]"],
          "--set '[0,1e-10000000]': rational '1e-10000000' has an exponent above 4300 in magnitude"),
         (["eps-approx", "--group", "cyclic:1000000000000", "--arc", "3", "--trials", "1",
@@ -461,6 +491,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "epsilon-one", "epsilon-above-one",
          "witness-removed-scale-one", "steinhaus-removed-scale-zero",
          "counterexample-removed-scale-above-one", "shift-exponent-above-cap",
+         "window-exponent-above-cap", "removed-scale-exponent-above-cap",
+         "epsilon-exponent-above-cap",
          "set-exponent-above-cap", "group-above-eps-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_sweep
 from fraction_translate import minkowski_diff
 from vclab.border import random_constructible
 from vclab.cantor import FatCantorSet
@@ -248,3 +249,42 @@ def test_interval_validation():
 )
 def test_hull(text, hull):
     assert parse_set(text).hull() == hull
+
+
+def random_pieces(rng, coprime):
+    """Zero to six pieces with ends in [-2, 2] over mixed denominators, or
+    over distinct primes: open and closed ends, isolated points, degenerate
+    open pieces, and plain ints where an end is whole."""
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    dens = rng.sample(primes, 4) if coprime else [1, 2, 3, 4, 12, 1000]
+    pieces = []
+    for _ in range(rng.randrange(7)):
+        lo, hi = sorted(F(rng.randint(-2 * d, 2 * d), d) for d in rng.choices(dens, k=2))
+        if rng.random() < 0.25:
+            hi = lo
+        lo, hi = (int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in (lo, hi))
+        pieces.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return pieces
+
+
+def fields(x):
+    return repr((x.intervals, x.points))
+
+
+@pytest.mark.parametrize("coprime", [False, True], ids=["mixed", "coprime"])
+def test_lattice_sweep_matches_fraction_key_oracle(coprime):
+    rng = random.Random(f"fraction-key-oracle/{coprime}")
+    for _ in range(300):
+        pa, pb = random_pieces(rng, coprime), random_pieces(rng, coprime)
+        a, b = ConstructibleSet.from_pieces(pa), ConstructibleSet.from_pieces(pb)
+        assert fields(a) == fields(fraction_sweep.from_pieces(pa))
+        assert fields(b) == fields(fraction_sweep.from_pieces(pb))
+        ends = {id(v) for x in (a, b) for piece in x.components() for v in piece[:2]}
+        for op in ("union", "intersection", "difference"):
+            got = getattr(a, op)(b)
+            assert fields(got) == fields(getattr(fraction_sweep, op)(a, b))
+            # Every end of the result is an end of an operand, not a new Fraction.
+            assert all(id(v) in ends for piece in got.components() for v in piece[:2])
+            measure = got.measure()
+            assert type(measure) is F and measure == fraction_sweep.measure(got)
+
