@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .constructible import ConstructibleSet, locally_positive_measure
+from .constructible import ConstructibleSet, Interval, locally_positive_measure
 from .rational import format_rational
 
 
@@ -42,7 +42,7 @@ def r_border_measure(a: ConstructibleSet, r, window) -> Fraction:
 
 
 def boundary_point_count(a: ConstructibleSet) -> int:
-    return 2 * len(a.intervals) + len(a.points)
+    return sum(1 if lo == hi else 2 for lo, hi, _, _ in a.pieces)
 
 
 def random_closed_union(rng: random.Random, window: tuple[Fraction, Fraction]) -> ConstructibleSet:
@@ -50,18 +50,11 @@ def random_closed_union(rng: random.Random, window: tuple[Fraction, Fraction]) -
     the window (margins keep window-edge artifacts out of decay bounds), with
     ends on a grid of 720720 steps."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    span = hi - lo
-    inner_lo = lo + span / 8
-    inner_hi = hi - span / 8
+    inner_lo, inner_span = lo + (hi - lo) / 8, (hi - lo) * 3 / 4
     grid = 720720
-    k = rng.randrange(1, 7)
-    ticks = sorted(rng.sample(range(1, grid), 2 * k))
-    pieces = []
-    for i in range(0, 2 * k, 2):
-        a = inner_lo + (inner_hi - inner_lo) * Fraction(ticks[i], grid)
-        b = inner_lo + (inner_hi - inner_lo) * Fraction(ticks[i + 1], grid)
-        pieces.append((a, b, True, True))
-    return ConstructibleSet.from_pieces(pieces)
+    ticks = sorted(rng.sample(range(1, grid), 2 * rng.randrange(1, 7)))
+    ends = [inner_lo + inner_span * Fraction(t, grid) for t in ticks]
+    return ConstructibleSet.from_pieces(Interval(a, b) for a, b in zip(ends[::2], ends[1::2]))
 
 
 @dataclass
@@ -153,25 +146,17 @@ def random_constructible(rng: random.Random, window: tuple[Fraction, Fraction]) 
     steps."""
     grid = 5040
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    span = hi - lo
+
+    def at(tick):
+        return lo + (hi - lo) * Fraction(tick, grid)
+
     pieces = []
-    n_iv = rng.randrange(0, 4)
-    n_pt = rng.randrange(0, 3)
+    n_iv, n_pt = rng.randrange(0, 4), rng.randrange(0, 3)
     for _ in range(n_iv):
-        a = rng.randrange(grid)
-        b = rng.randrange(grid)
-        if a == b:
-            continue
-        a, b = sorted((a, b))
-        pieces.append(
-            (
-                lo + span * Fraction(a, grid),
-                lo + span * Fraction(b, grid),
-                rng.random() < 0.5,
-                rng.random() < 0.5,
-            )
-        )
+        a, b = sorted((rng.randrange(grid), rng.randrange(grid)))
+        if a < b:
+            pieces.append(Interval(at(a), at(b), rng.random() < 0.5, rng.random() < 0.5))
     for _ in range(n_pt):
-        p = lo + span * Fraction(rng.randrange(grid), grid)
-        pieces.append((p, p, True, True))
+        p = at(rng.randrange(grid))
+        pieces.append(Interval(p, p))
     return ConstructibleSet.from_pieces(pieces)

@@ -163,9 +163,7 @@ class FatCantorSet:
         """Stage m as 2^m closed intervals."""
         if m < 0:
             raise ValueError("stage must be >= 0")
-        return ConstructibleSet(
-            tuple(Interval(lo, hi) for lo, hi in self.stage_components(m))
-        )
+        return ConstructibleSet(tuple([Interval(lo, hi) for lo, hi in self.stage_components(m)]))
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:
         """All removed middles (L_s(2b) + W_s, L_s(2b+1)) of stages <= upto, in

@@ -380,8 +380,22 @@ def cmd_translate_vcdim(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+def _error_line(message) -> str:
+    """The message as one "error: ..." line; a newline inside a flag value
+    shows as \\n, so a usage error is always one line of stderr."""
+    return "error: " + str(message).replace("\n", "\\n") + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subcommands' included, are
+    one error line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(2, _error_line(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vclab",
         description="exact-arithmetic experiments on translate families, "
         "shattering certificates and border measures",
@@ -509,7 +523,7 @@ def main(argv=None) -> int:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return 2
 
 

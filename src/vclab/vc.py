@@ -373,7 +373,7 @@ def interesting_grid(
     over budget so searches stay bounded."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     pts = {lo, hi}
-    for clo, chi, _, _ in x.components():
+    for clo, chi, _, _ in x.pieces:
         pts.update((clo, chi, (clo + chi) / 2))
     pts = {p for p in pts if lo <= p <= hi}
     for _ in range(refine):
@@ -403,7 +403,7 @@ def _translator_keys(
     translators that every p - x holds whole or not at all.  The component
     (a, b) of x, closed at the ends lc and hc, gives the piece (p - b, p - a)
     of p - x, closed at hc and lc."""
-    comps = list(x.components())[::-1]
+    comps = x.pieces[::-1]
     den, (lo, hi, *units) = on_lattice([*window, *points, *(v for c in comps for v in c[:2])])
     ats, ends = units[:len(points)], units[len(points):]
     start, end = 2 * lo, 2 * hi + 1

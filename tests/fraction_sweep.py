@@ -5,7 +5,7 @@
 and builds each output component from the flip keys.  `measure` sums the
 Fraction lengths.  `vclab.constructible` runs the same sweep on integer keys
 on one lattice; the tests require both to give the same canonical sets,
-field by field.
+piece by piece.
 """
 
 from fractions import Fraction
@@ -33,13 +33,10 @@ def sweep(operands, fn):
         if fn(counts[0] > 0, counts[1] > 0) != inside:
             inside = not inside
             flips.append(key)
-    intervals, points = [], []
-    for (lo, lo_open), (hi, hi_closed) in zip(flips[::2], flips[1::2]):
-        if lo == hi:
-            points.append(lo)
-        else:
-            intervals.append(Interval(lo, hi, not lo_open, hi_closed))
-    return ConstructibleSet(tuple(intervals), tuple(points))
+    return ConstructibleSet(tuple([
+        Interval(lo, hi, not lo_open, hi_closed)
+        for (lo, lo_open), (hi, hi_closed) in zip(flips[::2], flips[1::2])
+    ]))
 
 
 def from_pieces(pieces):
@@ -53,16 +50,16 @@ def from_pieces(pieces):
 
 
 def union(a, b):
-    return sweep((a.components(), b.components()), lambda x, y: x or y)
+    return sweep((a.pieces, b.pieces), lambda x, y: x or y)
 
 
 def intersection(a, b):
-    return sweep((a.components(), b.components()), lambda x, y: x and y)
+    return sweep((a.pieces, b.pieces), lambda x, y: x and y)
 
 
 def difference(a, b):
-    return sweep((a.components(), b.components()), lambda x, y: x and not y)
+    return sweep((a.pieces, b.pieces), lambda x, y: x and not y)
 
 
 def measure(a):
-    return sum((hi - lo for lo, hi, _, _ in a.intervals), Fraction(0))
+    return sum((hi - lo for lo, hi, _, _ in a.pieces), Fraction(0))

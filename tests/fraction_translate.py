@@ -14,8 +14,8 @@ from vclab.constructible import ConstructibleSet
 def minkowski_diff(a, b):
     """{x - y : x in a, y in b}, exact."""
     pieces = []
-    for alo, ahi, alc, ahc in a.components():
-        for blo, bhi, blc, bhc in b.components():
+    for alo, ahi, alc, ahc in a.pieces:
+        for blo, bhi, blc, bhc in b.pieces:
             pieces.append((alo - bhi, ahi - blo, alc and bhc, ahc and blc))
     return ConstructibleSet.from_pieces(pieces)
 

@@ -19,10 +19,13 @@ def run(tmp_path, name, argv):
 
 def test_usage_error_exits_2(capsys):
     # "selftest" is a retired command, and so an unknown one
-    for argv in ([], ["witness", "--bogus-flag"], ["selftest"]):
+    for argv in ([], ["witness", "--bogus-flag"], ["selftest"], ["witness", "--depth", "abc"],
+                 ["witness"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 def test_witness_roundtrip_through_cli(tmp_path):

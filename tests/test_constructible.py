@@ -30,6 +30,42 @@ def test_canonical_merging():
     assert ConstructibleSet.from_pieces([(F(1), F(1), False, True)]).is_empty
 
 
+@pytest.mark.parametrize("lo_closed", [False, True])
+@pytest.mark.parametrize("hi_closed", [False, True])
+def test_interval_contains_reads_both_end_flags(lo_closed, hi_closed):
+    # A degenerate piece is the point {p} only when both ends are closed.
+    point = Interval(F(0), F(0), lo_closed, hi_closed)
+    assert point.contains(F(0)) == (lo_closed and hi_closed)
+    assert not point.contains(F(1)) and not point.contains(F(-1))
+    proper = Interval(F(0), F(1), lo_closed, hi_closed)
+    assert proper.contains(F(0)) == lo_closed and proper.contains(F(1)) == hi_closed
+    assert proper.contains(F(1, 2)) and not proper.contains(F(-1)) and not proper.contains(F(2))
+
+
+def assert_canonical(x):
+    for a, b in zip(x.pieces, x.pieces[1:]):
+        apart = a.hi < b.lo
+        touching = a.hi == b.lo and not a.hi_closed and not b.lo_closed
+        assert apart or touching and a.lo < a.hi and b.lo < b.hi, x
+    for piece in x.pieces:
+        assert piece.lo < piece.hi or piece.lo == piece.hi and piece.lo_closed and piece.hi_closed, x
+    assert ConstructibleSet.from_pieces(x.pieces) == x
+    assert parse_set(x.to_text()) == x
+    assert all(iv.lo < iv.hi for iv in x.intervals)
+    assert sorted([*x.intervals, *(Interval(p, p) for p in x.points)]) == list(x.pieces)
+
+
+def test_every_result_is_one_canonical_run_of_pieces():
+    rng = random.Random("one-run")
+    for _ in range(150):
+        a, b = rset(rng), rset(rng)
+        g, r = F(rng.randrange(-120, 121), 60), F(1, rng.randrange(1, 60))
+        for x in (a, b, a.union(b), a.intersection(b), a.difference(b), b.difference(a),
+                  a.closure(), a.interior(), a.border(), a.translate(g), a.r_neighborhood(r),
+                  a.union(b.translate(g)).border()):
+            assert_canonical(x)
+
+
 def test_boolean_examples():
     a = ConstructibleSet.interval(0, 1)
     b = ConstructibleSet.interval(F(1, 2), 2, lo_closed=False)
@@ -75,7 +111,7 @@ def test_membership_matches_structure():
         a, b = rset(rng), rset(rng)
         results = {name: getattr(a, name)(b) for name in ops}
         probes = [F(rng.randrange(-4000, 4001), 1000) for _ in range(40)] + edge_probes(
-            e for s in (a, b) for lo, hi, _, _ in s.components() for e in (lo, hi)
+            e for s in (a, b) for lo, hi, _, _ in s.pieces for e in (lo, hi)
         )
         for x in probes:
             for name, fn in ops.items():
@@ -178,7 +214,7 @@ def test_minkowski_diff_against_translate_oracle():
 
 def distance(a, x):
     """Exact distance from x to the nonempty set a."""
-    return min(max(F(0), lo - x, x - hi) for lo, hi, _, _ in a.components())
+    return min(max(F(0), lo - x, x - hi) for lo, hi, _, _ in a.pieces)
 
 
 def test_neighborhood_matches_distance():
@@ -268,7 +304,7 @@ def random_pieces(rng, coprime):
 
 
 def fields(x):
-    return repr((x.intervals, x.points))
+    return repr(x.pieces)
 
 
 @pytest.mark.parametrize("coprime", [False, True], ids=["mixed", "coprime"])
@@ -279,12 +315,12 @@ def test_lattice_sweep_matches_fraction_key_oracle(coprime):
         a, b = ConstructibleSet.from_pieces(pa), ConstructibleSet.from_pieces(pb)
         assert fields(a) == fields(fraction_sweep.from_pieces(pa))
         assert fields(b) == fields(fraction_sweep.from_pieces(pb))
-        ends = {id(v) for x in (a, b) for piece in x.components() for v in piece[:2]}
+        ends = {id(v) for x in (a, b) for piece in x.pieces for v in piece[:2]}
         for op in ("union", "intersection", "difference"):
             got = getattr(a, op)(b)
             assert fields(got) == fields(getattr(fraction_sweep, op)(a, b))
             # Every end of the result is an end of an operand, not a new Fraction.
-            assert all(id(v) in ends for piece in got.components() for v in piece[:2])
+            assert all(id(v) in ends for piece in got.pieces for v in piece[:2])
             measure = got.measure()
             assert type(measure) is F and measure == fraction_sweep.measure(got)
 
