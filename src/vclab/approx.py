@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import HittingSetError, UnsampleableError
 from .groups import CyclicGroup
-from .rational import format_rational
 
 
 @dataclass
@@ -119,8 +118,8 @@ class SweepRow:
             "N": self.n_samples,
             "trials": self.trials,
             "successes": self.successes,
-            "min_sup_deviation": format_rational(self.min_deviation),
-            "max_sup_deviation": format_rational(self.max_deviation),
+            "min_sup_deviation": str(self.min_deviation),
+            "max_sup_deviation": str(self.max_deviation),
         }
 
 
@@ -128,15 +127,6 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
     smallest_passing: Optional[int] = None
-
-    def smoothed_rates(self) -> list[Fraction]:
-        """Running-maximum smoothing of the empirical success curve."""
-        out = []
-        best = Fraction(0)
-        for row in self.rows:
-            best = max(best, Fraction(row.successes, row.trials))
-            out.append(best)
-        return out
 
 
 def sample_complexity_sweep(
@@ -148,7 +138,8 @@ def sample_complexity_sweep(
     seed: int = 0,
 ) -> SweepResult:
     """Empirical success rates over a schedule of sample sizes; reports the
-    smallest N whose monotone-smoothed success rate reaches 95%."""
+    first N in the schedule whose success rate reaches 95%, which is also
+    where the running maximum of the rates first does."""
     result = SweepResult()
     if trials <= 0:
         return result
@@ -163,10 +154,8 @@ def sample_complexity_sweep(
             if res.success:
                 successes += 1
         result.rows.append(SweepRow(n_samples, trials, successes, min(devs), max(devs)))
-    for row, rate in zip(result.rows, result.smoothed_rates()):
-        if rate >= Fraction(19, 20):
-            result.smallest_passing = row.n_samples
-            break
+    result.smallest_passing = next(
+        (row.n_samples for row in result.rows if 20 * row.successes >= 19 * row.trials), None)
     return result
 
 

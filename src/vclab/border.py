@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .constructible import ConstructibleSet, Interval, locally_positive_measure
-from .rational import format_rational
 
 
 def _window_set(window) -> ConstructibleSet:
@@ -68,10 +67,10 @@ class BorderDecayRow:
     def to_csv(self) -> dict:
         return {
             "set_id": self.set_id,
-            "r": format_rational(self.r),
-            "r_border_measure": format_rational(self.value),
+            "r": str(self.r),
+            "r_border_measure": str(self.value),
             "r_border_measure_float": float(self.value),
-            "bound_4r_boundary": format_rational(self.bound),
+            "bound_4r_boundary": str(self.bound),
             "within_bound": self.within_bound,
         }
 
@@ -106,7 +105,7 @@ class DensityReport:
         return {
             "hypothesis_set": self.hypothesis_set,
             "hypothesis_complement": self.hypothesis_complement,
-            "border_measure": format_rational(self.border_measure),
+            "border_measure": str(self.border_measure),
             "identity_holds": self.identity_holds,
             "consistent": self.consistent,
         }

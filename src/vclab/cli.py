@@ -2,11 +2,14 @@
 
 Every subcommand derives all randomness from the global --seed through
 string-labelled child generators, so identical invocations produce
-byte-identical artifacts.  Rationals are serialized as "p/q" strings in JSON
-and CSV; CSV adds a float column for plotting.
+byte-identical artifacts, all written by `_write`.  Rationals are "p/q"
+strings (`str(Fraction)`) in JSON and CSV; CSV adds a float column for
+plotting.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 budget exhaustion.
+3 budget exhaustion.  A command whose budget runs out writes its partial
+artifact and raises BudgetExceededError; `main` alone prints the one
+"budget exhausted: ..." line and returns 3.
 """
 
 from __future__ import annotations
@@ -22,22 +25,26 @@ import sys
 from fractions import Fraction
 
 from .approx import FiniteTranslateFamily, sample_complexity_sweep
-from .border import (
-    border_decay_experiment,
-    density_report,
-    random_closed_union,
-)
+from .border import border_decay_experiment, density_report, random_closed_union
 from .cantor import FatCantorSet
 from .constructible import parse_set
 from .counterexample import counterexample_points, matched_budget_points, no_shatter3_check
 from .errors import BudgetExceededError
 from .groups import parse_model_spec
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
 # The stage set of `steinhaus --stage m` has 2^m intervals.
 MAX_STEINHAUS_STAGE = 16
+
+# border-sweep takes the radii 2^-j for j in --r-exponents, and the measures'
+# denominators grow with |j|: one set takes about 1 ms over the default 9
+# radii and 13 ms over j in -64..64, so both caps at once take about 13 s at
+# a peak RSS of 140 MB.  (str() of 2^-j would pass CPython's 4,300-digit
+# limit near |j| = 14,000.)
+MAX_BORDER_SETS = 1000
+MAX_R_EXPONENT = 64
 
 # The report needs the N translates as N-bit rows, and the search N column
 # masks, so memory grows as N^2.  At this order a base holding 45% of the
@@ -49,20 +56,30 @@ MAX_VCDIM_ORDER = 8192
 # sup_deviation reads all N translates off prefix sums over two periods, so
 # one trial takes O(N) time and about 3N list slots.  At this order one trial
 # takes about 0.8 s at a peak RSS of about 40 MB (CPython 3.11, one Xeon
-# core), so the default 100 trials per schedule entry already take minutes.
+# core), so the default 100 trials per schedule entry already take minutes,
+# and the trials cap about 13 minutes; at cyclic:1000 with 125 samples a trial
+# takes about 0.4 ms, and the cap about 0.4 s per entry.
 MAX_EPS_ORDER = 10**6
+MAX_EPS_TRIALS = 1000
 
 
-def _out_path(args, default_name):
-    if args.out:
-        return args.out
+def _write(args, name: str, artifact) -> None:
+    """Write an artifact to --out, else to $VCLAB_OUT_DIR/name, else to
+    stdout.  A str is written as it is; a .csv name takes a nonempty list of
+    row dicts, headed by the first row's keys; anything else is written as
+    sorted, indented JSON."""
+    if isinstance(artifact, str):
+        text = artifact
+    elif name.endswith(".csv"):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(artifact[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(artifact)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
     out_dir = os.environ.get("VCLAB_OUT_DIR")
-    if out_dir:
-        return os.path.join(out_dir, default_name)
-    return None
-
-
-def _emit(text: str, path):
+    path = args.out or (out_dir and os.path.join(out_dir, name))
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -70,53 +87,39 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(fieldnames, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _parse_base_set(spec: str):
-    """arc:K is {0, ..., K-1} and list:a,b,c the listed integers."""
+def _parse_base_set(spec: str, n: int) -> list[int]:
+    """The residues mod n of arc:K, {0, ..., K-1}, or of list:a,b,c, each
+    once and in order.  An arc of K >= n is the whole group, so at most n
+    values are ever built."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "arc":
-            base = range(int(rest))
+            base = range(min(int(rest), n))
         elif kind == "list":
-            base = [int(v) for v in rest.split(",") if v != ""]
+            base = {int(v) % n for v in rest.split(",") if v != ""}
         else:
             raise ValueError
     except ValueError:
         raise ValueError(f"set spec {spec!r} must be arc:K or list:a,b,c with integers") from None
     if not base:
         raise ValueError(f"set spec {spec!r} is empty, and so is every translate of it")
-    return base
+    return sorted(base)
 
 
-def _parse_rational_flag(flag: str, spec: str) -> Fraction:
+def _flag_value(name: str, spec: str, parse):
+    """parse(spec), whose ValueError becomes one naming the flag and its value."""
     try:
-        return parse_rational(spec)
-    except ValueError as exc:
-        raise ValueError(f"--{flag} {spec!r}: {exc}") from None
-
-
-def _parse_rationals(name: str, spec: str) -> list[Fraction]:
-    """The comma-separated rationals of a flag's value."""
-    try:
-        return [parse_rational(v) for v in spec.split(",")]
+        return parse(spec)
     except ValueError as exc:
         raise ValueError(f"{name} {spec!r}: {exc}") from None
 
 
+def _rationals(spec: str) -> list[Fraction]:
+    return [parse_rational(v) for v in spec.split(",")]
+
+
 def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
-    bounds = _parse_rationals("window", spec)
+    bounds = _flag_value("window", spec, _rationals)
     if len(bounds) != 2:
         raise ValueError(f"window {spec!r} must be two rationals lo,hi")
     lo, hi = bounds
@@ -126,23 +129,23 @@ def _parse_window(spec: str) -> tuple[Fraction, Fraction]:
 
 
 def _parse_set_flag(spec: str):
-    try:
-        x = parse_set(spec)
-    except ValueError as exc:
-        raise ValueError(f"--set {spec!r}: {exc}") from None
+    x = _flag_value("--set", spec, parse_set)
     if x.is_empty:
         raise ValueError(f"--set {spec!r} is empty, so the run would check nothing")
     return x
 
 
-def _require_at_least(name: str, value: int, least: int):
-    """Range check of an integer flag; a count below 1 would check nothing."""
+def _require_range(name: str, value: int, least: int, cap: int | None = None):
+    """Range check of an integer flag; a count below 1 would check nothing,
+    and the cap bounds the run time a count can ask for."""
     if value < least:
         raise ValueError(f"--{name} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise ValueError(f"--{name} {value} is above the cap of {cap}")
 
 
 def _fat_cantor(spec: str) -> FatCantorSet:
-    scale = _parse_rational_flag("removed-scale", spec)
+    scale = _flag_value("--removed-scale", spec, parse_rational)
     if not 0 < scale < 1:
         raise ValueError(f"--removed-scale {spec!r} must lie strictly between 0 and 1")
     return FatCantorSet(scale)
@@ -165,6 +168,8 @@ def _parse_exponents(spec: str) -> tuple[int, int]:
         raise ValueError(f"r-exponents {spec!r} must be two integers LO:HI") from None
     if lo > hi:
         raise ValueError(f"r-exponents {spec!r} needs LO <= HI")
+    if max(-lo, hi) > MAX_R_EXPONENT:
+        raise ValueError(f"r-exponents {spec!r} has an exponent above {MAX_R_EXPONENT} in magnitude")
     return lo, hi
 
 
@@ -185,9 +190,9 @@ def cmd_vcdim(args) -> int:
     model = parse_model_spec(args.group)
     if model.n > MAX_VCDIM_ORDER:
         raise ValueError(f"--group {args.group} is above the cap of cyclic:{MAX_VCDIM_ORDER}")
-    base = _parse_base_set(args.set)
+    base = _parse_base_set(args.set, model.n)
     system = SetSystem.from_translates(model, base)
-    payload = {"group": model.describe(), "base_set": sorted(model.normalize(v) for v in base)}
+    payload = {"group": model.describe(), "base_set": base}
 
     def translators(rows):
         return [system.row_labels[i] for i in rows]
@@ -209,18 +214,17 @@ def cmd_vcdim(args) -> int:
             bound = "VC dimension"
             payload.update(vc_dimension_lower_bound=exc.lower_bound,
                            shatter_report=_shatter_json(system, exc.partial))
-        _emit(_json_text(payload), _out_path(args, "vcdim.json"))
-        print(f"budget exhausted: {exc}; wrote the partial report ({bound} >= {exc.lower_bound})",
-              file=sys.stderr)
-        return 3
+        _write(args, "vcdim.json", payload)
+        raise BudgetExceededError(
+            f"{exc}; wrote the partial report ({bound} >= {exc.lower_bound})") from None
     payload.update(dual_vc_dimension=dual, dual_witness_translators=translators(dual_rows))
-    _emit(_json_text(payload), _out_path(args, "vcdim.json"))
+    _write(args, "vcdim.json", payload)
     return 0
 
 
 def cmd_eps_approx(args) -> int:
-    _require_at_least("trials", args.trials, 1)
-    _require_at_least("arc", args.arc, 1)
+    _require_range("trials", args.trials, 1, MAX_EPS_TRIALS)
+    _require_range("arc", args.arc, 1)
     schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
     if model.n > MAX_EPS_ORDER:
@@ -228,16 +232,14 @@ def cmd_eps_approx(args) -> int:
     family = FiniteTranslateFamily(model, range(args.arc))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
-    epsilon = _parse_rational_flag("epsilon", args.epsilon)
+    epsilon = _flag_value("--epsilon", args.epsilon, parse_rational)
     if epsilon <= 0:
         raise ValueError(f"--epsilon {args.epsilon!r} must be positive")
     if epsilon >= 1:
         # No sample deviates from a proper arc's measure by 1 or more.
         raise ValueError(f"--epsilon {args.epsilon!r} must be below 1, or every sample passes")
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
-    rows = [r.to_csv() for r in sweep.rows]
-    fieldnames = ["N", "trials", "successes", "min_sup_deviation", "max_sup_deviation"]
-    _emit(_csv_text(fieldnames, rows), _out_path(args, "eps_approx.csv"))
+    _write(args, "eps_approx.csv", [r.to_csv() for r in sweep.rows])
     if sweep.smallest_passing is None:
         print("no N in the schedule reached a 95% success rate")
         return 3
@@ -246,32 +248,29 @@ def cmd_eps_approx(args) -> int:
 
 
 def cmd_steinhaus(args) -> int:
-    _require_at_least("stage", args.stage, 0)
-    if args.stage > MAX_STEINHAUS_STAGE:
-        raise ValueError(f"--stage {args.stage} is above the cap of {MAX_STEINHAUS_STAGE}")
-    shifts = _parse_rationals("--shifts", args.shifts)
+    _require_range("stage", args.stage, 0, MAX_STEINHAUS_STAGE)
+    shifts = _flag_value("--shifts", args.shifts, _rationals)
     fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)
     rows = []
     for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
         rows.append(
             {
-                "shift": format_rational(u),
-                "overlap_measure": format_rational(exact),
+                "shift": str(u),
+                "overlap_measure": str(exact),
                 "overlap_measure_float": float(exact),
-                "certified_floor": format_rational(floor),
+                "certified_floor": str(floor),
                 "meets_floor": exact >= floor,
             }
         )
-    fieldnames = ["shift", "overlap_measure", "overlap_measure_float", "certified_floor", "meets_floor"]
-    _emit(_csv_text(fieldnames, rows), _out_path(args, "steinhaus.csv"))
-    print(f"neighborhood radius {format_rational(radius)}, density bound {format_rational(density)}")
+    _write(args, "steinhaus.csv", rows)
+    print(f"neighborhood radius {radius}, density bound {density}")
     return 0 if all(r["meets_floor"] for r in rows) else 1
 
 
 def cmd_witness(args) -> int:
-    _require_at_least("depth", args.depth, 1)
-    _require_at_least("stage-budget", args.stage_budget, 0)
+    _require_range("depth", args.depth, 1)
+    _require_range("stage-budget", args.stage_budget, 0)
     fc = _fat_cantor(args.removed_scale)
     spent = None
     try:
@@ -280,7 +279,7 @@ def cmd_witness(args) -> int:
         # The deepest completed level is still a certificate; keep it.
         witness, spent = exc.partial, exc
     result = verify_witness(witness, fc)
-    _emit(witness.dumps(), _out_path(args, "witness.json"))
+    _write(args, "witness.json", witness.dumps())
     print(
         f"depth {witness.depth}: {len(witness.conditions)} conditions, "
         f"stage bound {witness.stage_bound}, verified: {result.ok}"
@@ -290,17 +289,13 @@ def cmd_witness(args) -> int:
             print(f"  failed: {failure}", file=sys.stderr)
         return 1
     if spent is not None:
-        print(
-            f"budget exhausted: {spent}; wrote the partial certificate of depth "
-            f"{witness.depth} (asked for {args.depth})",
-            file=sys.stderr,
-        )
-        return 3
+        raise BudgetExceededError(f"{spent}; wrote the partial certificate of depth "
+                                  f"{witness.depth} (asked for {args.depth})")
     return 0
 
 
 def cmd_border_sweep(args) -> int:
-    _require_at_least("sets", args.sets, 1)
+    _require_range("sets", args.sets, 1, MAX_BORDER_SETS)
     rng = random.Random(f"{args.seed}/border-sweep")
     window = _parse_window(args.window)
     sets = [random_closed_union(rng, window) for _ in range(args.sets)]
@@ -309,28 +304,25 @@ def cmd_border_sweep(args) -> int:
     pad = window[1] - window[0]
     outer = (window[0] - pad, window[1] + pad)
     rows = border_decay_experiment(sets, radii, outer)
-    csv_rows = [r.to_csv() for r in rows]
-    fieldnames = ["set_id", "r", "r_border_measure", "r_border_measure_float",
-                  "bound_4r_boundary", "within_bound"]
-    _emit(_csv_text(fieldnames, csv_rows), _out_path(args, "border_sweep.csv"))
+    _write(args, "border_sweep.csv", [r.to_csv() for r in rows])
     ok = all(r.within_bound for r in rows)
     print(f"{len(rows)} cells, all within the 4r bound: {ok}")
     return 0 if ok else 1
 
 
 def cmd_counterexample(args) -> int:
-    _require_at_least("triples", args.triples, 1)
+    _require_range("triples", args.triples, 1)
     fc = _fat_cantor(args.removed_scale)
     if args.matched is not None:
-        _require_at_least("matched", args.matched, 1)
+        _require_range("matched", args.matched, 1)
         cx = matched_budget_points(fc, args.matched)
     else:
-        _require_at_least("intervals", args.intervals, 1)
-        _require_at_least("points-per", args.points_per, 1)
+        _require_range("intervals", args.intervals, 1)
+        _require_range("points-per", args.points_per, 1)
         cx = counterexample_points(fc, args.intervals, args.points_per)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {
-        "points": [format_rational(p) for p in cx.points],
+        "points": [str(p) for p in cx.points],
         "point_count": len(cx.points),
         "difference_injective": True,  # construction verifies before returning
         "pair_uniqueness_ok": report.pair_uniqueness_ok,
@@ -338,7 +330,7 @@ def cmd_counterexample(args) -> int:
         "max_patterns_realized": report.max_patterns,
         "full_shatter_found": report.full_shatter_found,
     }
-    _emit(_json_text(payload), _out_path(args, "counterexample.json"))
+    _write(args, "counterexample.json", payload)
     ok = report.pair_uniqueness_ok and not report.full_shatter_found
     print(
         f"{len(cx.points)} points, max patterns {report.max_patterns}/8 over "
@@ -351,10 +343,10 @@ def cmd_theorem5_report(args) -> int:
     x = _parse_set_flag(args.set)
     window = _parse_window(args.window) if args.window else None
     report = density_report(x, window)
-    _emit(_json_text(report.to_json()), _out_path(args, "theorem5_report.json"))
+    _write(args, "theorem5_report.json", report.to_json())
     print(
         f"hypotheses (set, complement): ({report.hypothesis_set}, {report.hypothesis_complement}); "
-        f"border measure {format_rational(report.border_measure)}; consistent: {report.consistent}"
+        f"border measure {report.border_measure}; consistent: {report.consistent}"
     )
     return 0 if report.consistent else 1
 
@@ -365,14 +357,10 @@ def cmd_translate_vcdim(args) -> int:
         report = translate_vc_dimension(x, _parse_window(args.window))
     except BudgetExceededError as exc:
         # The spent search still certified its last complete size; write it.
-        _emit(_json_text(exc.partial.to_json()), _out_path(args, "translate_vcdim.json"))
-        print(
-            f"budget exhausted: {exc}; wrote the partial report "
-            f"(certified lower bound {exc.lower_bound})",
-            file=sys.stderr,
-        )
-        return 3
-    _emit(_json_text(report.to_json()), _out_path(args, "translate_vcdim.json"))
+        _write(args, "translate_vcdim.json", exc.partial.to_json())
+        raise BudgetExceededError(
+            f"{exc}; wrote the partial report (certified lower bound {exc.lower_bound})") from None
+    _write(args, "translate_vcdim.json", report.to_json())
     print(f"certified lower bound {report.lower_bound}; {report.upper_bound_status}")
     return 0
 

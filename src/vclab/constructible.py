@@ -37,7 +37,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 
 class Interval(NamedTuple):
@@ -235,10 +235,10 @@ _POINT_RE = re.compile(r"^\{\s*([^}]*)\s*\}$")
 def _piece_text(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> str:
     """A piece as "[lo,hi)", "(lo,hi]" and so on, or "{p}" for a point."""
     if lo == hi:
-        return "{%s}" % format_rational(lo)
+        return "{%s}" % lo
     left = "[" if lo_closed else "("
     right = "]" if hi_closed else ")"
-    return f"{left}{format_rational(lo)},{format_rational(hi)}{right}"
+    return f"{left}{lo},{hi}{right}"
 
 
 def parse_set(text: str) -> ConstructibleSet:

@@ -1,4 +1,6 @@
-"""Parsing and formatting of exact rationals as "p/q" strings."""
+"""Parsing of exact rationals from "p/q", integer and decimal strings.  The
+inverse is `str(Fraction)`, which prints "p/q", or "p" when the denominator
+is 1."""
 
 import re
 import sys
@@ -25,11 +27,3 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"rational {text!r} must be p/q, an integer or a decimal such as 0.25") from None
-
-
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"

@@ -33,7 +33,6 @@ from typing import Iterable, Optional, Sequence
 
 from .constructible import ConstructibleSet, on_lattice
 from .errors import BudgetExceededError
-from .rational import format_rational
 
 # Default budget of the finite searches, in index tuples tried.
 MAX_TRIES = 250_000
@@ -128,11 +127,8 @@ class ShatterReport:
         return True
 
     def to_json(self) -> dict:
-        def fmt(p):
-            return format_rational(p) if isinstance(p, Fraction) else p
-
         return {
-            "points": [fmt(p) for p in self.points],
+            "points": [str(p) if isinstance(p, Fraction) else p for p in self.points],
             "shattered": self.shattered,
             "witnesses": {
                 format(pattern, f"0{max(1, len(self.points))}b"): w
@@ -319,7 +315,7 @@ def sauer_shelah_table(system: SetSystem, d: int) -> tuple[bool, list[dict]]:
     dimension d."""
     n = len(system.ground)
     if n > 16:
-        raise BudgetExceededError("sauer_shelah_table is exhaustive; ground set too large")
+        raise ValueError("sauer_shelah_table is exhaustive; ground set too large")
     rows = []
     ok = True
     for m in range(n + 1):
@@ -356,10 +352,8 @@ class TranslateVCReport:
     def to_json(self) -> dict:
         return {
             "lower_bound": self.lower_bound,
-            "points": [format_rational(p) for p in self.points],
-            "pattern_translators": {
-                pat: format_rational(g) for pat, g in sorted(self.pattern_translators.items())
-            },
+            "points": [str(p) for p in self.points],
+            "pattern_translators": {pat: str(g) for pat, g in sorted(self.pattern_translators.items())},
             "upper_bound_status": self.upper_bound_status,
             "grid_size": self.grid_size,
         }

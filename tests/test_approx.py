@@ -74,8 +74,6 @@ def test_sweep_monotone_trend_and_empty():
     sweep = sample_complexity_sweep(z, fam, F(1, 20), [10, 400], 25, seed=1)
     rates = [F(r.successes, r.trials) for r in sweep.rows]
     assert rates[0] < rates[1]
-    smoothed = sweep.smoothed_rates()
-    assert smoothed == sorted(smoothed)
 
 
 def test_sweep_finds_passing_n():
@@ -83,10 +81,11 @@ def test_sweep_finds_passing_n():
     fam = FiniteTranslateFamily(z, range(60))
     sweep = sample_complexity_sweep(z, fam, F(1, 8), [50, 200, 800], 20, seed=2)
     assert sweep.smallest_passing is not None
-    row = next(r for r in sweep.rows if r.n_samples == sweep.smallest_passing)
-    assert F(row.successes, row.trials) >= F(19, 20) or sweep.smoothed_rates()[
-        [r.n_samples for r in sweep.rows].index(sweep.smallest_passing)
-    ] >= F(19, 20)
+    at = [r.n_samples for r in sweep.rows].index(sweep.smallest_passing)
+    rates = [F(r.successes, r.trials) for r in sweep.rows]
+    # the first row to reach 95%
+    assert rates[at] >= F(19, 20)
+    assert all(rate < F(19, 20) for rate in rates[:at])
 
 
 def test_hitting_set_and_covering():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,27 @@ def test_vcdim_dual_budget_keeps_primal_result(tmp_path, capsys):
     translators = payload["dual_witness_translators"]
     assert len(translators) == 2
     assert len({tuple((v - g) % 3531 in base for g in translators) for v in range(3531)}) == 4
+
+
+@pytest.mark.parametrize(
+    "group, spec, same_as",
+    [("cyclic:4", "arc:6", "arc:4"), ("cyclic:12", "list:1,13", "list:1")],
+    ids=["arc-past-the-group", "repeated-residue"],
+)
+def test_vcdim_lists_each_residue_once(tmp_path, group, spec, same_as):
+    code, out = run(tmp_path, "v.json", ["vcdim", "--group", group, "--set", spec])
+    same_code, same = run(tmp_path, "same.json", ["vcdim", "--group", group, "--set", same_as])
+    assert code == same_code == 0
+    assert out.read_bytes() == same.read_bytes()
+
+
+def test_vcdim_huge_arc_is_the_whole_group(tmp_path, capsys):
+    # An arc of K >= N is taken as the N residues, not built and reduced.
+    start = time.perf_counter()
+    code, out = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:12", "--set", "arc:99999999999"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and capsys.readouterr().out == "0\n"
+    assert json.loads(out.read_text())["base_set"] == list(range(12))
 
 
 def test_vcdim_prints_dimension(tmp_path, capsys):
@@ -470,6 +492,16 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--set '[0,1e-10000000]': rational '1e-10000000' has an exponent above 4300 in magnitude"),
         (["eps-approx", "--group", "cyclic:1000000000000", "--arc", "3", "--trials", "1",
           "--schedule", "1"], "--group cyclic:1000000000000 is above the cap of cyclic:1000000"),
+        (["border-sweep", "--sets", "1001"], "--sets 1001 is above the cap of 1000"),
+        (["border-sweep", "--sets", "99999999999"], "--sets 99999999999 is above the cap of 1000"),
+        (["eps-approx", "--trials", "1001"], "--trials 1001 is above the cap of 1000"),
+        (["eps-approx", "--trials", "99999999999"], "--trials 99999999999 is above the cap of 1000"),
+        (["border-sweep", "--r-exponents", "0:65"],
+         "r-exponents '0:65' has an exponent above 64 in magnitude"),
+        (["border-sweep", "--r-exponents=-65:0"],
+         "r-exponents '-65:0' has an exponent above 64 in magnitude"),
+        (["border-sweep", "--r-exponents", "100000:100000"],
+         "r-exponents '100000:100000' has an exponent above 64 in magnitude"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -496,7 +528,9 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "counterexample-removed-scale-above-one", "shift-exponent-above-cap",
          "window-exponent-above-cap", "removed-scale-exponent-above-cap",
          "epsilon-exponent-above-cap",
-         "set-exponent-above-cap", "group-above-eps-cap"],
+         "set-exponent-above-cap", "group-above-eps-cap", "sets-above-cap",
+         "sets-far-above-cap", "trials-above-cap", "trials-far-above-cap", "exponent-above-cap",
+         "negative-exponent-above-cap", "exponent-far-above-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -24,6 +24,7 @@ from vclab.cli import main
 
 SEEDS = ["0", "7", "-1", "abc", "", "1.5", "99999999999999999999"]
 SMALL = ["2", "1", "0", "-1", "abc", "", "1.5", "2\n"]
+ABOVE_CAP = ["1001", "99999999999"]
 RATIONALS = ["4/5", "1/2", "0", "1", "2", "-1/2", "1/0", "0/0", "", "abc", "1e4301",
              "1e100000000", "0.25", "1e-5", " 3/4 ", "4/5\n", "--", "-"]
 WINDOWS = ["0,1", "-1,1", "1,0", "0,0", "2,3", "125,250", "-3,-2", "0", "0,1,2", "a,b",
@@ -45,9 +46,9 @@ COMMANDS = {
     "vcdim": ({}, {"group": ["cyclic:12", "cyclic:1", "cyclic:0", "cyclic:-3", "cyclic:",
                              "cyclic:abc", "arc:3", "cyclic:8193", "cyclic:99999999999",
                              "cyclic:1e3", "cyclic:12\n"],
-                   "set": ["arc:3", "arc:0", "arc:-1", "arc:13", "list:1,2,5", "list:",
-                           "list:a", "list:1,,2", "nope", ""]}),
-    "eps-approx": ({"trials": SMALL,
+                   "set": ["arc:3", "arc:0", "arc:-1", "arc:13", "arc:99999999999", "list:1,2,5",
+                           "list:1,13", "list:", "list:a", "list:1,,2", "nope", ""]}),
+    "eps-approx": ({"trials": SMALL + ABOVE_CAP,
                     "group": ["cyclic:50", "cyclic:1", "cyclic:0", "cyclic:1000001",
                               "cyclic:abc", "arc:3"],
                     "schedule": ["5,10", "1", "0", "-5", "", "a", "5,,10"],
@@ -58,8 +59,9 @@ COMMANDS = {
                               "1/10,1/10"], **SCALE}),
     "witness": ({"depth": ["2", "3", "1", "0", "-1", "abc", ""]},
                 {"stage-budget": ["2000", "5", "0", "-1", "99999999999", "x"], **SCALE}),
-    "border-sweep": ({"sets": SMALL, "r-exponents": ["4:6", "6:4", "0:0", "-2:1", "a:b", "4",
-                                                     "4:5:6", "", ":"]},
+    "border-sweep": ({"sets": SMALL + ABOVE_CAP,
+                      "r-exponents": ["4:6", "6:4", "0:0", "-2:1", "a:b", "4", "4:5:6", "", ":",
+                                      "0:65", "-65:0", "0:99999999999"]},
                      {"window": WINDOWS}),
     "counterexample": ({"triples": SMALL, "intervals": SMALL, "points-per": SMALL},
                        {"matched": ["2", "1", "0", "-1", "x"], **SCALE}),

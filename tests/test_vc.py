@@ -239,6 +239,13 @@ def test_sauer_shelah_examples():
     assert table[5] == {"m": 5, "max_projections": 6, "bound": 6}
 
 
+def test_sauer_shelah_refuses_a_large_ground_set_as_a_value_error():
+    # A size refusal with no partial table, so not a spent budget.
+    system = SetSystem.from_sets(tuple(range(17)), [(i,) for i in range(17)])
+    with pytest.raises(ValueError, match="ground set too large"):
+        sauer_shelah_table(system, 1)
+
+
 def test_sauer_shelah_never_violated_randomized():
     rng = random.Random("sauer")
     for _ in range(30):

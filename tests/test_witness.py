@@ -14,7 +14,6 @@ from vclab.cantor import FatCantorSet
 from vclab.cli import main
 from vclab.constructible import ConstructibleSet
 from vclab.errors import BudgetExceededError
-from vclab.rational import format_rational
 from vclab.witness import (
     ShatterWitness,
     WitnessCondition,
@@ -422,12 +421,12 @@ def old_to_json(w):
     return {
         "depth": w.depth,
         "stage_bound": w.stage_bound,
-        "translators": [format_rational(g) for g in w.translators],
-        "points": {p: format_rational(x) for p, x in sorted(w.points.items())},
+        "translators": [str(g) for g in w.translators],
+        "points": {p: str(x) for p, x in sorted(w.points.items())},
         "conditions": [
-            {"level": c.level, "pattern": c.pattern, "value": format_rational(c.value),
-             "lo": format_rational(c.lo), "hi": format_rational(c.hi), "stage": c.stage,
-             "slack": format_rational(c.slack)}
+            {"level": c.level, "pattern": c.pattern, "value": str(c.value),
+             "lo": str(c.lo), "hi": str(c.hi), "stage": c.stage,
+             "slack": str(c.slack)}
             for c in sorted(w.conditions, key=lambda c: (c.level, c.pattern))
         ],
     }
