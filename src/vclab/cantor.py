@@ -152,17 +152,22 @@ class FatCantorSet:
             lefts = [left for x in lefts for left in (x << 2, (x << 2) + step)]
             yield lefts
 
-    def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
-        """The 2^m components [L, L + W_m] of stage m, in address order."""
+    def lefts(self, m: int) -> list[int]:
+        """The left ends L_m(b), in units u_m, of the 2^m stage-m components
+        in address order, which is increasing order."""
+        if m < 0:
+            raise ValueError("stage must be >= 0")
         for lefts in self._left_ends(m):
             pass
+        return lefts
+
+    def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
+        """The 2^m components [L, L + W_m] of stage m, in address order."""
         w = self.width(m)
-        return [(self.value(m, left), self.value(m, left + w)) for left in lefts]
+        return [(self.value(m, left), self.value(m, left + w)) for left in self.lefts(m)]
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
-        if m < 0:
-            raise ValueError("stage must be >= 0")
         return ConstructibleSet(tuple([Interval(lo, hi) for lo, hi in self.stage_components(m)]))
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -35,7 +36,9 @@ from .rational import parse_rational
 from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
-# The stage set of `steinhaus --stage m` has 2^m intervals.
+# `steinhaus --stage m` reads the 2^m stage-m left ends off one integer
+# lattice: the default six shifts at stage 16 take about 0.35 s at a peak RSS
+# of about 28 MB (CPython 3.11, one Xeon core), and the time doubles per stage.
 MAX_STEINHAUS_STAGE = 16
 
 # border-sweep takes the radii 2^-j for j in --r-exponents, and the measures'
@@ -61,6 +64,14 @@ MAX_VCDIM_ORDER = 8192
 # takes about 0.4 ms, and the cap about 0.4 s per entry.
 MAX_EPS_ORDER = 10**6
 MAX_EPS_TRIALS = 1000
+# One eps-approx trial draws all N sample points into a list: at this size a
+# trial takes about 0.36 s at a peak RSS of about 48 MB.
+MAX_EPS_SAMPLES = 10**6
+
+# no_shatter3_check keeps one pattern count per sampled triple, about 33 us
+# each at --matched 4: at this cap a run takes about 33 s at a peak RSS of
+# about 25 MB.
+MAX_TRIPLES = 10**6
 
 
 def _write(args, name: str, artifact) -> None:
@@ -158,6 +169,8 @@ def _parse_schedule(spec: str) -> list[int]:
         sizes = []
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--schedule {spec!r} must be comma-separated integers >= 1")
+    if max(sizes) > MAX_EPS_SAMPLES:
+        raise ValueError(f"--schedule {spec!r} has a sample size above the cap of {MAX_EPS_SAMPLES}")
     return sizes
 
 
@@ -241,8 +254,7 @@ def cmd_eps_approx(args) -> int:
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
     _write(args, "eps_approx.csv", [r.to_csv() for r in sweep.rows])
     if sweep.smallest_passing is None:
-        print("no N in the schedule reached a 95% success rate")
-        return 3
+        raise BudgetExceededError("no N in the schedule reached a 95% success rate; wrote the table")
     print(f"smallest passing N: {sweep.smallest_passing}")
     return 0
 
@@ -311,7 +323,7 @@ def cmd_border_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    _require_range("triples", args.triples, 1)
+    _require_range("triples", args.triples, 1, MAX_TRIPLES)
     fc = _fat_cantor(args.removed_scale)
     if args.matched is not None:
         _require_range("matched", args.matched, 1)
@@ -382,7 +394,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, _error_line(message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged."""
     parser = _Parser(
         prog="vclab",
         description="exact-arithmetic experiments on translate families, "

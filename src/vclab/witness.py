@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .cantor import FatCantorSet, branch_of_stage
 from .constructible import on_lattice
@@ -134,17 +136,43 @@ def steinhaus_neighborhood(fc: FatCantorSet) -> tuple[Fraction, Fraction]:
 
 
 def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, Fraction]]:
-    """For each shift u, the exact measure of K ∩ (K + u) for the stage set
-    K, together with the certified floor 2*limit - window - |u| for the
-    limit set.  K is built once for all shifts."""
-    core = fc.stage_set(stage)
+    """For each shift u (an int or a Fraction), the exact measure of
+    K ∩ (K + u) for the stage set K, together with the certified floor
+    2*limit - window - |u| for the limit set.
+
+    Overlap lemma: with W = W_m and the left ends L_m(b) of `vclab.cantor`,
+    let U = q 2^(2m+1) (so u_m = 1/U), L = lcm(U, den(u)), k = L/U and
+    t = uL, an integer.  On 1/L the stage-m components are [kl, kl + kW] for
+    l in `FatCantorSet.lefts(m)`, and then
+    |K ∩ (K + u)| L = sum over pairs (l, l') of max(0, kW - |kl - kl' - t|).
+    Proof: two closed intervals of width w at offset d meet in width
+    max(0, w - |d|).  The components of K are pairwise disjoint closed
+    intervals, and so are those of K + u, so the pieces
+    [kl, kl + kW] ∩ [kl' + t, kl' + t + kW] of distinct pairs are disjoint,
+    and the measure is the sum of their widths.  A pair has a positive term
+    only if kl - t - kW < kl' < kl - t + kW, an open interval of width 2kW.
+    Two consecutive components are W wide and at least one removed middle
+    (2p u_s wide at stage s) lies between them, so consecutive lefts differ
+    by more than W; hence at most two kl' lie in that interval, and they are
+    the first two above kl - t - kW.  So a shift costs 2^m bisections and at
+    most 2^(m+1) integer terms, and builds only the two Fractions it returns."""
+    lefts, w = fc.lefts(stage), fc.width(stage)
+    unit = fc.removed_scale.denominator << (2 * stage + 1)
     lo, hi = fc.window
-    base = 2 * fc.limit_measure() - (hi - lo)
+    base_num, base_den = (2 * fc.limit_measure() - (hi - lo)).as_integer_ratio()
     overlaps = []
     for shift in shifts:
-        shift = Fraction(shift)
-        exact = core.intersection(core.translate(shift)).measure()
-        overlaps.append((exact, base - abs(shift)))
+        num, den = shift.as_integer_ratio()
+        g = gcd(unit, den)
+        k, t = den // g, num * (unit // g)
+        ends, kw = [left * k for left in lefts], w * k
+        total = 0
+        for left in ends:
+            i = bisect_right(ends, left - t - kw)
+            for other in ends[i:i + 2]:
+                total += max(0, kw - abs(left - other - t))
+        overlaps.append((Fraction(total, unit * k),
+                         Fraction(base_num * den - abs(num) * base_den, base_den * den)))
     return overlaps
 
 

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from vclab.cli import MAX_VCDIM_ORDER, main
+import vclab
+from vclab.cli import MAX_VCDIM_ORDER, build_parser, main
 from vclab.cantor import FatCantorSet
 from vclab.constructible import parse_set
 from vclab.witness import ShatterWitness, verify_witness
@@ -27,6 +31,32 @@ def test_usage_error_exits_2(capsys):
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def test_main_calls_in_one_process_leak_nothing(tmp_path, capsys):
+    # One parser serves every main call of a process; a config run, a flag
+    # error and a plain run after them behave as they do in a fresh process.
+    assert build_parser() is build_parser()
+    config = tmp_path / "stage2.json"
+    config.write_text('{"stage": 2}')
+    assert main(["steinhaus", "--config", str(config), "--out", str(tmp_path / "stage2.csv")]) == 0
+    assert main(["steinhaus", "--out", str(tmp_path / "plain.csv")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["steinhaus", "--stage", "x"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert main(["steinhaus", "--out", str(tmp_path / "again.csv")]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vclab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("VCLAB_OUT_DIR", None)
+    for argv, name in ((["--stage", "2"], "stage2"), ([], "plain"), ([], "again")):
+        fresh = tmp_path / f"fresh-{name}.csv"
+        subprocess.run([sys.executable, "-m", "vclab.cli", "steinhaus", *argv, "--out", str(fresh)],
+                       env=env, check=True, capture_output=True)
+        assert (tmp_path / f"{name}.csv").read_bytes() == fresh.read_bytes(), name
+    assert (tmp_path / "stage2.csv").read_bytes() != (tmp_path / "plain.csv").read_bytes()
 
 
 def test_witness_roundtrip_through_cli(tmp_path):
@@ -230,12 +260,17 @@ def test_vcdim_prints_dimension(tmp_path, capsys):
     assert payload["shatter_report"]["shattered"]
 
 
-def test_eps_approx_no_passing_n_exits_3(tmp_path):
+def test_eps_approx_no_passing_n_exits_3(tmp_path, capsys):
+    # A schedule with no passing N is a spent budget: the table is written
+    # first, then main prints its one line.
     code = main(
         ["eps-approx", "--group", "cyclic:100", "--arc", "30", "--epsilon", "1/50",
          "--trials", "5", "--schedule", "5,10", "--out", str(tmp_path / "e.csv")]
     )
     assert code == 3
+    err = capsys.readouterr().err
+    assert err == "budget exhausted: no N in the schedule reached a 95% success rate; wrote the table\n"
+    assert len((tmp_path / "e.csv").read_text().splitlines()) == 3  # header + two sizes
 
 
 def test_eps_approx_csv_columns(tmp_path):
@@ -502,6 +537,13 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "r-exponents '-65:0' has an exponent above 64 in magnitude"),
         (["border-sweep", "--r-exponents", "100000:100000"],
          "r-exponents '100000:100000' has an exponent above 64 in magnitude"),
+        (["counterexample", "--triples", "1000001"], "--triples 1000001 is above the cap of 1000000"),
+        (["counterexample", "--triples", "99999999999"],
+         "--triples 99999999999 is above the cap of 1000000"),
+        (["eps-approx", "--schedule", "5,1000001"],
+         "--schedule '5,1000001' has a sample size above the cap of 1000000"),
+        (["eps-approx", "--schedule", "99999999999"],
+         "--schedule '99999999999' has a sample size above the cap of 1000000"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -530,7 +572,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "epsilon-exponent-above-cap",
          "set-exponent-above-cap", "group-above-eps-cap", "sets-above-cap",
          "sets-far-above-cap", "trials-above-cap", "trials-far-above-cap", "exponent-above-cap",
-         "negative-exponent-above-cap", "exponent-far-above-cap"],
+         "negative-exponent-above-cap", "exponent-far-above-cap", "triples-above-cap",
+         "triples-far-above-cap", "sample-size-above-cap", "sample-size-far-above-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from vclab.cli import main
+from vclab.cli import MAX_EPS_SAMPLES, MAX_TRIPLES, main
 
 SEEDS = ["0", "7", "-1", "abc", "", "1.5", "99999999999999999999"]
 SMALL = ["2", "1", "0", "-1", "abc", "", "1.5", "2\n"]
@@ -51,7 +51,8 @@ COMMANDS = {
     "eps-approx": ({"trials": SMALL + ABOVE_CAP,
                     "group": ["cyclic:50", "cyclic:1", "cyclic:0", "cyclic:1000001",
                               "cyclic:abc", "arc:3"],
-                    "schedule": ["5,10", "1", "0", "-5", "", "a", "5,,10"],
+                    "schedule": ["5,10", "1", "0", "-5", "", "a", "5,,10",
+                                 f"5,{MAX_EPS_SAMPLES + 1}", "99999999999"],
                     "arc": ["3", "0", "-1", "49", "50", "abc", ""]},
                    {"epsilon": RATIONALS}),
     "steinhaus": ({"stage": ["3", "0", "-1", "6", "17", "99999999999", "x"]},
@@ -63,7 +64,8 @@ COMMANDS = {
                       "r-exponents": ["4:6", "6:4", "0:0", "-2:1", "a:b", "4", "4:5:6", "", ":",
                                       "0:65", "-65:0", "0:99999999999"]},
                      {"window": WINDOWS}),
-    "counterexample": ({"triples": SMALL, "intervals": SMALL, "points-per": SMALL},
+    "counterexample": ({"triples": SMALL + [str(MAX_TRIPLES + 1), "99999999999"],
+                        "intervals": SMALL, "points-per": SMALL},
                        {"matched": ["2", "1", "0", "-1", "x"], **SCALE}),
     "theorem5-report": ({"set": SETS}, {"window": WINDOWS}),
     "translate-vcdim": ({"set": SETS}, {"window": WINDOWS}),

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -130,6 +132,79 @@ def test_steinhaus_neighborhood_values(fc):
         assert exact >= floor > 0
     with pytest.raises(ValueError):
         core_overlap(fc, -1, [0])
+
+
+# Removal scales p/q in (0, 1) with q < 40, as perfbench's SCALES but also below 1/2.
+OVERLAP_SCALES = sorted({F(p, q) for q in range(2, 40) for p in range(1, q)})
+
+
+def generic_overlap(core, u):
+    """|K ∩ (K + u)| through the generic set algebra: the oracle."""
+    return core.intersection(core.translate(u)).measure()
+
+
+def test_core_overlap_matches_generic_set_algebra():
+    rng = random.Random("core-overlap")
+    for _ in range(160):
+        fc = FatCantorSet(rng.choice(OVERLAP_SCALES))
+        m = rng.randrange(9)
+        q, core = fc.removed_scale.denominator, fc.stage_set(m)
+        lefts, w, unit = fc.lefts(m), fc.width(m), q << (2 * m + 1)
+        # Denominators coprime to q, on and off the stage lattice, and unrelated.
+        coprime = next(d for d in rng.sample(range(2, 400), 398) if math.gcd(d, q) == 1)
+        shifts = [F(rng.randint(-den, den), den) for den in (coprime, unit, 1000, rng.randint(1, 10**6))]
+        # Two components that only touch: the offset of a pair is exactly +-W.
+        i, j = rng.randrange(len(lefts)), rng.randrange(len(lefts))
+        shifts.append(F(lefts[i] - lefts[j] + rng.choice((w, -w)), unit))
+        shifts += [-u for u in shifts]
+        overlaps = core_overlap(fc, m, [0, 1, -1, F(rng.randint(1, 50), rng.randint(1, 50)) + 1, *shifts])
+        base = 2 * fc.limit_measure() - 1
+        assert overlaps[0] == (fc.stage_measure(m), base)
+        assert [exact for exact, _ in overlaps[1:4]] == [0, 0, 0]
+        half = len(shifts) // 2
+        for u, (exact, floor), (mirror, _) in zip(shifts, overlaps[4:], overlaps[4 + half:]):
+            assert exact == generic_overlap(core, u) == mirror, (fc, m, u)
+            assert floor == base - abs(u)
+
+
+def test_core_overlap_touching_components_add_nothing(fc):
+    # At stage 1 the components are [0, W] and [W + 2p, 2W + 2p] on u_1.  A
+    # shift by W makes each touch its own translate at one point (offset
+    # exactly W), and the first translate overlaps the second component by
+    # W - 2p, which is all of the overlap.
+    w, p = fc.width(1), fc.removed_scale.numerator
+    u = fc.value(1, w)
+    exact = [e for e, _ in core_overlap(fc, 1, [u, -u])]
+    assert exact == [fc.value(1, w - 2 * p)] * 2 == [generic_overlap(fc.stage_set(1), u)] * 2
+
+
+def test_core_overlap_builds_no_set_and_two_fractions_per_shift(monkeypatch):
+    fc = FatCantorSet(F(23, 37))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was built")
+
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FatCantorSet, "stage_set", refuse)
+    monkeypatch.setattr(FatCantorSet, "stage_components", refuse)
+    monkeypatch.setattr(ConstructibleSet, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    shifts = [F(-37, 1000), F(1, 7), 0, F(5, 3)]
+    counts = []
+    for n in (0, 1, len(shifts)):
+        built.clear()
+        overlaps = core_overlap(fc, 8, shifts[:n])
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 2 and counts[2] - counts[0] == 2 * len(shifts)
+    monkeypatch.undo()
+    assert overlaps == [(generic_overlap(fc.stage_set(8), u), 2 * fc.limit_measure() - 1 - abs(u))
+                        for u in shifts]
 
 
 def test_validate_stages(fc):
