@@ -1,19 +1,22 @@
 """Sampling-based epsilon-approximations with exact verification, and the
 hitting-set / covering pattern for translate families in a cyclic group.
 
-The sup-deviation over all translates is computed exactly in integer
-arithmetic: the base set is decomposed into circular arcs so every
-translate's sample count comes from prefix sums, and the deviation
-comparison |count*n - |X|*N| happens on integers before any Fraction is
-formed.
+The sup-deviation over all translates is exact integer arithmetic on whole
+lists: one `Counter` pass gives the sample's histogram, each circular arc of
+the base adds one difference of two histogram rotations to the steps between
+neighbouring translates, and their running sums are all n sample counts, so
+max(count*n - |X|*N, |X|*N - count*n) is compared before any Fraction is formed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, groupby, islice, repeat
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import HittingSetError, UnsampleableError
@@ -28,9 +31,8 @@ class FiniteTranslateFamily:
     base: tuple
 
     def __post_init__(self):
-        vals = sorted({self.model.normalize(v) for v in self.base})
-        self.base = tuple(vals)
-        self._arcs = _circular_arcs(vals, self.model.n)
+        self.base = tuple(sorted({self.model.normalize(v) for v in self.base}))
+        self._arcs = _circular_arcs(self.base, self.model.n)
 
     def member_measure(self) -> Fraction:
         return self.model.haar_measure(self.base)
@@ -40,47 +42,34 @@ class FiniteTranslateFamily:
 
     def sup_deviation(self, sample: Sequence) -> Fraction:
         """Exact sup over every translate of |Av(sample) - measure|."""
-        n = self.model.n
-        n_samp = len(sample)
-        hist = [0] * n
-        for p in sample:
-            hist[self.model.normalize(p)] += 1
-        # Prefix sums over two periods so any arc read is a single difference.
-        prefix = [0] * (2 * n + 1)
-        for i in range(2 * n):
-            prefix[i + 1] = prefix[i] + hist[i % n]
-        base_size = len(self.base)
-        best_num = 0
-        for g in range(n):
-            count = 0
-            for start, length in self._arcs:
-                s = (g + start) % n
-                count += prefix[s + length] - prefix[s]
-            best_num = max(best_num, abs(count * n - base_size * n_samp))
+        n, n_samp = self.model.n, len(sample)
+        counter = Counter(sample)
+        hist = list(map(counter.get, range(n), repeat(0)))
+        if sum(hist) != n_samp:  # some point is not a residue in range(n)
+            counter = Counter(map(self.model.normalize, sample))
+            hist = list(map(counter.get, range(n), repeat(0)))
+        # From translate g to g + 1 an arc gains the point after its end and
+        # loses its first one: its n steps are one difference of two histogram
+        # rotations, and the n translates' counts are running sums from g = 0.
+        steps = repeat(0, n)
+        for start, length in self._arcs:
+            end = (start + length) % n
+            gained = islice(chain(hist, hist), end, end + n)
+            lost = islice(chain(hist, hist), start, start + n)
+            steps = list(map(add, steps, map(sub, gained, lost)))
+        counts = list(accumulate(steps, initial=sum(map(hist.__getitem__, self.base))))
+        expected = len(self.base) * n_samp
+        best_num = max(max(counts) * n - expected, expected - min(counts) * n)
         return Fraction(best_num, n * n_samp)
 
 
-def _circular_arcs(vals: list[int], n: int) -> list[tuple[int, int]]:
-    """Decompose a sorted residue set into maximal circular arcs
-    (start, length); the wrap-around arc is merged."""
-    if not vals:
-        return []
-    if len(vals) == n:
-        return [(0, n)]
-    arcs = []
-    start = prev = vals[0]
-    for v in vals[1:]:
-        if v == prev + 1:
-            prev = v
-        else:
-            arcs.append((start, prev - start + 1))
-            start = prev = v
-    arcs.append((start, prev - start + 1))
-    if len(arcs) > 1 and arcs[0][0] == 0 and arcs[-1][0] + arcs[-1][1] == n:
-        first = arcs.pop(0)
-        last = arcs.pop()
-        arcs.append((last[0], last[1] + first[1]))
-    return arcs
+def _circular_arcs(vals: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Decompose a sorted residue set into maximal circular arcs (start,
+    length): runs of values v at places i with v - i fixed, the wrap merged."""
+    runs = [[v for _, v in run] for _, run in groupby(enumerate(vals), lambda iv: iv[1] - iv[0])]
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
+        runs[-1] += runs.pop(0)
+    return [(run[0], len(run)) for run in runs]
 
 
 @dataclass
@@ -100,7 +89,7 @@ def epsilon_approximation(
         raise ValueError("epsilon must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    points = [model.sample_uniform(rng) for _ in range(n_samples)]
+    points = model.sample(rng, n_samples)
     dev = family.sup_deviation(points)
     return ApproxResult(points, dev, dev < epsilon)
 
@@ -185,7 +174,7 @@ def hitting_set_for_translates(
         n_points = max(1, math.ceil(math.log(max(len(translators), 2)) / float(epsilon)))
     last_missed = None
     for _ in range(retries):
-        points = [model.sample_uniform(rng) for _ in range(n_points)]
+        points = model.sample(rng, n_points)
         ok, missed = covering_check(base_vals, points, translators, model)
         if ok:
             return points

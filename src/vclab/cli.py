@@ -40,6 +40,9 @@ from .witness import construct_witness, core_overlap, steinhaus_neighborhood, ve
 # lattice: the default six shifts at stage 16 take about 0.35 s at a peak RSS
 # of about 28 MB (CPython 3.11, one Xeon core), and the time doubles per stage.
 MAX_STEINHAUS_STAGE = 16
+# Each shift is one more pass over the 2^m left ends, about 50 ms at stage 16,
+# so this many shifts take about 50 s at the stage cap (peak RSS about 29 MB).
+MAX_STEINHAUS_SHIFTS = 1000
 
 # border-sweep takes the radii 2^-j for j in --r-exponents, and the measures'
 # denominators grow with |j|: one set takes about 1 ms over the default 9
@@ -56,16 +59,17 @@ MAX_R_EXPONENT = 64
 # the same VC dimension in cyclic:p.
 MAX_VCDIM_ORDER = 8192
 
-# sup_deviation reads all N translates off prefix sums over two periods, so
-# one trial takes O(N) time and about 3N list slots.  At this order one trial
-# takes about 0.8 s at a peak RSS of about 40 MB (CPython 3.11, one Xeon
-# core), so the default 100 trials per schedule entry already take minutes,
-# and the trials cap about 13 minutes; at cyclic:1000 with 125 samples a trial
-# takes about 0.4 ms, and the cap about 0.4 s per entry.
+# sup_deviation reads all N translates as running sums of the steps between
+# neighbouring translates, whole-list passes over the histogram, so one trial
+# takes O(N) time and about 3N list slots (histogram, steps, counts).  At this
+# order one trial takes about 0.12 s at a peak RSS of about 54 MB (CPython
+# 3.11, one Xeon core), so the default 100 trials per schedule entry take about
+# 12 s, and the trials cap about 2 minutes; at cyclic:1000 with 125 samples a
+# trial takes about 0.14 ms, and the cap about 0.14 s per entry.
 MAX_EPS_ORDER = 10**6
 MAX_EPS_TRIALS = 1000
-# One eps-approx trial draws all N sample points into a list: at this size a
-# trial takes about 0.36 s at a peak RSS of about 48 MB.
+# One eps-approx trial draws all N sample points into one list: at this size
+# a trial takes about 0.09 s at a peak RSS of about 48 MB.
 MAX_EPS_SAMPLES = 10**6
 
 # no_shatter3_check keeps one pattern count per sampled triple, about 33 us
@@ -261,6 +265,9 @@ def cmd_eps_approx(args) -> int:
 
 def cmd_steinhaus(args) -> int:
     _require_range("stage", args.stage, 0, MAX_STEINHAUS_STAGE)
+    count = args.shifts.count(",") + 1
+    if count > MAX_STEINHAUS_SHIFTS:
+        raise ValueError(f"--shifts lists {count} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}")
     shifts = _flag_value("--shifts", args.shifts, _rationals)
     fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)

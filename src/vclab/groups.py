@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 
@@ -47,9 +48,18 @@ class CyclicGroup:
     def elements(self) -> range:
         return range(self.n)
 
-    def sample_uniform(self, rng: random.Random) -> int:
-        """A uniform draw from the group, as a normalized residue."""
-        return rng.randrange(self.n)
+    def sample(self, rng: random.Random, k: int) -> list[int]:
+        """k uniform draws, exactly [rng.randrange(n) for _ in range(k)], with
+        rng left where those calls leave it: CPython 3.10 and 3.11 draw
+        n.bit_length() bits until they are below n, and a batch keeps its
+        accepted draws in order and asks for no more than are still missing."""
+        n, bits = self.n, self.n.bit_length()
+        def batch(size):
+            return [r for r in map(rng.getrandbits, repeat(bits, size)) if r < n]
+        draws = batch(k)
+        while len(draws) < k:
+            draws += batch(k - len(draws))
+        return draws
 
     def describe(self) -> dict:
         return {"kind": "cyclic", "n": self.n}

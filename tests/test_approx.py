@@ -60,6 +60,42 @@ def test_fast_path_matches_naive_recount():
         assert fam.sup_deviation(sample) == sup_deviation_naive(fam, sample)
 
 
+def _recount_case(kind, rng):
+    """(n, base, sample) of one seeded oracle case of the given kind."""
+    n = 1 if kind == "order-1" else rng.randrange(7, 60)
+    sample = [rng.randrange(n) for _ in range(rng.randrange(1, 40))]
+    base = [v for v in range(n) if rng.random() < 0.4]
+    if kind == "wrap":
+        # One arc through n - 1 and 0, which wraps, and at least one more.
+        base = [0, 3, n - 1] + [v for v in range(5, n - 2) if rng.random() < 0.5]
+    elif kind == "empty":
+        base = []
+    elif kind == "full":
+        base = range(n)
+    elif kind == "order-1":
+        sample = [rng.randint(-5, 5) for _ in sample]
+    elif kind == "out-of-range":
+        # Every point moved by a nonzero multiple of n, some below 0, some at or above n.
+        sample = [v + n * rng.choice((-3, -1, 1, 2)) for v in sample] + [-1, n]
+    elif kind == "repeated":
+        sample = sample[:3] * rng.randrange(2, 20) + [sample[0]] * rng.randrange(1, 30)
+    return n, base, sample
+
+
+@pytest.mark.parametrize("kind", ["wrap", "empty", "full", "order-1", "out-of-range", "repeated"])
+def test_fast_path_matches_naive_recount_edge_cases(kind):
+    rng = random.Random(f"recount/{kind}")
+    for _ in range(25):
+        n, base, sample = _recount_case(kind, rng)
+        fam = FiniteTranslateFamily(CyclicGroup(n), base)
+        if kind == "wrap":
+            assert len(fam._arcs) > 1 and any(start + length > n for start, length in fam._arcs)
+        dev = fam.sup_deviation(sample)
+        assert dev == sup_deviation_naive(fam, sample)
+        if kind in ("empty", "full") or n == 1:
+            assert dev == 0  # every translate holds no point, or all of them
+
+
 def test_epsilon_one_always_succeeds_at_one_sample():
     z = CyclicGroup(1000)
     fam = FiniteTranslateFamily(z, range(300))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import vclab
-from vclab.cli import MAX_VCDIM_ORDER, build_parser, main
+from vclab.cli import MAX_STEINHAUS_SHIFTS, MAX_VCDIM_ORDER, build_parser, main
 from vclab.cantor import FatCantorSet
 from vclab.constructible import parse_set
 from vclab.witness import ShatterWitness, verify_witness
@@ -544,6 +544,10 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--schedule '5,1000001' has a sample size above the cap of 1000000"),
         (["eps-approx", "--schedule", "99999999999"],
          "--schedule '99999999999' has a sample size above the cap of 1000000"),
+        (["steinhaus", "--shifts", ",".join(["1/100"] * (MAX_STEINHAUS_SHIFTS + 1))],
+         f"--shifts lists {MAX_STEINHAUS_SHIFTS + 1} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}"),
+        (["steinhaus", "--stage", "16", "--shifts", "0," * 10**6],
+         f"--shifts lists {10**6 + 1} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -573,12 +577,22 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "set-exponent-above-cap", "group-above-eps-cap", "sets-above-cap",
          "sets-far-above-cap", "trials-above-cap", "trials-far-above-cap", "exponent-above-cap",
          "negative-exponent-above-cap", "exponent-far-above-cap", "triples-above-cap",
-         "triples-far-above-cap", "sample-size-above-cap", "sample-size-far-above-cap"],
+         "triples-far-above-cap", "sample-size-above-cap", "sample-size-far-above-cap",
+         "shifts-above-cap", "shifts-far-above-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_steinhaus_runs_at_the_shifts_cap(tmp_path):
+    shifts = [Fraction(k, 10 * MAX_STEINHAUS_SHIFTS) for k in range(MAX_STEINHAUS_SHIFTS)]
+    out = tmp_path / "steinhaus.csv"
+    argv = ["steinhaus", "--stage", "2", "--shifts", ",".join(map(str, shifts)), "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(u) for u in shifts]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

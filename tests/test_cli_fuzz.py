@@ -9,18 +9,19 @@ counts, trailing newlines, ...).  It is written as `--flag value` or
 name no subcommand or an unknown one.  An argparse `SystemExit` counts as
 its exit code.
 
-The count flags that size a run (`--sets`, `--trials`, `--depth`,
-`--triples`, `--stage`, ...) are always given and drawn from a small range,
-since a run takes time linear or worse in them: that is a runtime bound for
-tier-1, not a skipped case.  Values above a flag's cap are still drawn where
-the cap rejects them before any work.
+The flags that size a run (`--sets`, `--trials`, `--depth`, `--triples`,
+`--stage`, the `--shifts` list, ...) are always given and drawn from a small
+range, since a run takes time linear or worse in them: that is a runtime
+bound for tier-1, not a skipped case.  Values above a flag's cap, and
+`--shifts` lists longer than theirs, are still drawn where the cap rejects
+them before any work.
 """
 
 import random
 
 import pytest
 
-from vclab.cli import MAX_EPS_SAMPLES, MAX_TRIPLES, main
+from vclab.cli import MAX_EPS_SAMPLES, MAX_STEINHAUS_SHIFTS, MAX_TRIPLES, main
 
 SEEDS = ["0", "7", "-1", "abc", "", "1.5", "99999999999999999999"]
 SMALL = ["2", "1", "0", "-1", "abc", "", "1.5", "2\n"]
@@ -55,9 +56,11 @@ COMMANDS = {
                                  f"5,{MAX_EPS_SAMPLES + 1}", "99999999999"],
                     "arc": ["3", "0", "-1", "49", "50", "abc", ""]},
                    {"epsilon": RATIONALS}),
-    "steinhaus": ({"stage": ["3", "0", "-1", "6", "17", "99999999999", "x"]},
-                  {"shifts": ["1/100,-1/100", "0", "", ",", "1/0", "1e4301", "-1/20", "abc",
-                              "1/10,1/10"], **SCALE}),
+    "steinhaus": ({"stage": ["3", "0", "-1", "6", "17", "99999999999", "x"],
+                   "shifts": ["1/100,-1/100", "0", "", ",", "1/0", "1e4301", "-1/20", "abc",
+                              "1/10,1/10", ",".join(["1/100"] * (MAX_STEINHAUS_SHIFTS + 1)),
+                              "0," * 10**6]},
+                  SCALE),
     "witness": ({"depth": ["2", "3", "1", "0", "-1", "abc", ""]},
                 {"stage-budget": ["2000", "5", "0", "-1", "99999999999", "x"], **SCALE}),
     "border-sweep": ({"sets": SMALL + ABOVE_CAP,

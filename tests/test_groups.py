@@ -12,10 +12,8 @@ MODELS = [CyclicGroup(5), CyclicGroup(12)]
 def test_group_axioms_randomized(model):
     rng = random.Random(f"axioms/{model.describe()}")
     op, e = model.compose, model.identity()
-    for _ in range(10_000):
-        g = model.sample_uniform(rng)
-        h = model.sample_uniform(rng)
-        k = model.sample_uniform(rng)
+    draws = model.sample(rng, 30_000)
+    for g, h, k in zip(draws[0::3], draws[1::3], draws[2::3]):
         assert all(model.normalize(x) == x for x in (g, h, k))
         assert op(op(g, h), k) == op(g, op(h, k))
         assert op(g, e) == g and op(e, g) == g
@@ -47,24 +45,33 @@ def test_haar_measure_counting_and_invariance():
 
 def test_sampler_deterministic():
     z = CyclicGroup(97)
-    a = [z.sample_uniform(random.Random("s")) for _ in range(50)]
-    b = [z.sample_uniform(random.Random("s")) for _ in range(50)]
-    # same seed, fresh generators: identical first draw; same stream when shared
-    assert a[0] == b[0]
+    a = z.sample(random.Random("s"), 50)
+    b = z.sample(random.Random("s"), 50)
+    assert a == b and len(a) == 50 and all(z.normalize(v) == v for v in a)
+    # one generator shared by two calls continues where the first call stopped
     rng1, rng2 = random.Random(123), random.Random(123)
-    assert [z.sample_uniform(rng1) for _ in range(200)] == [
-        z.sample_uniform(rng2) for _ in range(200)
-    ]
+    assert z.sample(rng1, 80) + z.sample(rng1, 120) == z.sample(rng2, 200)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 10**6])
+def test_sample_is_the_randrange_stream(n):
+    # Same values as randrange from equal seeds, and the generator left where
+    # randrange leaves it, also at n = 2^j + 1 where about half the bits are
+    # redrawn, and at n = 1 where every draw is 0.
+    z = CyclicGroup(n)
+    for k in (0, 1, 7, 500):
+        rng, ref = random.Random(f"stream/{n}/{k}"), random.Random(f"stream/{n}/{k}")
+        assert z.sample(rng, k) == [ref.randrange(n) for _ in range(k)]
+        assert rng.getstate() == ref.getstate()
 
 
 def test_uniformity_three_sigma():
     # 1e5 draws on Z_10: each residue count within 3 sigma of 10000,
     # sigma = sqrt(1e5 * 0.1 * 0.9) ~ 94.87
     z = CyclicGroup(10)
-    rng = random.Random("freq")
     counts = [0] * 10
-    for _ in range(100_000):
-        counts[z.sample_uniform(rng)] += 1
+    for v in z.sample(random.Random("freq"), 100_000):
+        counts[v] += 1
     for c in counts:
         assert abs(c - 10_000) <= 285
 
