@@ -36,13 +36,15 @@ from .rational import parse_rational
 from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
-# `steinhaus --stage m` reads the 2^m stage-m left ends off one integer
-# lattice: the default six shifts at stage 16 take about 0.35 s at a peak RSS
-# of about 28 MB (CPython 3.11, one Xeon core), and the time doubles per stage.
-MAX_STEINHAUS_STAGE = 16
-# Each shift is one more pass over the 2^m left ends, about 50 ms at stage 16,
-# so this many shifts take about 50 s at the stage cap (peak RSS about 29 MB).
-MAX_STEINHAUS_SHIFTS = 1000
+# `steinhaus --stage m` walks the m address digits of the stage-m components
+# once per shift, holding about 2^(0.6m) residuals at the default scale: the
+# default six shifts at stage 26 take about 0.16 s at a peak RSS of about
+# 27 MB (CPython 3.11, one Xeon core), and the time grows about 1.4x per stage.
+MAX_STEINHAUS_STAGE = 26
+# The costliest shift found, u = 1/3 at --removed-scale 1/1000000, holds
+# about phi^m residuals: 300 of them take about 47 s at the stage cap (peak
+# RSS about 60 MB).
+MAX_STEINHAUS_SHIFTS = 300
 
 # border-sweep takes the radii 2^-j for j in --r-exponents, and the measures'
 # denominators grow with |j|: one set takes about 1 ms over the default 9

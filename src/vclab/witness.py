@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -143,21 +142,39 @@ def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, F
     Overlap lemma: with W = W_m and the left ends L_m(b) of `vclab.cantor`,
     let U = q 2^(2m+1) (so u_m = 1/U), L = lcm(U, den(u)), k = L/U and
     t = uL, an integer.  On 1/L the stage-m components are [kl, kl + kW] for
-    l in `FatCantorSet.lefts(m)`, and then
-    |K ∩ (K + u)| L = sum over pairs (l, l') of max(0, kW - |kl - kl' - t|).
+    l = L_m(b), b < 2^m, and then
+    |K ∩ (K + u)| L = sum over pairs (b, b') of max(0, kW - |kl - kl' - t|).
     Proof: two closed intervals of width w at offset d meet in width
     max(0, w - |d|).  The components of K are pairwise disjoint closed
     intervals, and so are those of K + u, so the pieces
     [kl, kl + kW] ∩ [kl' + t, kl' + t + kW] of distinct pairs are disjoint,
-    and the measure is the sum of their widths.  A pair has a positive term
-    only if kl - t - kW < kl' < kl - t + kW, an open interval of width 2kW.
-    Two consecutive components are W wide and at least one removed middle
-    (2p u_s wide at stage s) lies between them, so consecutive lefts differ
-    by more than W; hence at most two kl' lie in that interval, and they are
-    the first two above kl - t - kW.  So a shift costs 2^m bisections and at
-    most 2^(m+1) integer terms, and builds only the two Fractions it returns."""
-    lefts, w = fc.lefts(stage), fc.width(stage)
-    unit = fc.removed_scale.denominator << (2 * stage + 1)
+    and the measure is the sum of their widths.
+
+    Digit recursion: bit i of b adds c_i = 3p 4^i + (2q - p) 2^(m+i) to
+    L_m(b), so kl - kl' - t = -(t - k sum_i e_i c_i) with
+    e_i = bit_i(b) - bit_i(b') in {-1, 0, 1}.  A digit with e_i = +-1 fixes
+    both bits and one with e_i = 0 has two bit pairs, so each e stands for
+    2^(#zeros) pairs and the sum is
+    sum over e of 2^(#zeros) max(0, kW - |t - k sum_i e_i c_i|).
+    Walk the digits top down, holding each residual r = t - k sum_(j>=i) e_j c_j
+    with the number of pairs it stands for: digit i sends r to r (times 2) and
+    to r -+ k c_i (times 1).  The digits below i move r by at most k S_i,
+    S_i = sum_(j<i) c_j, so a residual with |r| >= k(S_i + W) ends at
+    |r| >= kW and adds nothing: it is dropped.  Two prefixes with equal
+    residuals have the same continuations, so they merge into one residual
+    with the summed count.  S_m + W = U, so the start {t: 1} survives only
+    for |u| < 1, and S_0 + W = W, so what survives digit 0 is exactly the
+    positive terms.  As c_i = S_i + W + 2p 4^i, the kept band
+    (-k(S_i + W), k(S_i + W)) is narrower than the distance 2k c_i between
+    r - k c_i and r + k c_i, so at most one of the two survives.  A shift at
+    stage m holds about 2^(0.6 m) residuals at the default scale, and about
+    phi^m for u = 1/3 at a removed scale near 0, the costliest case found; it
+    builds only the two Fractions it returns."""
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
+    p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
+    w, unit = fc.width(stage), q << (2 * stage + 1)
+    digits = [3 * p * 4**i + ((2 * q - p) << (stage + i)) for i in reversed(range(stage))]
     lo, hi = fc.window
     base_num, base_den = (2 * fc.limit_measure() - (hi - lo)).as_integer_ratio()
     overlaps = []
@@ -165,12 +182,23 @@ def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, F
         num, den = shift.as_integer_ratio()
         g = gcd(unit, den)
         k, t = den // g, num * (unit // g)
-        ends, kw = [left * k for left in lefts], w * k
-        total = 0
-        for left in ends:
-            i = bisect_right(ends, left - t - kw)
-            for other in ends[i:i + 2]:
-                total += max(0, kw - abs(left - other - t))
+        reach = k * unit
+        residuals = {t: 1} if -reach < t < reach else {}
+        for digit in digits:
+            step = k * digit
+            reach -= step
+            merged = {}
+            for r, n in residuals.items():
+                # |r| < reach + step here, so r - step < reach and r + step > -reach.
+                if -reach < r < reach:
+                    merged[r] = merged.get(r, 0) + 2 * n
+                if r > step - reach:
+                    merged[r - step] = merged.get(r - step, 0) + n
+                elif r < reach - step:
+                    merged[r + step] = merged.get(r + step, 0) + n
+            residuals = merged
+        kw = k * w
+        total = sum(n * (kw - abs(r)) for r, n in residuals.items())
         overlaps.append((Fraction(total, unit * k),
                          Fraction(base_num * den - abs(num) * base_den, base_den * den)))
     return overlaps

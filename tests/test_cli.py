@@ -458,8 +458,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
         (["steinhaus", "--shifts", "1/10,abc"],
          "--shifts '1/10,abc': rational 'abc' must be p/q, an integer"),
         (["steinhaus", "--shifts", "1/0"], "--shifts '1/0': rational '1/0' has a zero denominator"),
-        (["steinhaus", "--stage", "17"], "--stage 17 is above the cap of 16"),
-        (["steinhaus", "--stage", "40"], "--stage 40 is above the cap of 16"),
+        (["steinhaus", "--stage", "27"], "--stage 27 is above the cap of 26"),
+        (["steinhaus", "--stage", "40"], "--stage 40 is above the cap of 26"),
         (["counterexample", "--matched", "9"], "the truncation would place more than 839 points"),
         (["counterexample", "--matched", "1000000"],
          "the truncation would place more than 839 points"),

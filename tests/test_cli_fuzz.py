@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from vclab.cli import MAX_EPS_SAMPLES, MAX_STEINHAUS_SHIFTS, MAX_TRIPLES, main
+from vclab.cli import MAX_EPS_SAMPLES, MAX_STEINHAUS_SHIFTS, MAX_STEINHAUS_STAGE, MAX_TRIPLES, main
 
 SEEDS = ["0", "7", "-1", "abc", "", "1.5", "99999999999999999999"]
 SMALL = ["2", "1", "0", "-1", "abc", "", "1.5", "2\n"]
@@ -56,7 +56,8 @@ COMMANDS = {
                                  f"5,{MAX_EPS_SAMPLES + 1}", "99999999999"],
                     "arc": ["3", "0", "-1", "49", "50", "abc", ""]},
                    {"epsilon": RATIONALS}),
-    "steinhaus": ({"stage": ["3", "0", "-1", "6", "17", "99999999999", "x"],
+    "steinhaus": ({"stage": ["3", "0", "-1", "6", str(MAX_STEINHAUS_STAGE + 1), "99999999999",
+                             "x"],
                    "shifts": ["1/100,-1/100", "0", "", ",", "1/0", "1e4301", "-1/20", "abc",
                               "1/10,1/10", ",".join(["1/100"] * (MAX_STEINHAUS_SHIFTS + 1)),
                               "0," * 10**6]},

@@ -11,9 +11,10 @@ import pytest
 
 import fraction_cantor
 import fraction_witness
+import pairwise_overlap
 from replay_witness import branch_stage_set, replay_witness
 from vclab.cantor import FatCantorSet
-from vclab.cli import main
+from vclab.cli import MAX_STEINHAUS_STAGE, main
 from vclab.constructible import ConstructibleSet
 from vclab.errors import BudgetExceededError
 from vclab.witness import (
@@ -178,6 +179,41 @@ def test_core_overlap_touching_components_add_nothing(fc):
     assert exact == [fc.value(1, w - 2 * p)] * 2 == [generic_overlap(fc.stage_set(1), u)] * 2
 
 
+def test_core_overlap_matches_pairwise_oracle():
+    rng = random.Random("core-overlap-pairwise")
+    for _ in range(120):
+        fc = FatCantorSet(rng.choice(OVERLAP_SCALES))
+        m = rng.randrange(13)
+        q, lefts, w = fc.removed_scale.denominator, fc.lefts(m), fc.width(m)
+        unit = q << (2 * m + 1)
+        coprime = next(d for d in rng.sample(range(2, 400), 398) if math.gcd(d, q) == 1)
+        # On the stage lattice, coprime to q, unrelated up to 10^6, and |u| >= 1.
+        shifts = [F(rng.randint(-den, den), den) for den in (unit, coprime, rng.randint(1, 10**6))]
+        shifts += [F(rng.randint(0, unit), unit) + rng.randint(1, 2), 1, 0]
+        # Pairs of components that only touch (offsets of exactly +-W) or
+        # overlap by one lattice unit, among them the first and the last.
+        last = len(lefts) - 1
+        for i, j in ((0, last), (rng.randint(0, last), rng.randint(0, last))):
+            shifts += [F(lefts[i] - lefts[j] + off, unit) for off in (w, -w, w - 1, 1 - w)]
+        shifts += [-u for u in shifts]
+        assert core_overlap(fc, m, shifts) == pairwise_overlap.core_overlap(fc, m, shifts), (fc, m)
+
+
+def test_core_overlap_deep_stages_shrink_by_at_most_the_lost_measure():
+    # No oracle reaches these stages.  K_(m+1) ⊆ K_m, so the overlap can only
+    # shrink from stage m to m + 1, and by at most what K_m \ K_(m+1) and its
+    # translate cover: ov_(m+1) <= ov_m <= ov_(m+1) + 2(|K_m| - |K_(m+1)|).
+    rng = random.Random("core-overlap-deep")
+    for scale in (F(4, 5), rng.choice(OVERLAP_SCALES)):
+        fc = FatCantorSet(scale)
+        shifts = [F(rng.randint(-1000, 1000), rng.randint(1000, 10**4)) for _ in range(3)]
+        rows = [core_overlap(fc, m, shifts) for m in range(MAX_STEINHAUS_STAGE + 2)]
+        for m, (here, deeper) in enumerate(zip(rows, rows[1:])):
+            lost = 2 * (fc.stage_measure(m) - fc.stage_measure(m + 1))
+            for u, (ov, floor), (ov_next, _) in zip(shifts, here, deeper):
+                assert ov_next <= ov <= ov_next + lost and ov >= floor, (fc, m, u)
+
+
 def test_core_overlap_builds_no_set_and_two_fractions_per_shift(monkeypatch):
     fc = FatCantorSet(F(23, 37))
 
@@ -191,8 +227,9 @@ def test_core_overlap_builds_no_set_and_two_fractions_per_shift(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(FatCantorSet, "stage_set", refuse)
-    monkeypatch.setattr(FatCantorSet, "stage_components", refuse)
+    # No stage set, and no list of the 2^m left ends either.
+    for name in ("stage_set", "stage_components", "lefts", "_left_ends"):
+        monkeypatch.setattr(FatCantorSet, name, refuse)
     monkeypatch.setattr(ConstructibleSet, "__init__", refuse)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     shifts = [F(-37, 1000), F(1, 7), 0, F(5, 3)]
