@@ -134,15 +134,14 @@ def sample_complexity_sweep(
         return result
     epsilon = Fraction(epsilon)
     for n_samples in schedule:
-        successes = 0
-        devs = []
+        successes, lo, hi = 0, None, None
         for t in range(trials):
             rng = random.Random(f"{seed}/eps/{n_samples}/{t}")
             res = epsilon_approximation(model, family, epsilon, n_samples, rng)
-            devs.append(res.sup_deviation)
-            if res.success:
-                successes += 1
-        result.rows.append(SweepRow(n_samples, trials, successes, min(devs), max(devs)))
+            successes += res.success
+            dev = res.sup_deviation
+            lo, hi = (dev, dev) if lo is None else (min(lo, dev), max(hi, dev))
+        result.rows.append(SweepRow(n_samples, trials, successes, lo, hi))
     result.smallest_passing = next(
         (row.n_samples for row in result.rows if 20 * row.successes >= 19 * row.trials), None)
     return result

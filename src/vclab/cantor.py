@@ -140,43 +140,23 @@ class FatCantorSet:
 
     # -------------------------------------------------------- construction
 
-    def _left_ends(self, last: int) -> Iterator[list[int]]:
-        """The left ends of the stage-s components in address order, in units
-        u_s, for s = 0..last, by the recurrence L_s(2b) = 4 L_(s-1)(b) and
-        L_s(2b+1) = 4 L_(s-1)(b) + 3p + 2^s (2q - p) proved above."""
-        p, q = self.removed_scale.numerator, self.removed_scale.denominator
-        lefts = [0]
-        yield lefts
-        for s in range(1, last + 1):
-            step = 3 * p + ((2 * q - p) << s)
-            lefts = [left for x in lefts for left in (x << 2, (x << 2) + step)]
-            yield lefts
-
-    def lefts(self, m: int) -> list[int]:
-        """The left ends L_m(b), in units u_m, of the 2^m stage-m components
-        in address order, which is increasing order."""
-        if m < 0:
-            raise ValueError("stage must be >= 0")
-        for lefts in self._left_ends(m):
-            pass
-        return lefts
-
     def stage_components(self, m: int) -> list[tuple[Fraction, Fraction]]:
         """The 2^m components [L, L + W_m] of stage m, in address order."""
         w = self.width(m)
-        return [(self.value(m, left), self.value(m, left + w)) for left in self.lefts(m)]
+        return [(self.value(m, left), self.value(m, left + w))
+                for left in (self.left(m, b) for b in range(1 << m))]
 
     def stage_set(self, m: int) -> ConstructibleSet:
         """Stage m as 2^m closed intervals."""
         return ConstructibleSet(tuple([Interval(lo, hi) for lo, hi in self.stage_components(m)]))
 
     def removed_intervals(self, upto: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-        """All removed middles (L_s(2b) + W_s, L_s(2b+1)) of stages <= upto, in
-        (stage, position) order; stage 0 has one component and no middle."""
-        for s, lefts in enumerate(self._left_ends(upto)):
-            w = self.width(s)
-            for left, right in zip(lefts[::2], lefts[1::2]):
-                yield (s, self.value(s, left + w), self.value(s, right))
+        """All removed middles of stages <= upto, in (stage, position) order;
+        stage 0 has one component and no middle."""
+        for s in range(1, upto + 1):
+            for b in range(1 << (s - 1)):
+                lo, hi = self.middle(s, b)
+                yield (s, self.value(s, lo), self.value(s, hi))
 
     def boundary_pair(self) -> "FatCantorSet":
         """The set itself: the witness engine reads its two parity branches

@@ -36,48 +36,27 @@ from .rational import parse_rational
 from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
-# `steinhaus --stage m` walks the m address digits of the stage-m components
-# once per shift, holding about 2^(0.6m) residuals at the default scale: the
-# default six shifts at stage 26 take about 0.16 s at a peak RSS of about
-# 27 MB (CPython 3.11, one Xeon core), and the time grows about 1.4x per stage.
+# One bound on the run time of steinhaus, eps-approx, border-sweep and
+# counterexample: each counts its work units from its flags before it builds or
+# loops over anything they size, and `_price` refuses the run when the units
+# times the command's rate pass the bound.  Each rate, in ns per unit, was
+# measured on the costliest shape found (CPython 3.11, one Xeon core, +-50%).
+MAX_WORK_US = 120 * 10**6
+# An artifact is built in memory at about 1 KB a row (a steinhaus shift, an
+# eps-approx schedule entry, a border-sweep cell), so about 200 MB at most.
+MAX_ROWS = 200_000
+
+# One shift's residual dict: about 60 MB at u = 1/3 near scale 0 here, growing
+# phi-fold a stage, where the time bound alone would allow about stage 37.
 MAX_STEINHAUS_STAGE = 26
-# The costliest shift found, u = 1/3 at --removed-scale 1/1000000, holds
-# about phi^m residuals: 300 of them take about 47 s at the stage cap (peak
-# RSS about 60 MB).
-MAX_STEINHAUS_SHIFTS = 300
-
-# border-sweep takes the radii 2^-j for j in --r-exponents, and the measures'
-# denominators grow with |j|: one set takes about 1 ms over the default 9
-# radii and 13 ms over j in -64..64, so both caps at once take about 13 s at
-# a peak RSS of 140 MB.  (str() of 2^-j would pass CPython's 4,300-digit
-# limit near |j| = 14,000.)
-MAX_BORDER_SETS = 1000
+# A cell's cost grows with |j| for the radius 2^-j; the rate covers |j| <= 64.
 MAX_R_EXPONENT = 64
-
-# The report needs the N translates as N-bit rows, and the search N column
-# masks, so memory grows as N^2.  At this order a base holding 45% of the
-# group spends the search budget in about 0.5 s at a peak RSS of about 60 MB,
-# and arc:3 needs about 12 MB over the interpreter's; a base of period p has
-# the same VC dimension in cyclic:p.
+# vcdim holds N translates as N-bit rows and N column masks, so N^2 bits.
 MAX_VCDIM_ORDER = 8192
-
-# sup_deviation reads all N translates as running sums of the steps between
-# neighbouring translates, whole-list passes over the histogram, so one trial
-# takes O(N) time and about 3N list slots (histogram, steps, counts).  At this
-# order one trial takes about 0.12 s at a peak RSS of about 54 MB (CPython
-# 3.11, one Xeon core), so the default 100 trials per schedule entry take about
-# 12 s, and the trials cap about 2 minutes; at cyclic:1000 with 125 samples a
-# trial takes about 0.14 ms, and the cap about 0.14 s per entry.
+# One eps-approx trial holds about 3N list slots and all its sample points,
+# about 54 MB and 48 MB at these sizes.
 MAX_EPS_ORDER = 10**6
-MAX_EPS_TRIALS = 1000
-# One eps-approx trial draws all N sample points into one list: at this size
-# a trial takes about 0.09 s at a peak RSS of about 48 MB.
 MAX_EPS_SAMPLES = 10**6
-
-# no_shatter3_check keeps one pattern count per sampled triple, about 33 us
-# each at --matched 4: at this cap a run takes about 33 s at a peak RSS of
-# about 25 MB.
-MAX_TRIPLES = 10**6
 
 
 def _write(args, name: str, artifact) -> None:
@@ -153,12 +132,20 @@ def _parse_set_flag(spec: str):
 
 
 def _require_range(name: str, value: int, least: int, cap: int | None = None):
-    """Range check of an integer flag; a count below 1 would check nothing,
-    and the cap bounds the run time a count can ask for."""
+    """Range check of an integer flag; a count below 1 would check nothing."""
     if value < least:
         raise ValueError(f"--{name} must be >= {least}, got {value}")
     if cap is not None and value > cap:
         raise ValueError(f"--{name} {value} is above the cap of {cap}")
+
+
+def _price(flags: str, units: int, ns_per_unit: int, rows: int = 1) -> None:
+    """Refuse a run priced above MAX_WORK_US, or writing more than MAX_ROWS rows."""
+    if units * ns_per_unit > MAX_WORK_US * 1000:
+        raise ValueError(f"{flags} would take about {units * ns_per_unit // 10**9} s, "
+                         f"above the bound of {MAX_WORK_US // 10**6} s on one run")
+    if rows > MAX_ROWS:
+        raise ValueError(f"{flags} would write {rows} rows, above the cap of {MAX_ROWS}")
 
 
 def _fat_cantor(spec: str) -> FatCantorSet:
@@ -242,13 +229,17 @@ def cmd_vcdim(args) -> int:
 
 
 def cmd_eps_approx(args) -> int:
-    _require_range("trials", args.trials, 1, MAX_EPS_TRIALS)
+    _require_range("trials", args.trials, 1)
     _require_range("arc", args.arc, 1)
     schedule = _parse_schedule(args.schedule)
     model = parse_model_spec(args.group)
     if model.n > MAX_EPS_ORDER:
         raise ValueError(f"--group {args.group} is above the cap of cyclic:{MAX_EPS_ORDER}")
-    family = FiniteTranslateFamily(model, range(args.arc))
+    # Units: N + size + 50 per trial of an entry, the 50 for a trial's fixed cost; 0.5 us each.
+    _price(f"--trials {args.trials} over {len(schedule)} --schedule entries on --group {args.group}",
+           args.trials * (len(schedule) * (model.n + 50) + sum(schedule)), 500, len(schedule))
+    # An arc of K >= N is the whole group, taken without building K elements.
+    family = FiniteTranslateFamily(model, range(min(args.arc, model.n)))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
     epsilon = _flag_value("--epsilon", args.epsilon, parse_rational)
@@ -268,8 +259,12 @@ def cmd_eps_approx(args) -> int:
 def cmd_steinhaus(args) -> int:
     _require_range("stage", args.stage, 0, MAX_STEINHAUS_STAGE)
     count = args.shifts.count(",") + 1
-    if count > MAX_STEINHAUS_SHIFTS:
-        raise ValueError(f"--shifts lists {count} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}")
+    # Units: F(stage + 2) residuals per shift, core_overlap's worst (u = 1/3
+    # near scale 0), plus 10 for its row; 1.4 us each.
+    fib, after = 1, 2
+    for _ in range(args.stage):
+        fib, after = after, fib + after
+    _price(f"--stage {args.stage} with {count} --shifts", count * (fib + 10), 1400, count)
     shifts = _flag_value("--shifts", args.shifts, _rationals)
     fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)
@@ -316,11 +311,14 @@ def cmd_witness(args) -> int:
 
 
 def cmd_border_sweep(args) -> int:
-    _require_range("sets", args.sets, 1, MAX_BORDER_SETS)
-    rng = random.Random(f"{args.seed}/border-sweep")
+    _require_range("sets", args.sets, 1)
     window = _parse_window(args.window)
-    sets = [random_closed_union(rng, window) for _ in range(args.sets)]
     lo_exp, hi_exp = _parse_exponents(args.r_exponents)
+    # Units: one (set, radius) cell, at the costliest |j| = 64; 0.4 ms each.
+    cells = args.sets * (hi_exp - lo_exp + 1)
+    _price(f"--sets {args.sets} over {hi_exp - lo_exp + 1} radii", cells, 400_000, cells)
+    rng = random.Random(f"{args.seed}/border-sweep")
+    sets = [random_closed_union(rng, window) for _ in range(args.sets)]
     radii = [Fraction(1, 2) ** j for j in range(lo_exp, hi_exp + 1)]
     pad = window[1] - window[0]
     outer = (window[0] - pad, window[1] + pad)
@@ -332,15 +330,24 @@ def cmd_border_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    _require_range("triples", args.triples, 1, MAX_TRIPLES)
+    _require_range("triples", args.triples, 1)
     fc = _fat_cantor(args.removed_scale)
     if args.matched is not None:
+        if args.intervals is not None or args.points_per is not None:
+            raise ValueError(f"--matched {args.matched} sets its own budgets, so --intervals "
+                             "and --points-per must not be given with it")
         _require_range("matched", args.matched, 1)
         cx = matched_budget_points(fc, args.matched)
     else:
-        _require_range("intervals", args.intervals, 1)
-        _require_range("points-per", args.points_per, 1)
-        cx = counterexample_points(fc, args.intervals, args.points_per)
+        intervals = 3 if args.intervals is None else args.intervals
+        points_per = 5 if args.points_per is None else args.points_per
+        _require_range("intervals", intervals, 1)
+        _require_range("points-per", points_per, 1)
+        cx = counterexample_points(fc, intervals, points_per)
+    # Units: the points plus 12 per triple, for sampling it; 3.5 us each.  The
+    # placement above is at most about 2 s (counterexample.MAX_POINTS).
+    _price(f"--triples {args.triples} on {len(cx.points)} points",
+           args.triples * (len(cx.points) + 12), 3500)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {
         "points": [str(p) for p in cx.points],
@@ -458,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="difference-injective truncation and its pattern counts")
     common(p)
-    p.add_argument("--intervals", type=int, default=3)
-    p.add_argument("--points-per", type=int, default=5)
+    p.add_argument("--intervals", type=int, default=None, help="default 3; not with --matched")
+    p.add_argument("--points-per", type=int, default=None, help="default 5; not with --matched")
     p.add_argument("--matched", type=int, default=None, help="use stage-matched budgets for this m")
     p.add_argument("--triples", type=int, default=1000)
     p.add_argument("--removed-scale", default="4/5")

@@ -168,8 +168,9 @@ def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, F
     (-k(S_i + W), k(S_i + W)) is narrower than the distance 2k c_i between
     r - k c_i and r + k c_i, so at most one of the two survives.  A shift at
     stage m holds about 2^(0.6 m) residuals at the default scale, and about
-    phi^m for u = 1/3 at a removed scale near 0, the costliest case found; it
-    builds only the two Fractions it returns."""
+    phi^m for u = 1/3 at a removed scale near 0, the costliest case found.
+    As |K ∩ (K - u)| = |K ∩ (K + u)| (translate by u), each |u| is computed
+    once, building only the two Fractions returned for it."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
     p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
@@ -177,13 +178,17 @@ def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, F
     digits = [3 * p * 4**i + ((2 * q - p) << (stage + i)) for i in reversed(range(stage))]
     lo, hi = fc.window
     base_num, base_den = (2 * fc.limit_measure() - (hi - lo)).as_integer_ratio()
-    overlaps = []
+    keys, known = [], {}
     for shift in shifts:
         num, den = shift.as_integer_ratio()
+        num = abs(num)
+        keys.append((num, den))
+        if (num, den) in known:
+            continue
         g = gcd(unit, den)
         k, t = den // g, num * (unit // g)
         reach = k * unit
-        residuals = {t: 1} if -reach < t < reach else {}
+        residuals = {t: 1} if t < reach else {}
         for digit in digits:
             step = k * digit
             reach -= step
@@ -199,9 +204,9 @@ def core_overlap(fc: FatCantorSet, stage: int, shifts) -> list[tuple[Fraction, F
             residuals = merged
         kw = k * w
         total = sum(n * (kw - abs(r)) for r, n in residuals.items())
-        overlaps.append((Fraction(total, unit * k),
-                         Fraction(base_num * den - abs(num) * base_den, base_den * den)))
-    return overlaps
+        known[num, den] = (Fraction(total, unit * k),
+                           Fraction(base_num * den - num * base_den, base_den * den))
+    return [known[key] for key in keys]
 
 
 # --------------------------------------------------------------------------

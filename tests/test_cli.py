@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import vclab
-from vclab.cli import MAX_STEINHAUS_SHIFTS, MAX_VCDIM_ORDER, build_parser, main
+from vclab import cli
+from vclab.cli import MAX_VCDIM_ORDER, MAX_WORK_US, build_parser, main
 from vclab.cantor import FatCantorSet
 from vclab.constructible import parse_set
 from vclab.witness import ShatterWitness, verify_witness
@@ -454,6 +455,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--arc 10 covers all of cyclic:10"),
         (["eps-approx", "--group", "cyclic:10", "--arc", "20", "--trials", "2", "--schedule", "5"],
          "--arc 20 covers all of cyclic:10"),
+        (["eps-approx", "--group", "cyclic:10", "--arc", "99999999999", "--trials", "2",
+          "--schedule", "5"], "--arc 99999999999 covers all of cyclic:10"),
         (["steinhaus", "--shifts", ","], "--shifts ',': empty rational literal"),
         (["steinhaus", "--shifts", "1/10,abc"],
          "--shifts '1/10,abc': rational 'abc' must be p/q, an integer"),
@@ -527,27 +530,38 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--set '[0,1e-10000000]': rational '1e-10000000' has an exponent above 4300 in magnitude"),
         (["eps-approx", "--group", "cyclic:1000000000000", "--arc", "3", "--trials", "1",
           "--schedule", "1"], "--group cyclic:1000000000000 is above the cap of cyclic:1000000"),
-        (["border-sweep", "--sets", "1001"], "--sets 1001 is above the cap of 1000"),
-        (["border-sweep", "--sets", "99999999999"], "--sets 99999999999 is above the cap of 1000"),
-        (["eps-approx", "--trials", "1001"], "--trials 1001 is above the cap of 1000"),
-        (["eps-approx", "--trials", "99999999999"], "--trials 99999999999 is above the cap of 1000"),
+        (["border-sweep", "--sets", "99999999999"],
+         "--sets 99999999999 over 9 radii would take about 359999999 s, above the bound of 120 s"),
+        (["eps-approx", "--trials", "99999999999"],
+         "--trials 99999999999 over 5 --schedule entries on --group cyclic:1000 would take about "
+         "456249999 s, above the bound of 120 s"),
         (["border-sweep", "--r-exponents", "0:65"],
          "r-exponents '0:65' has an exponent above 64 in magnitude"),
         (["border-sweep", "--r-exponents=-65:0"],
          "r-exponents '-65:0' has an exponent above 64 in magnitude"),
         (["border-sweep", "--r-exponents", "100000:100000"],
          "r-exponents '100000:100000' has an exponent above 64 in magnitude"),
-        (["counterexample", "--triples", "1000001"], "--triples 1000001 is above the cap of 1000000"),
+        (["counterexample", "--triples", "1000001"],
+         "--triples 1000001 on 33 points would take about 157 s, above the bound of 120 s"),
         (["counterexample", "--triples", "99999999999"],
-         "--triples 99999999999 is above the cap of 1000000"),
+         "--triples 99999999999 on 33 points would take about 15749999 s, above the bound of 120 s"),
         (["eps-approx", "--schedule", "5,1000001"],
          "--schedule '5,1000001' has a sample size above the cap of 1000000"),
         (["eps-approx", "--schedule", "99999999999"],
          "--schedule '99999999999' has a sample size above the cap of 1000000"),
-        (["steinhaus", "--shifts", ",".join(["1/100"] * (MAX_STEINHAUS_SHIFTS + 1))],
-         f"--shifts lists {MAX_STEINHAUS_SHIFTS + 1} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}"),
         (["steinhaus", "--stage", "16", "--shifts", "0," * 10**6],
-         f"--shifts lists {10**6 + 1} shifts, above the cap of {MAX_STEINHAUS_SHIFTS}"),
+         "--stage 16 with 1000001 --shifts would take about 3631 s, above the bound of 120 s"),
+        (["steinhaus", "--stage", "26", "--removed-scale", "1/1000000", "--shifts", ",".join(["1/3"] * 300)],
+         "--stage 26 with 300 --shifts would take about 133 s, above the bound of 120 s"),
+        (["steinhaus", "--stage", "0", "--shifts", "0," * 200_000],
+         "--stage 0 with 200001 --shifts would write 200001 rows, above the cap of 200000"),
+        (["eps-approx", "--group", "cyclic:1000000", "--arc", "3", "--trials", "1000",
+          "--schedule", "1000000"],
+         "--trials 1000 over 1 --schedule entries on --group cyclic:1000000 would take about 1000 s"),
+        (["counterexample", "--matched", "4", "--intervals", "3"],
+         "--matched 4 sets its own budgets, so --intervals and --points-per must not be given with it"),
+        (["counterexample", "--matched", "4", "--points-per", "0"],
+         "--matched 4 sets its own budgets, so --intervals and --points-per must not be given with it"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -557,6 +571,7 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "negative-arc-set", "empty-list-set", "non-integer-list-set", "non-integer-arc-set",
          "non-integer-cyclic-group", "non-integer-product-group", "empty-product-group",
          "one-bound-reals-group", "zero-denominator", "whole-group-arc", "arc-past-whole-group",
+         "arc-far-past-whole-group",
          "empty-shifts", "non-rational-shift", "zero-denominator-shift", "stage-above-cap",
          "stage-far-above-cap", "matched-above-cap", "matched-far-above-cap",
          "points-above-cap", "intervals-far-above-cap", "non-rational-removed-scale",
@@ -574,11 +589,12 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "counterexample-removed-scale-above-one", "shift-exponent-above-cap",
          "window-exponent-above-cap", "removed-scale-exponent-above-cap",
          "epsilon-exponent-above-cap",
-         "set-exponent-above-cap", "group-above-eps-cap", "sets-above-cap",
-         "sets-far-above-cap", "trials-above-cap", "trials-far-above-cap", "exponent-above-cap",
+         "set-exponent-above-cap", "group-above-eps-cap",
+         "sets-far-above-cap", "trials-far-above-cap", "exponent-above-cap",
          "negative-exponent-above-cap", "exponent-far-above-cap", "triples-above-cap",
          "triples-far-above-cap", "sample-size-above-cap", "sample-size-far-above-cap",
-         "shifts-above-cap", "shifts-far-above-cap"],
+         "shifts-far-above-cap", "costliest-shifts-above-bound", "shifts-above-row-cap",
+         "eps-entry-above-bound", "matched-with-intervals", "matched-with-points-per"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -586,8 +602,68 @@ def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-def test_steinhaus_runs_at_the_shifts_cap(tmp_path):
-    shifts = [Fraction(k, 10 * MAX_STEINHAUS_SHIFTS) for k in range(MAX_STEINHAUS_SHIFTS)]
+class Reached(Exception):
+    """Raised by a stand-in for an engine, or for `cli._price`, to stop a run there."""
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["border-sweep", "--sets", "1001"], "border_decay_experiment"),
+        (["eps-approx", "--trials", "1001"], "sample_complexity_sweep"),
+        (["steinhaus", "--shifts", ",".join(["1/100"] * 301)], "core_overlap"),
+    ],
+    ids=["sets-above-cap", "trials-above-cap", "shifts-above-cap"],
+)
+def test_values_above_the_old_caps_price_under_the_bound(monkeypatch, argv, engine):
+    # Each was a usage error under its own flag's cap; priced, each reaches its engine.
+    monkeypatch.setattr(cli, engine, reach)
+    with pytest.raises(Reached):
+        main(argv)
+
+
+def test_pinned_and_workload_commands_price_far_under_the_bound(monkeypatch):
+    prices = []
+
+    def record(flags, units, ns_per_unit, rows=1):
+        prices.append((flags, units * ns_per_unit))
+        raise Reached
+
+    monkeypatch.setattr(cli, "_price", record)
+    commands = [
+        # Criterion 10's priced commands (tests/test_acceptance.py).
+        ["eps-approx", "--group", "cyclic:200", "--arc", "60", "--epsilon", "1/8", "--trials", "10",
+         "--schedule", "100,400", "--seed", "7"],
+        ["steinhaus", "--stage", "5", "--seed", "7"],
+        ["border-sweep", "--sets", "3", "--r-exponents", "4:8", "--seed", "7"],
+        ["counterexample", "--intervals", "3", "--points-per", "2", "--triples", "100", "--seed", "7"],
+        # The largest job of each workload (perfbench/workloads.py): counterexample,
+        # set-algebra and the two priced commands of families.
+        ["counterexample", "--matched", "4", "--triples", "100", "--removed-scale", "38/39"],
+        ["steinhaus", "--stage", "9", "--shifts=-1/10,1/10", "--removed-scale", "38/39"],
+        ["border-sweep", "--sets", "4"],
+        ["eps-approx", "--group", "cyclic:400", "--arc", "120", "--epsilon", "1/8", "--trials", "10",
+         "--schedule", "50,100,200,400"],
+        # The pinned console-script runs of CI.
+        ["steinhaus", "--stage", "16", "--removed-scale", "4/5"],
+        ["steinhaus", "--stage", "20", "--removed-scale", "4/5"],
+        ["eps-approx", "--group", "cyclic:100003", "--arc", "30000", "--epsilon", "1/20",
+         "--trials", "5", "--schedule", "1000,4000", "--seed", "1"],
+    ]
+    for argv in commands:
+        with pytest.raises(Reached):
+            main(argv)
+    assert len(prices) == len(commands)
+    for flags, ns in prices:
+        assert 100 * ns <= 1000 * MAX_WORK_US, flags
+
+
+def test_steinhaus_rows_follow_the_listed_shifts(tmp_path):
+    shifts = [Fraction(k, 3000) for k in range(300)]
     out = tmp_path / "steinhaus.csv"
     argv = ["steinhaus", "--stage", "2", "--shifts", ",".join(map(str, shifts)), "--out", str(out)]
     assert main(argv) == 0

@@ -150,7 +150,7 @@ def test_core_overlap_matches_generic_set_algebra():
         fc = FatCantorSet(rng.choice(OVERLAP_SCALES))
         m = rng.randrange(9)
         q, core = fc.removed_scale.denominator, fc.stage_set(m)
-        lefts, w, unit = fc.lefts(m), fc.width(m), q << (2 * m + 1)
+        lefts, w, unit = pairwise_overlap.left_ends(fc, m), fc.width(m), q << (2 * m + 1)
         # Denominators coprime to q, on and off the stage lattice, and unrelated.
         coprime = next(d for d in rng.sample(range(2, 400), 398) if math.gcd(d, q) == 1)
         shifts = [F(rng.randint(-den, den), den) for den in (coprime, unit, 1000, rng.randint(1, 10**6))]
@@ -184,7 +184,7 @@ def test_core_overlap_matches_pairwise_oracle():
     for _ in range(120):
         fc = FatCantorSet(rng.choice(OVERLAP_SCALES))
         m = rng.randrange(13)
-        q, lefts, w = fc.removed_scale.denominator, fc.lefts(m), fc.width(m)
+        q, lefts, w = fc.removed_scale.denominator, pairwise_overlap.left_ends(fc, m), fc.width(m)
         unit = q << (2 * m + 1)
         coprime = next(d for d in rng.sample(range(2, 400), 398) if math.gcd(d, q) == 1)
         # On the stage lattice, coprime to q, unrelated up to 10^6, and |u| >= 1.
@@ -227,21 +227,25 @@ def test_core_overlap_builds_no_set_and_two_fractions_per_shift(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    # No stage set, and no list of the 2^m left ends either.
-    for name in ("stage_set", "stage_components", "lefts", "_left_ends"):
+    # No stage set, and no left end read one component at a time either.
+    for name in ("stage_set", "stage_components", "left"):
         monkeypatch.setattr(FatCantorSet, name, refuse)
     monkeypatch.setattr(ConstructibleSet, "__init__", refuse)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     shifts = [F(-37, 1000), F(1, 7), 0, F(5, 3)]
-    counts = []
-    for n in (0, 1, len(shifts)):
+    u = shifts[0]
+    cases = [[], shifts[:1], shifts, [u, -u, u]]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts, results = [], []
+    for case in cases:
         built.clear()
-        overlaps = core_overlap(fc, 8, shifts[:n])
+        results.append(core_overlap(fc, 8, case))
         counts.append(len(built))
-    assert counts[1] - counts[0] == 2 and counts[2] - counts[0] == 2 * len(shifts)
+    # A repeated |u| builds nothing more: -u has the overlap of u.
+    assert [n - counts[0] for n in counts] == [0, 2, 2 * len(shifts), 2]
     monkeypatch.undo()
-    assert overlaps == [(generic_overlap(fc.stage_set(8), u), 2 * fc.limit_measure() - 1 - abs(u))
-                        for u in shifts]
+    assert results[2] == [(generic_overlap(fc.stage_set(8), u), 2 * fc.limit_measure() - 1 - abs(u))
+                          for u in shifts]
+    assert results[3] == results[1] * 3
 
 
 def test_validate_stages(fc):
@@ -461,7 +465,8 @@ def test_verify_walks_nothing(fc, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the set was walked")
 
-    monkeypatch.setattr(FatCantorSet, "_left_ends", refuse)
+    for name in ("stage_set", "stage_components"):
+        monkeypatch.setattr(FatCantorSet, name, refuse)
     w = construct_witness(fc, 5, seed=2)
     for name in ("left", "middle"):
         monkeypatch.setattr(FatCantorSet, name, refuse)
