@@ -344,10 +344,12 @@ def cmd_counterexample(args) -> int:
         _require_range("intervals", intervals, 1)
         _require_range("points-per", points_per, 1)
         cx = counterexample_points(fc, intervals, points_per)
-    # Units: the points plus 12 per triple, for sampling it; 3.5 us each.  The
-    # placement above is at most about 2 s (counterexample.MAX_POINTS).
+    # Units: one per entry of the points^2 difference table, built once, and
+    # 50 per triple, whose patterns are read off that table; 400 ns each,
+    # measured on --matched 8.  The placement above is at most about 2 s
+    # (counterexample.MAX_POINTS).
     _price(f"--triples {args.triples} on {len(cx.points)} points",
-           args.triples * (len(cx.points) + 12), 3500)
+           len(cx.points) ** 2 + 50 * args.triples, 400)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {
         "points": [str(p) for p in cx.points],

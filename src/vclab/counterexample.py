@@ -17,7 +17,8 @@ Two exact integer mechanisms, sharing no arithmetic, do the work:
   turned down, and a value whose denominator P divides is compared exactly.
 - The checks (injectivity, pair counts, triple patterns) scale the finished
   point set by the lcm L of its denominators onto the integer lattice
-  (1/L)Z, where every sum and difference is an exact int.
+  (1/L)Z, where every sum and difference is an exact int; pair counts and
+  triple patterns are read off one table of difference counts per set.
 """
 
 from __future__ import annotations
@@ -269,7 +270,11 @@ class PointLattice:
 
     def difference_counts(self) -> Counter:
         """For every difference u, the number of members x with x + u also a
-        member, built once as one table."""
+        member, built once as one table.
+
+        That number is |S_u| for S_u = {x in X : x + u in X}, which gives the
+        count-1 lemma the triple check reads: if the count of u is 1 and both
+        p and p + u are members, then p is in S_u, so S_u = {p}."""
         if self._counts is None:
             self._counts = Counter(y - x for x in self.members for y in self.members)
         return self._counts
@@ -299,11 +304,20 @@ def pair_translate_count(points_set: frozenset, p: Fraction, q: Fraction) -> int
 def pair_uniqueness_holds(points: Sequence[Fraction] | PointLattice) -> bool:
     """Exhaustive check that every pair lies in at most one common translate:
     every nonzero difference u has count <= 1 in the difference table, which
-    covers all C(n,2) pairs at once.  A repeated point is a pair with
-    difference 0, whose count is the number of distinct points."""
+    covers all C(n,2) pairs at once.
+
+    With m distinct members and no repeated point, the m^2 - m off-diagonal
+    ordered pairs carry the nonzero differences, so those counts sum to
+    m^2 - m; each count is >= 1, so there are at most m^2 - m nonzero keys,
+    with equality iff every count is 1.  The diagonal adds the one key 0 when
+    m > 0.  So uniqueness holds iff the table has m^2 - m + (m > 0) keys.
+    A repeated point is a pair with difference 0, whose count is m, so then
+    uniqueness holds iff m == 1."""
     lattice = points if isinstance(points, PointLattice) else PointLattice(points)
-    repeated = len(lattice) > len(lattice.members)
-    return all(c <= 1 for u, c in lattice.difference_counts().items() if u or repeated)
+    m = len(lattice.members)
+    if len(lattice) > m:
+        return m == 1
+    return len(lattice.difference_counts()) == m * m - m + (m > 0)
 
 
 @dataclass
@@ -319,17 +333,34 @@ def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fra
     it, plus the empty pattern (any far-away translate realizes it).
 
     A translate meeting the triple is t + X with t = p_i - x for some i and
-    some x in X; its pattern has bit j exactly when x + (p_j - p_i) is in X."""
+    some x in X; its pattern has bit j exactly when x is in S_u for the
+    difference u = p_j - p_i, S_u = {x in X : x + u in X}.  The triple is put
+    on the lattice once and its differences taken as ints; a pair with an end
+    off the lattice is put there on its own, since its difference may still
+    lie on it.  |S_u| is read off the difference table: a count of 0 leaves
+    S_u empty, and a count of 1 with both p_i and p_j members gives S_u =
+    {p_i} (the count-1 lemma of `PointLattice.difference_counts`).  Only a
+    difference with a count of 2 or more is scanned over the members."""
     lattice = points_set if isinstance(points_set, PointLattice) else _cached_lattice(points_set)
     members = lattice.members
+    counts = lattice.difference_counts()
+    ends = [lattice.units(p) for p in triple]
     patterns = {0}
     for i, p in enumerate(triple):
         hits = []
         for j, q in enumerate(triple):
             if j == i:
                 continue
-            u = lattice.units(Fraction(q) - Fraction(p))
-            if u is not None:
+            if ends[i] is None or ends[j] is None:
+                u = lattice.units(Fraction(q) - Fraction(p))
+                if u is None:
+                    continue
+            else:
+                u = ends[j] - ends[i]
+            count = counts[u]
+            if count == 1 and ends[i] in members and ends[j] in members:
+                hits.append((1 << j, {ends[i]}))
+            elif count:
                 hits.append((1 << j, {x for x in members if x + u in members}))
         met = set().union(*(xs for _, xs in hits))
         for x in met:
@@ -343,10 +374,11 @@ def no_shatter3_check(cx: CounterexamplePoints, n_triples: int, seed: int = 0) -
     """Enumerate, for seeded random triples from the truncation, every
     translator that realizes a nonempty pattern, and count the patterns
     realized; with difference injectivity no triple can reach all eight.
-    Pair uniqueness is read exhaustively off the same lattice's difference
-    table."""
+    Only the running maximum is kept: a triple has at most eight patterns,
+    so a full shatter is a maximum of eight.  Pair uniqueness is read
+    exhaustively off the same lattice's difference table."""
     rng = random.Random(f"shatter3/{seed}")
     lattice = PointLattice(cx.points)
-    counts = [len(realized_patterns(lattice, tuple(rng.sample(cx.points, 3))))
-              for _ in range(n_triples)]
-    return ShatterCheckReport(len(counts), max(counts, default=0), 8 in counts, pair_uniqueness_holds(lattice))
+    best = max((len(realized_patterns(lattice, tuple(rng.sample(cx.points, 3))))
+                for _ in range(n_triples)), default=0)
+    return ShatterCheckReport(n_triples, best, best == 8, pair_uniqueness_holds(lattice))

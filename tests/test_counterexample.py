@@ -221,10 +221,56 @@ def test_checks_match_fraction_oracle_on_random_sets():
             triple = tuple(rng.sample(pts, 2)) + (rng.choice(pts + [F(1, 5), F(9, 2)]),)
             assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
         assert pair_uniqueness_holds(pts) == ref.pair_uniqueness_holds(pts)
+
+
+def test_every_triple_of_the_stage_3_truncation_matches_fraction_oracle():
+    cx = matched_budget_points(FatCantorSet(F(4, 5)), 3)
+    pset = cx.point_set()
+    triples = list(combinations(cx.points, 3))
+    assert len(triples) == 2300
+    for triple in triples:
+        assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+
+
+@pytest.mark.parametrize(
+    "points, triple",
+    [
+        # 1 - 0 = 2 - 1: the difference 1 has count 2, so it is scanned.
+        ((0, 1, 2, 5), (0, 1, 5)),
+        ((0, 1, 2, 5), (2, 1, 0)),
+        # 1 is a member and 4 is not; their difference 3 has count 1 (from
+        # 0 to 3), so S_3 = {0}, not {1}.
+        ((0, 1, 3), (1, 4, 3)),
+        ((0, 1, 3), (4, 1, 0)),
+        # No end is on the lattice Z, but every difference is.
+        ((0, 1), (F(1, 2), F(3, 2), F(5, 2))),
+        # One end off the lattice: its differences to the others are not.
+        ((0, 1), (0, F(1, 2), 1)),
+        # A repeated end: the difference 0 has the count of every member.
+        ((0, 1, 3), (1, 1, 3)),
+        ((F(1, 3),), (F(1, 3), F(1, 3), F(1, 3))),
+    ],
+    ids=["count-2", "count-2-reversed", "count-1-non-member", "count-1-non-member-first",
+         "off-lattice-ends", "half-off-lattice", "repeated-end", "one-point"],
+)
+def test_triples_off_the_count_1_shortcut_match_fraction_oracle(points, triple):
+    pset = frozenset(F(x) for x in points)
+    triple = tuple(F(x) for x in triple)
+    assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+
+
+@pytest.mark.parametrize(
+    "points, holds",
+    [((), True), ((F(2, 3),), True), ((F(2, 3), F(2, 3)), True), ((F(2, 3),) * 3, True),
+     ((F(0), F(2, 3), F(2, 3)), False), ((F(0), F(1), F(3), F(0)), False),
+     ((F(0), F(1), F(2)), False), ((F(0), F(1), F(3)), True)],
+    ids=["empty", "single", "repeated-single", "thrice-single", "repeated-of-two",
+         "repeated-of-three", "arithmetic", "sidon"],
+)
+def test_pair_uniqueness_on_small_sets_matches_fraction_oracle(points, holds):
     # A repeated point is a pair with difference 0: it breaks uniqueness
     # once a second distinct point gives that difference a second pair.
-    for pts in ([F(1, 2), F(1, 2)], [F(0), F(1, 3), F(1, 3)], [F(0), F(1), F(3), F(0)]):
-        assert pair_uniqueness_holds(pts) == ref.pair_uniqueness_holds(pts) == (len(set(pts)) == 1)
+    assert pair_uniqueness_holds(points) == ref.pair_uniqueness_holds(points) == holds
 
 
 @pytest.mark.parametrize(
