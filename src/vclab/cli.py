@@ -208,7 +208,9 @@ def cmd_vcdim(args) -> int:
         payload.update(vc_dimension=d, shatter_report=_shatter_json(system, report))
         print(d)
         # A translate family's dual is the family of translates of the
-        # reflected base set, so this search takes about as long as the one above.
+        # reflected base set, so its dual VC dimension equals d (proof in
+        # `dual_vc_dimension`); this search finds it again, in about as long
+        # as the one above.
         dual, dual_rows = dual_vc_dimension(system)
     except BudgetExceededError as exc:
         # The spent search still proved a lower bound; write it with its witness.
@@ -344,12 +346,10 @@ def cmd_counterexample(args) -> int:
         _require_range("intervals", intervals, 1)
         _require_range("points-per", points_per, 1)
         cx = counterexample_points(fc, intervals, points_per)
-    # Units: one per entry of the points^2 difference table, built once, and
-    # 50 per triple, whose patterns are read off that table; 400 ns each,
-    # measured on --matched 8.  The placement above is at most about 2 s
-    # (counterexample.MAX_POINTS).
-    _price(f"--triples {args.triples} on {len(cx.points)} points",
-           len(cx.points) ** 2 + 50 * args.triples, 400)
+    # Units: 50 per triple, whose patterns are read off the difference table;
+    # 400 ns each, measured on --matched 8.  The placement and the table,
+    # both built above, are at most about 2 s (counterexample.MAX_POINTS).
+    _price(f"--triples {args.triples} on {len(cx.points)} points", 50 * args.triples, 400)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {
         "points": [str(p) for p in cx.points],

@@ -17,8 +17,8 @@ Two exact integer mechanisms, sharing no arithmetic, do the work:
   turned down, and a value whose denominator P divides is compared exactly.
 - The checks (injectivity, pair counts, triple patterns) scale the finished
   point set by the lcm L of its denominators onto the integer lattice
-  (1/L)Z, where every sum and difference is an exact int; pair counts and
-  triple patterns are read off one table of difference counts per set.
+  (1/L)Z, where every sum and difference is an exact int; all three read
+  one table, the counts of the C(m, 2) positive differences, built once.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cantor import FatCantorSet
@@ -37,8 +38,8 @@ from .constructible import ConstructibleSet, on_lattice
 MODULUS = 2**61 - 1
 
 # The most points a truncation may place: the stage-8 matched truncation's
-# 839, which takes about 2 s and 120 MB.  Placement keeps one entry per
-# placed pair, so its time and memory grow with the square of the count.
+# 839, which with its difference table takes about 1 s and 130 MB (CPython
+# 3.11, one Xeon core); both keep one entry per pair, so grow as its square.
 MAX_POINTS = 839
 
 
@@ -82,6 +83,10 @@ class CounterexamplePoints:
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)
+
+    @cached_property
+    def lattice(self) -> PointLattice:
+        return PointLattice(self.points)
 
 
 class _Placement:
@@ -228,10 +233,10 @@ def counterexample_points(
             raise AssertionError("per-interval sequence lost monotonicity")
         layout.append((stage, a, b, ordered))
 
-    points = tuple(sorted(placement.points))
-    if not verify_difference_injective(points):
+    cx = CounterexamplePoints(tuple(sorted(placement.points)), tuple(layout))
+    if not verify_difference_injective(cx.lattice):
         raise AssertionError("greedy construction failed the final injectivity check")
-    return CounterexamplePoints(points, tuple(layout))
+    return cx
 
 
 def matched_budget_points(fc: FatCantorSet, m: int) -> CounterexamplePoints:
@@ -252,13 +257,14 @@ class PointLattice:
     """A finite point set on the integer lattice (1/L)Z, where L is the lcm
     of its denominators: each point x is stored as the int x * L.  Sums and
     differences of points stay exact ints, so the checks below hash and add
-    ints instead of Fractions."""
+    ints instead of Fractions.  `counts` holds, for each positive difference
+    u, the number of pairs x < y of distinct members with y - x = u."""
 
     def __init__(self, points: Iterable[Fraction]):
         self.scale, ints = on_lattice([Fraction(p) for p in points])
         self.ints = tuple(ints)
         self.members = frozenset(self.ints)
-        self._counts: Optional[Counter] = None
+        self.counts = Counter(y - x for x, y in combinations(sorted(self.members), 2))
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -268,16 +274,12 @@ class PointLattice:
         q, r = divmod(x.numerator * self.scale, x.denominator)
         return None if r else q
 
-    def difference_counts(self) -> Counter:
-        """For every difference u, the number of members x with x + u also a
-        member, built once as one table.
-
-        That number is |S_u| for S_u = {x in X : x + u in X}, which gives the
-        count-1 lemma the triple check reads: if the count of u is 1 and both
-        p and p + u are members, then p is in S_u, so S_u = {p}."""
-        if self._counts is None:
-            self._counts = Counter(y - x for x in self.members for y in self.members)
-        return self._counts
+    def count(self, u: int) -> int:
+        """|S_u| for S_u = {x in X : x + u in X}: for u > 0, x -> (x, x + u)
+        maps S_u one to one onto the pairs in counts[u]; S_-u = S_u + u, and
+        S_0 = X.  The count-1 lemma the triple check reads: if |S_u| = 1 and
+        both p and p + u are members, then p is in S_u, so S_u = {p}."""
+        return self.counts[abs(u)] if u else len(self.members)
 
 
 @lru_cache(maxsize=1)
@@ -285,39 +287,34 @@ def _cached_lattice(points_set: frozenset) -> PointLattice:
     return PointLattice(points_set)
 
 
-def verify_difference_injective(points: Sequence[Fraction]) -> bool:
-    """Independent exact check: all C(n,2) positive pairwise differences are
-    distinct (equivalent to injectivity of (x, y) -> y - x off the diagonal)."""
-    diffs = [abs(y - x) for x, y in combinations(PointLattice(points).ints, 2)]
-    return 0 not in diffs and len(set(diffs)) == len(diffs)
+def verify_difference_injective(points: Sequence[Fraction] | PointLattice) -> bool:
+    """Exact check that all C(n,2) positive pairwise differences are distinct:
+    no point repeats, and the m members' C(m, 2) differences fill C(m, 2)
+    keys of the table, so each count is 1."""
+    lattice = points if isinstance(points, PointLattice) else PointLattice(points)
+    m = len(lattice.members)
+    return len(lattice) == m and len(lattice.counts) == comb(m, 2)
 
 
 def pair_translate_count(points_set: frozenset, p: Fraction, q: Fraction) -> int:
     """Number of translators t with both p and q in t + X; difference
-    injectivity forces this to be at most one.  The difference table of the
-    last point set asked about is kept for the next call."""
+    injectivity forces this to be at most one.  The lattice of the last
+    point set asked about is kept for the next call."""
     lattice = _cached_lattice(points_set)
     u = lattice.units(Fraction(q) - Fraction(p))
-    return 0 if u is None else lattice.difference_counts()[u]
+    return 0 if u is None else lattice.count(u)
 
 
-def pair_uniqueness_holds(points: Sequence[Fraction] | PointLattice) -> bool:
+def pair_uniqueness_holds(lattice: PointLattice) -> bool:
     """Exhaustive check that every pair lies in at most one common translate:
-    every nonzero difference u has count <= 1 in the difference table, which
-    covers all C(n,2) pairs at once.
-
-    With m distinct members and no repeated point, the m^2 - m off-diagonal
-    ordered pairs carry the nonzero differences, so those counts sum to
-    m^2 - m; each count is >= 1, so there are at most m^2 - m nonzero keys,
-    with equality iff every count is 1.  The diagonal adds the one key 0 when
-    m > 0.  So uniqueness holds iff the table has m^2 - m + (m > 0) keys.
-    A repeated point is a pair with difference 0, whose count is m, so then
-    uniqueness holds iff m == 1."""
-    lattice = points if isinstance(points, PointLattice) else PointLattice(points)
+    every difference u of a pair has |S_u| <= 1.  With no repeated point the
+    table's C(m, 2) counts are each >= 1, so all are 1 iff it has C(m, 2)
+    keys.  A repeated point is a pair with difference 0, and |S_0| = m, so
+    then uniqueness holds iff m == 1."""
     m = len(lattice.members)
     if len(lattice) > m:
         return m == 1
-    return len(lattice.difference_counts()) == m * m - m + (m > 0)
+    return len(lattice.counts) == comb(m, 2)
 
 
 @dataclass
@@ -328,7 +325,7 @@ class ShatterCheckReport:
     pair_uniqueness_ok: bool
 
 
-def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fraction]) -> set[int]:
+def realized_patterns(lattice: PointLattice, triple: Sequence[Fraction]) -> set[int]:
     """All membership patterns of the triple over every translate that meets
     it, plus the empty pattern (any far-away translate realizes it).
 
@@ -339,11 +336,9 @@ def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fra
     off the lattice is put there on its own, since its difference may still
     lie on it.  |S_u| is read off the difference table: a count of 0 leaves
     S_u empty, and a count of 1 with both p_i and p_j members gives S_u =
-    {p_i} (the count-1 lemma of `PointLattice.difference_counts`).  Only a
-    difference with a count of 2 or more is scanned over the members."""
-    lattice = points_set if isinstance(points_set, PointLattice) else _cached_lattice(points_set)
+    {p_i} (the count-1 lemma of `PointLattice.count`).  Only a difference
+    with a count of 2 or more is scanned over the members."""
     members = lattice.members
-    counts = lattice.difference_counts()
     ends = [lattice.units(p) for p in triple]
     patterns = {0}
     for i, p in enumerate(triple):
@@ -357,7 +352,7 @@ def realized_patterns(points_set: frozenset | PointLattice, triple: Sequence[Fra
                     continue
             else:
                 u = ends[j] - ends[i]
-            count = counts[u]
+            count = lattice.count(u)
             if count == 1 and ends[i] in members and ends[j] in members:
                 hits.append((1 << j, {ends[i]}))
             elif count:
@@ -378,7 +373,7 @@ def no_shatter3_check(cx: CounterexamplePoints, n_triples: int, seed: int = 0) -
     so a full shatter is a maximum of eight.  Pair uniqueness is read
     exhaustively off the same lattice's difference table."""
     rng = random.Random(f"shatter3/{seed}")
-    lattice = PointLattice(cx.points)
+    lattice = cx.lattice
     best = max((len(realized_patterns(lattice, tuple(rng.sample(cx.points, 3))))
                 for _ in range(n_triples)), default=0)
     return ShatterCheckReport(n_triples, best, best == 8, pair_uniqueness_holds(lattice))

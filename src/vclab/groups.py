@@ -50,7 +50,7 @@ class CyclicGroup:
 
     def sample(self, rng: random.Random, k: int) -> list[int]:
         """k uniform draws, exactly [rng.randrange(n) for _ in range(k)], with
-        rng left where those calls leave it: CPython 3.10 and 3.11 draw
+        rng left where those calls leave it: CPython 3.10 through 3.13 draw
         n.bit_length() bits until they are below n, and a batch keeps its
         accepted draws in order and asks for no more than are still missing."""
         n, bits = self.n, self.n.bit_length()

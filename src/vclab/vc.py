@@ -279,7 +279,11 @@ def dual_vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[in
     all translators by one h keeps the cells nonempty, so the search fixes
     the first row at 0.  The rows found are re-checked by a scan of the
     ground set.  Budget as in `vc_dimension`, with the last complete rows as
-    `partial`."""
+    `partial`.  On a translate family {g + X} of Z_N the dual VC dimension
+    is the VC dimension: members g_i + X cut all Venn cells iff the
+    translates t - X of -X shatter {g_i} (t is in g_i + X iff g_i is in
+    t - X; distinct members are distinct modulo the period of X, which no
+    t - X splits), and x -> -x carries the translates of X onto those of -X."""
     if not system.rows:
         raise ValueError("empty family has no dual VC dimension")
     if not system.ground:

@@ -11,6 +11,7 @@ from vclab.cantor import FatCantorSet
 from vclab.cli import main
 from vclab.counterexample import (
     CounterexamplePoints,
+    PointLattice,
     counterexample_points,
     matched_budget_points,
     no_shatter3_check,
@@ -92,7 +93,7 @@ def test_construction_is_deterministic(fc):
 def test_pair_uniqueness_exhaustive(fc):
     cx = counterexample_points(fc, 3, 3)
     pts = cx.point_set()
-    assert pair_uniqueness_holds(cx.points)
+    assert pair_uniqueness_holds(cx.lattice)
     for p, q in combinations(cx.points, 2):
         # the pair itself sits in one translate (t = 0), never more
         assert pair_translate_count(pts, p, q) == 1
@@ -101,10 +102,9 @@ def test_pair_uniqueness_exhaustive(fc):
 def test_realized_patterns_never_full(fc):
     cx = counterexample_points(fc, 3, 3)
     rng = random.Random("triples")
-    pts = cx.point_set()
     for _ in range(300):
-        triple = tuple(rng.sample(sorted(pts), 3))
-        pats = realized_patterns(pts, triple)
+        triple = tuple(rng.sample(cx.points, 3))
+        pats = realized_patterns(cx.lattice, triple)
         assert 0 in pats
         assert len(pats) <= 7
 
@@ -180,7 +180,7 @@ def test_extra_triples_off_the_set_match_fraction_oracle(fc):
     pset = cx.point_set()
     a, b, c = cx.points[:3]
     for triple in [(F(0), F(1, 3), F(1)), (a, b, F(1, 7)), (a, a + F(1, 11), c), (a, b, c)]:
-        assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+        assert realized_patterns(cx.lattice, triple) == ref.realized_patterns(pset, triple)
 
 
 def test_pair_check_sees_one_repeated_difference_among_201_points():
@@ -213,14 +213,14 @@ def test_checks_match_fraction_oracle_on_random_sets():
         pts = sorted({F(rng.randrange(-40, 40), rng.choice((1, 2, 3, 6))) for _ in range(rng.randrange(3, 12))})
         if len(pts) < 3:
             continue
-        pset = frozenset(pts)
+        pset, lattice = frozenset(pts), PointLattice(pts)
         assert verify_difference_injective(pts) == ref.verify_difference_injective(pts)
         for _ in range(10):
             p, q = rng.choice(pts), rng.choice(pts + [F(1, 7), F(rng.randrange(-5, 5), 2)])
             assert pair_translate_count(pset, p, q) == ref.pair_translate_count(pset, p, q)
             triple = tuple(rng.sample(pts, 2)) + (rng.choice(pts + [F(1, 5), F(9, 2)]),)
-            assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
-        assert pair_uniqueness_holds(pts) == ref.pair_uniqueness_holds(pts)
+            assert realized_patterns(lattice, triple) == ref.realized_patterns(pset, triple)
+        assert pair_uniqueness_holds(lattice) == ref.pair_uniqueness_holds(pts)
 
 
 def test_every_triple_of_the_stage_3_truncation_matches_fraction_oracle():
@@ -229,7 +229,7 @@ def test_every_triple_of_the_stage_3_truncation_matches_fraction_oracle():
     triples = list(combinations(cx.points, 3))
     assert len(triples) == 2300
     for triple in triples:
-        assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+        assert realized_patterns(cx.lattice, triple) == ref.realized_patterns(pset, triple)
 
 
 @pytest.mark.parametrize(
@@ -256,21 +256,27 @@ def test_every_triple_of_the_stage_3_truncation_matches_fraction_oracle():
 def test_triples_off_the_count_1_shortcut_match_fraction_oracle(points, triple):
     pset = frozenset(F(x) for x in points)
     triple = tuple(F(x) for x in triple)
-    assert realized_patterns(pset, triple) == ref.realized_patterns(pset, triple)
+    assert realized_patterns(PointLattice(pset), triple) == ref.realized_patterns(pset, triple)
 
 
 @pytest.mark.parametrize(
-    "points, holds",
-    [((), True), ((F(2, 3),), True), ((F(2, 3), F(2, 3)), True), ((F(2, 3),) * 3, True),
-     ((F(0), F(2, 3), F(2, 3)), False), ((F(0), F(1), F(3), F(0)), False),
-     ((F(0), F(1), F(2)), False), ((F(0), F(1), F(3)), True)],
+    "points, holds, injective",
+    [((), True, True), ((F(2, 3),), True, True), ((F(2, 3), F(2, 3)), True, False),
+     ((F(2, 3),) * 3, True, False), ((F(0), F(2, 3), F(2, 3)), False, False),
+     ((F(0), F(1), F(3), F(0)), False, False), ((F(0), F(1), F(2)), False, False),
+     ((F(0), F(1), F(3)), True, True)],
     ids=["empty", "single", "repeated-single", "thrice-single", "repeated-of-two",
          "repeated-of-three", "arithmetic", "sidon"],
 )
-def test_pair_uniqueness_on_small_sets_matches_fraction_oracle(points, holds):
+def test_pair_uniqueness_on_small_sets_matches_fraction_oracle(points, holds, injective):
     # A repeated point is a pair with difference 0: it breaks uniqueness
-    # once a second distinct point gives that difference a second pair.
-    assert pair_uniqueness_holds(points) == ref.pair_uniqueness_holds(points) == holds
+    # once a second distinct point gives that difference a second pair.  It
+    # always breaks injectivity, so the two checks, read off one table,
+    # differ exactly on a repeated single point.
+    lattice = PointLattice(points)
+    assert pair_uniqueness_holds(lattice) == ref.pair_uniqueness_holds(points) == holds
+    assert verify_difference_injective(lattice) == ref.verify_difference_injective(points) == injective
+    assert verify_difference_injective(points) == injective
 
 
 @pytest.mark.parametrize(
@@ -296,3 +302,19 @@ def test_cli_does_not_read_the_pair_count_cache(tmp_path):
     assert main(argv) == 0
     info = ce._cached_lattice.cache_info()
     assert info.hits == info.misses == 0
+
+
+def test_cli_builds_one_lattice_per_run(tmp_path, monkeypatch):
+    # The construction's injectivity check and the pair and triple checks
+    # share the truncation's one lattice and its one difference table.
+    built = []
+    init = PointLattice.__init__
+
+    def counting_init(self, points):
+        built.append(self)
+        init(self, points)
+
+    monkeypatch.setattr(PointLattice, "__init__", counting_init)
+    argv = ["counterexample", "--matched", "3", "--triples", "50", "--out", str(tmp_path / "cx.json")]
+    assert main(argv) == 0
+    assert len(built) == 1

@@ -200,6 +200,27 @@ def test_cyclic_search_matches_generic_oracle():
     assert dims == {0, 1, 2, 3} and periodic > 50 and two_orbit > 150
 
 
+def test_translate_family_dual_vc_dimension_equals_vc_dimension():
+    # The dual of {g + X} is the family of translates of -X, which x -> -x
+    # carries onto {g + X} (proof in `dual_vc_dimension`).  Half the bases
+    # come from random_translate_base, with its singletons, whole groups and
+    # periodic bases; half are any base of Z_N for N < 40.
+    rng = random.Random("dual-equals-primal")
+    dims, periodic = set(), 0
+    for i in range(400):
+        if i % 2:
+            n, base = random_translate_base(rng)
+        else:
+            n = rng.randrange(1, 40)
+            base = rng.sample(range(n), rng.randint(1, n))
+        system = SetSystem.from_translates(CyclicGroup(n), base)
+        d, _ = vc_dimension(system)
+        assert dual_vc_dimension(system)[0] == d
+        dims.add(d)
+        periodic += 1 < len(system) < n
+    assert dims >= {0, 1, 2, 3, 4} and periodic > 5
+
+
 def test_cyclic_search_budget_error_carries_lower_bound():
     system = SetSystem.from_translates(CyclicGroup(50), range(3))
     with pytest.raises(BudgetExceededError) as err:
