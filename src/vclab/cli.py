@@ -33,7 +33,7 @@ from .counterexample import counterexample_points, matched_budget_points, no_sha
 from .errors import BudgetExceededError
 from .groups import parse_model_spec
 from .rational import parse_rational
-from .vc import SetSystem, dual_vc_dimension, translate_vc_dimension, vc_dimension
+from .vc import SetSystem, translate_vc_dimension, vc_and_dual_dimension
 from .witness import construct_witness, core_overlap, steinhaus_neighborhood, verify_witness
 
 # One bound on the run time of steinhaus, eps-approx, border-sweep and
@@ -200,32 +200,24 @@ def cmd_vcdim(args) -> int:
     system = SetSystem.from_translates(model, base)
     payload = {"group": model.describe(), "base_set": base}
 
-    def translators(rows):
-        return [system.row_labels[i] for i in rows]
-
     try:
-        d, report = vc_dimension(system)
-        payload.update(vc_dimension=d, shatter_report=_shatter_json(system, report))
-        print(d)
-        # A translate family's dual is the family of translates of the
-        # reflected base set, so its dual VC dimension equals d (proof in
-        # `dual_vc_dimension`); this search finds it again, in about as long
-        # as the one above.
-        dual, dual_rows = dual_vc_dimension(system)
+        # One search: a translate family's dual VC dimension is its VC
+        # dimension d, and the dual witness rows are read off the search's
+        # last level (proof in `vc_and_dual_dimension`).
+        d, report, dual_rows = vc_and_dual_dimension(system)
     except BudgetExceededError as exc:
-        # The spent search still proved a lower bound; write it with its witness.
-        if "vc_dimension" in payload:
-            bound = "dual VC dimension"
-            payload.update(dual_vc_dimension_lower_bound=exc.lower_bound,
-                           dual_witness_translators=translators(exc.partial))
-        else:
-            bound = "VC dimension"
-            payload.update(vc_dimension_lower_bound=exc.lower_bound,
-                           shatter_report=_shatter_json(system, exc.partial))
+        # The spent search still proved a lower bound; write it with its
+        # witness.  A shattered n-set needs 2^n distinct rows, so the row
+        # count bounds d above.
+        payload.update(vc_dimension_lower_bound=exc.lower_bound,
+                       vc_dimension_upper_bound=len(system).bit_length() - 1,
+                       shatter_report=_shatter_json(system, exc.partial))
         _write(args, "vcdim.json", payload)
         raise BudgetExceededError(
-            f"{exc}; wrote the partial report ({bound} >= {exc.lower_bound})") from None
-    payload.update(dual_vc_dimension=dual, dual_witness_translators=translators(dual_rows))
+            f"{exc}; wrote the partial report (VC dimension >= {exc.lower_bound})") from None
+    print(d)
+    payload.update(vc_dimension=d, shatter_report=_shatter_json(system, report), dual_vc_dimension=d,
+                   dual_witness_translators=[system.row_labels[i] for i in dual_rows])
     _write(args, "vcdim.json", payload)
     return 0
 

@@ -1,16 +1,16 @@
 """Shattering, VC dimension and dual VC dimension, for explicit finite
 families and for translate families.
 
-All the searches share one level-wise search with subset pruning (a set
-can only be shattered if the set minus its largest point was), each under a
-budget of tuples tried whose exhaustion raises BudgetExceededError with the
-last complete size.  Finite families are bitmask rows over a finite ground
-set.  A point tuple is tested by the Venn cells of its point masks (the rows
-holding each point), a tuple of rows by the Venn cells of the rows, and the
-tuple found is re-checked on the rows.  When the rows are exactly the
-rotations of one mask, as for a translate family in Z_N, both searches fix
-the first index at 0 and the point masks are the rotations of the reflected
-base.
+A finite family is bitmask rows over a finite ground set.  Its VC dimension
+is found by one level-wise search with subset pruning (a set can only be
+shattered if the set minus its largest point was), under a budget of tuples
+tried whose exhaustion raises BudgetExceededError with the last complete
+size.  A point tuple is tested by the Venn cells of its point masks (the
+rows holding each point), and the tuple found is re-checked on the rows.
+When the rows are exactly the rotations of one mask, as for a translate
+family in Z_N, the search fixes the first point at 0, the point masks are
+the rotations of the reflected base, and the dual witness rows are read off
+the search's last level and re-checked by a scan of the ground set.
 Translate families over the continuous line are kept implicit: the
 translators g with p in g + X form the constructible set p - X, and every
 such set of the candidate grid is put once on one integer lattice of sweep
@@ -74,8 +74,8 @@ class SetSystem:
         for v in base:
             mask |= 1 << model.normalize(v)
         seen = {}
-        for g, row in enumerate(_rotations(mask, model.n)):
-            seen.setdefault(row, g)
+        for g in range(model.n):
+            seen.setdefault(_rotate(mask, g, model.n), g)
         rows = tuple(sorted(seen))
         return cls(tuple(model.elements()), rows, tuple(seen[m] for m in rows))
 
@@ -88,13 +88,13 @@ class SetSystem:
         positions, as `from_translates` builds them; else None.  They are iff
         the first len(rows) rotations are distinct rows, found by bisection
         in the sorted rows, and the next rotation is rows[0] again.  Cached,
-        since both searches ask."""
+        since `vc_and_dual_dimension` asks before its search does."""
         n, rows = len(self.ground), self.rows
         if len(rows) > n:
             return None
-        base, full = rows[0], (1 << n) - 1
+        base = rows[0]
         for g in range(1, len(rows) + 1):
-            rot = (base << g | base >> (n - g)) & full
+            rot = _rotate(base, g, n)
             if g == len(rows):
                 return base if rot == base else None
             i = bisect_left(rows, rot)
@@ -156,14 +156,13 @@ def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> Shatte
 def _levelwise(n: int, test, max_tries: int, name: str, heads: Optional[int] = None):
     """Hereditary level-wise search over increasing index tuples of range(n):
     a (k+1)-tuple is tried only as an extension of a k-tuple that passes
-    `test`, which is complete because shattering (and the dual property) is
-    hereditary.  Only tuples whose first index is below `heads` (default n)
-    are tried.
+    `test`, which is complete because shattering is hereditary.  Only tuples
+    whose first index is below `heads` (default n) are tried.
 
-    Returns (d, t): d is the largest size of a passing tuple and t the first
-    such d-tuple.  Trying more than max_tries tuples raises
-    BudgetExceededError carrying the last complete level as `lower_bound`
-    and its first tuple as `partial`."""
+    Returns the last level: every passing tuple of the largest passing size,
+    in lexicographic order ([()] when no tuple passes).  Trying more than
+    max_tries tuples raises BudgetExceededError carrying the last complete
+    level as `lower_bound` and its first tuple as `partial`."""
     level: list[tuple[int, ...]] = [()]
     tries = 0
     while True:
@@ -178,14 +177,13 @@ def _levelwise(n: int, test, max_tries: int, name: str, heads: Optional[int] = N
                 if test(cand):
                     nxt.append(cand)
         if not nxt:
-            return len(level[0]), level[0]
+            return level
         level = nxt
 
 
-def _rotations(mask: int, n: int) -> list[int]:
-    """The n rotations of an n-bit mask; entry g moves bit v to bit v + g mod n."""
-    full = (1 << n) - 1
-    return [(mask << g | mask >> (n - g)) & full for g in range(n)]
+def _rotate(mask: int, g: int, n: int) -> int:
+    """The n-bit mask rotated by g, 0 <= g <= n: bit v moves to bit v + g mod n."""
+    return (mask << g | mask >> (n - g)) & ((1 << n) - 1)
 
 
 def _venn_witness(masks: Sequence[int], n: int):
@@ -211,28 +209,26 @@ def _venn_witness(masks: Sequence[int], n: int):
     return test
 
 
-def _venn_search(masks: Sequence[int], width: int, heads: Optional[int], max_tries: int, name: str, check):
-    """`_levelwise` over the index tuples of `masks` whose width-bit masks
-    have all Venn cells nonempty.  The tuple found, and the budget partial,
-    are passed through `check`, a re-check on the rows."""
-    try:
-        d, cand = _levelwise(len(masks), _venn_witness(masks, width), max_tries, name, heads)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(str(exc), exc.lower_bound, check(exc.partial)) from None
-    return d, check(cand)
+def _checked_report(system: SetSystem, cand: tuple[int, ...]) -> ShatterReport:
+    """The report of the point tuple cand, built by row intersection, which
+    must show it shattered."""
+    rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
+    if not rep.shattered:
+        raise AssertionError("shattered tuple failed independent re-check")
+    return rep
 
 
-def vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, ShatterReport]:
-    """Exact VC dimension, with one maximal shattered set as certificate.  A
-    point tuple is shattered iff the Venn cells of its point masks, the sets
-    of rows holding each point, are all nonempty.  In a translate family of
-    Z_N (see `SetSystem._orbit_base`) the translators g with t in g + X form
-    t - X, a rotation of the mask of -X; a translate of a shattered set is
-    shattered, so the lexicographically first shattered d-tuple starts at
-    point 0, and the search fixes the first point there.  The report of the
-    tuple found is built by row intersection and must show it shattered.
-    Trying more than max_tries tuples raises BudgetExceededError whose
-    `partial` is the report of the last complete size."""
+def _shattered_level(system: SetSystem, max_tries: int) -> list[tuple[int, ...]]:
+    """The last level of the point search: every shattered point tuple of the
+    largest size among those tried, in lexicographic order.  A point tuple is shattered iff
+    the Venn cells of its point masks, the sets of rows holding each point,
+    are all nonempty.  In a translate family of Z_N (see
+    `SetSystem._orbit_base`) the translators g with t in g + X form t - X, a
+    rotation of the mask of -X; a translate of a shattered set is
+    shattered, so the search tries only the tuples through point 0, which
+    hold the lexicographically first shattered tuple of each size.  Trying
+    more than max_tries tuples raises BudgetExceededError whose `partial` is
+    the checked report of the last complete size."""
     if not system.rows:
         raise ValueError("empty family has no VC dimension")
     n, rows = len(system.ground), system.rows
@@ -242,15 +238,47 @@ def vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, Sh
         width, heads = len(rows), None
     else:
         reflected = sum(1 << (-v % n) for v in range(n) if base >> v & 1)
-        masks, width, heads = _rotations(reflected, n), n, 1
+        masks, width, heads = [_rotate(reflected, g, n) for g in range(n)], n, 1
+    try:
+        return _levelwise(len(masks), _venn_witness(masks, width), max_tries, "vc_dimension", heads)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), exc.lower_bound, _checked_report(system, exc.partial)) from None
 
-    def report(cand: tuple[int, ...]) -> ShatterReport:
-        rep = _shatter_report(system, list(cand), tuple(system.ground[j] for j in cand))
-        if not rep.shattered:
-            raise AssertionError("shattered tuple failed independent re-check")
-        return rep
 
-    return _venn_search(masks, width, heads, max_tries, "vc_dimension", report)
+def vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, ShatterReport]:
+    """Exact VC dimension, with the first tuple of `_shattered_level` as
+    certificate; budget as there."""
+    level = _shattered_level(system, max_tries)
+    return len(level[0]), _checked_report(system, level[0])
+
+
+def vc_and_dual_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, ShatterReport, tuple]:
+    """From one search on a translate family {g + X} of Z_N: its VC dimension
+    d, the report of `vc_dimension`, and the lexicographically first d-tuple
+    of rows whose Venn cells all hold a ground element, a witness that the
+    dual VC dimension, which equals d, is at least d.
+
+    Lemma: if the translates of X shatter S, the members -s + X, s in S,
+    cut every Venn cell: if t_P + X cuts the pattern P out of S, then -t_P
+    lies in -s + X iff s lies in t_P + X, iff s is in P.  Conversely, if
+    members g_i + X cut every cell, the translates t - X of -X shatter
+    {g_i} (t is in g_i + X iff g_i is in t - X; distinct members are
+    distinct modulo the period of X, which no t - X splits), so the
+    translates of X shatter {-g_i}.  Hence the dual VC dimension is d.
+    Shifting all members by one h keeps the cells nonempty, so the first
+    dual d-tuple holds row 0, g0 + X, and the dual d-tuples through row 0
+    are the rows of g0 - s + X, s in S, over the shattered d-sets S through
+    0: the last level of the search.  The least of them, sorted, is
+    returned after a re-check by a scan of the ground set."""
+    if system._orbit_base is None:
+        raise ValueError("the family is not all translates of one subset of Z_N")
+    level = _shattered_level(system, max_tries)
+    rows, n = system.rows, len(system.ground)
+    row_of = {s: bisect_left(rows, _rotate(rows[0], -s % n, n)) for s in {s for t in level for s in t}}
+    dual = min(tuple(sorted(row_of[s] for s in t)) for t in level)
+    if not _all_cells_nonempty(system, dual):
+        raise AssertionError("dual witness rows failed independent re-check")
+    return len(dual), _checked_report(system, level[0]), dual
 
 
 def vc_dimension_naive(system: SetSystem) -> int:
@@ -270,32 +298,6 @@ def vc_dimension_naive(system: SetSystem) -> int:
             return d
         d = k
     return d
-
-
-def dual_vc_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tuple[int, tuple]:
-    """Largest n such that n family members generate a Venn diagram all of
-    whose 2^n cells contain a ground element; returns witness row indices.
-    In a translate family every row is a translate of rows[0], and shifting
-    all translators by one h keeps the cells nonempty, so the search fixes
-    the first row at 0.  The rows found are re-checked by a scan of the
-    ground set.  Budget as in `vc_dimension`, with the last complete rows as
-    `partial`.  On a translate family {g + X} of Z_N the dual VC dimension
-    is the VC dimension: members g_i + X cut all Venn cells iff the
-    translates t - X of -X shatter {g_i} (t is in g_i + X iff g_i is in
-    t - X; distinct members are distinct modulo the period of X, which no
-    t - X splits), and x -> -x carries the translates of X onto those of -X."""
-    if not system.rows:
-        raise ValueError("empty family has no dual VC dimension")
-    if not system.ground:
-        raise ValueError("empty ground set")
-
-    def recheck(rows: tuple[int, ...]) -> tuple[int, ...]:
-        if not _all_cells_nonempty(system, rows):
-            raise AssertionError("dual witness rows failed independent re-check")
-        return rows
-
-    heads = None if system._orbit_base is None else 1
-    return _venn_search(system.rows, len(system.ground), heads, max_tries, "dual_vc_dimension", recheck)
 
 
 def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
@@ -495,9 +497,9 @@ def translate_vc_dimension(
         )
 
     try:
-        d, cand = _levelwise(len(grid), shattered, max_tries, "translate_vc_dimension")
+        cand = _levelwise(len(grid), shattered, max_tries, "translate_vc_dimension")[0]
     except BudgetExceededError as exc:
         status = (f"search budget of {max_tries} tries spent at size {exc.lower_bound + 1}; "
                   "larger sets were not all tried")
         raise BudgetExceededError(str(exc), exc.lower_bound, report(exc.partial, status)) from None
-    return report(cand, f"no shattered {d + 1}-point set found among {len(grid)} grid candidates")
+    return report(cand, f"no shattered {len(cand) + 1}-point set found among {len(grid)} grid candidates")

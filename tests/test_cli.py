@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import vclab
+import vclab.vc
 from vclab import cli
 from vclab.cli import MAX_VCDIM_ORDER, MAX_WORK_US, build_parser, main
 from vclab.cantor import FatCantorSet
@@ -96,6 +97,8 @@ def test_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
     assert "VC dimension >= 2" in captured.err and captured.err.count("\n") == 1
     payload = json.loads((tmp_path / "v.json").read_text())
     assert payload["vc_dimension_lower_bound"] == 2
+    # 8192 distinct rows, and a shattered n-set needs 2^n of them
+    assert payload["vc_dimension_upper_bound"] == 13
     assert "vc_dimension" not in payload
     report = payload["shatter_report"]
     assert report["shattered"] and len(report["points"]) == 2
@@ -104,6 +107,18 @@ def test_vcdim_budget_exhaustion_writes_partial_report(tmp_path, capsys):
     for pattern, g in report["witness_translators"].items():
         for bit, p in zip(pattern[::-1], report["points"]):
             assert ((p - g) % MAX_VCDIM_ORDER in base) == (bit == "1")
+
+
+def test_vcdim_spent_budget_writes_the_row_count_bound(tmp_path, capsys):
+    # The translates of a 200-arc in Z_2048 shatter no 3 points (each pair
+    # would need its own gap shorter than the arc, and the three gaps sum to
+    # 2048), but the search spends its budget on the 3-point sets through 0;
+    # the artifact brackets d between 2 and floor(log2 2048) = 11.
+    code, out = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:2048", "--set", "arc:200"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exhausted: vc_dimension budget exceeded at size 3")
+    payload = json.loads(out.read_text())
+    assert (payload["vc_dimension_lower_bound"], payload["vc_dimension_upper_bound"]) == (2, 11)
 
 
 # Stage 3 of the fat Cantor set at scale 4/5: the translate search certifies
@@ -209,26 +224,37 @@ def test_vcdim_arc_at_former_cap_finishes(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
-def test_vcdim_dual_budget_keeps_primal_result(tmp_path, capsys):
-    # The primal search finishes and the dual one spends its budget on
-    # 3-row tuples: the artifact keeps the VC dimension and its report, and
-    # adds the dual lower bound with the translators of its partial rows.
+def test_vcdim_reads_the_dual_witness_off_the_search(tmp_path, capsys):
+    # The search finds d = 2, and the dual witness is read off its last
+    # level: the artifact holds dual VC dimension 2 with its translators.
     code, out = run(tmp_path, "v.json", [
         "vcdim", "--group", "cyclic:3531", "--set", "list:197,237,296,385,617,1497,1617,2078,2194,2387,2666,3363",
     ])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == "2\n"
-    assert "(dual VC dimension >= 2)" in captured.err and captured.err.count("\n") == 1
+    assert code == 0
+    assert capsys.readouterr().out == "2\n"
     payload = json.loads(out.read_text())
     assert payload["vc_dimension"] == 2 and payload["shatter_report"]["shattered"]
-    assert payload["dual_vc_dimension_lower_bound"] == 2
-    assert "dual_vc_dimension" not in payload
+    assert payload["dual_vc_dimension"] == 2
     # the translates by the recorded translators cut all four Venn cells
     base = set(payload["base_set"])
     translators = payload["dual_witness_translators"]
     assert len(translators) == 2
     assert len({tuple((v - g) % 3531 in base for g in translators) for v in range(3531)}) == 4
+
+
+def test_vcdim_runs_one_search(tmp_path, monkeypatch):
+    # The dual witness comes from the VC search's own last level, not from
+    # a second search.
+    calls = []
+    levelwise = vclab.vc._levelwise
+
+    def counting_levelwise(*args, **kwargs):
+        calls.append(args)
+        return levelwise(*args, **kwargs)
+
+    monkeypatch.setattr(vclab.vc, "_levelwise", counting_levelwise)
+    code, _ = run(tmp_path, "v.json", ["vcdim", "--group", "cyclic:23", "--set", "list:2,7,11,19"])
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize(

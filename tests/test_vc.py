@@ -19,10 +19,10 @@ from vclab.vc import (
     _read_translators,
     _signature_ranges,
     _translator_keys,
-    dual_vc_dimension,
     interesting_grid,
     sauer_shelah_table,
     translate_vc_dimension,
+    vc_and_dual_dimension,
     vc_dimension,
     vc_dimension_naive,
 )
@@ -65,7 +65,6 @@ def test_vc_matches_naive_oracle_randomized():
         assert d == vc_dimension_naive(system)
         assert rep.verify(system)
         assert (d, rep) == generic_vc.vc_dimension(system)
-        assert dual_vc_dimension(system) == generic_vc.dual_vc_dimension(system)
 
 
 def test_vc_monotone_under_subfamilies():
@@ -87,7 +86,7 @@ def test_vc_monotone_under_subfamilies():
 def test_vc_budget_error_carries_lower_bound():
     # The error carries the last complete level and the witness of its first
     # tuple, at each budget.  The budgets count tuples: 8 points, then their
-    # 28 pairs; 256 rows, then the pairs of the 254 that cut the ground set.
+    # 28 pairs.
     system = powerset_system(tuple(range(8)))
     with pytest.raises(BudgetExceededError) as err:
         vc_dimension(system, max_tries=7)
@@ -99,44 +98,6 @@ def test_vc_budget_error_carries_lower_bound():
     assert str(err.value) == "vc_dimension budget exceeded at size 3"
     assert err.value.lower_bound == 2
     assert err.value.partial == ShatterReport((0, 1), {0: 0, 1: 1, 2: 2, 3: 3})
-    with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_tries=6)
-    assert str(err.value) == "dual_vc_dimension budget exceeded at size 1"
-    assert err.value.lower_bound == 0 and err.value.partial == ()
-    with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_tries=375)
-    assert err.value.lower_bound == 1 and err.value.partial == (1,)
-    with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_tries=37_500)
-    assert err.value.lower_bound == 2 and err.value.partial == (3, 5)
-
-
-def test_dual_vc_examples():
-    only_empty = SetSystem.from_sets(("a", "b"), [()])
-    assert dual_vc_dimension(only_empty)[0] == 0
-    # the family of subsets of {a,b,c} over the larger ground {a,b,c,d}:
-    # X1={a,b}, X2={b,c} cut all four cells (d falls outside both)
-    sets = [[], ["a"], ["b"], ["c"], ["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"]]
-    wide = SetSystem.from_sets(("a", "b", "c", "d"), sets)
-    n, witness = dual_vc_dimension(wide)
-    assert n >= 2
-    # over the tight ground {a,b,c} there is no room for 4 nonempty cells
-    tight = SetSystem.from_sets(("a", "b", "c"), sets)
-    assert dual_vc_dimension(tight)[0] == 1
-
-
-def test_primal_dual_both_finite():
-    # finiteness of one implies finiteness of the other; on explicit finite
-    # families both searches must terminate with a value, and the classic
-    # bound dual < 2^(primal+1) caps how far they can drift apart
-    rng = random.Random("dual")
-    for _ in range(30):
-        system = random_system(rng, max_ground=7, max_rows=12)
-        d, _ = vc_dimension(system)
-        n, _ = dual_vc_dimension(system)
-        assert 0 <= n < 2 ** (d + 1)
-    arc = SetSystem.from_translates(CyclicGroup(12), range(3))
-    assert vc_dimension(arc)[0] > 0 and dual_vc_dimension(arc)[0] > 0
 
 
 def cyclic_translate(model, base, g):
@@ -161,10 +122,11 @@ def random_translate_base(rng):
 
 
 def test_cyclic_search_matches_generic_oracle():
-    # The searches give the row-scan searches' results, dimension, report and
-    # dual rows alike: on translate families, on copies of them with string
-    # labels, and on rotation-invariant families of two orbits, which are
-    # searched as explicit families.
+    # The search gives the row-scan searches' results, dimension and report
+    # alike: on translate families, on copies of them with string labels,
+    # and on rotation-invariant families of two orbits, which are searched
+    # as explicit families.  On translate families the dual rows read off
+    # its last level are the row-scan dual search's.
     rng = random.Random("cyclic-oracle")
     dims, periodic, two_orbit = set(), 0, 0
     for i in range(1000):
@@ -191,9 +153,10 @@ def test_cyclic_search_matches_generic_oracle():
                     labels, ([labels[v] for v in cyclic_translate(model, base, g)] for g in model.elements())
                 )
             assert system._orbit_base is not None
+            d, report, dual_rows = vc_and_dual_dimension(system)
+            assert (d, dual_rows) == generic_vc.dual_vc_dimension(system)
         d, report = vc_dimension(system)
         assert (d, report) == generic_vc.vc_dimension(system)
-        assert dual_vc_dimension(system) == generic_vc.dual_vc_dimension(system)
         if i % 4 != 3:
             dims.add(d)
             periodic += 1 < len(system) < model.n
@@ -202,11 +165,13 @@ def test_cyclic_search_matches_generic_oracle():
 
 def test_translate_family_dual_vc_dimension_equals_vc_dimension():
     # The dual of {g + X} is the family of translates of -X, which x -> -x
-    # carries onto {g + X} (proof in `dual_vc_dimension`).  Half the bases
+    # carries onto {g + X} (proof in `vc_and_dual_dimension`).  Below N = 25
+    # the row-scan dual search, which takes seconds a base beyond, confirms
+    # both the dimension and the rows read off the search.  Half the bases
     # come from random_translate_base, with its singletons, whole groups and
     # periodic bases; half are any base of Z_N for N < 40.
     rng = random.Random("dual-equals-primal")
-    dims, periodic = set(), 0
+    dims, periodic, scanned = set(), 0, 0
     for i in range(400):
         if i % 2:
             n, base = random_translate_base(rng)
@@ -214,11 +179,14 @@ def test_translate_family_dual_vc_dimension_equals_vc_dimension():
             n = rng.randrange(1, 40)
             base = rng.sample(range(n), rng.randint(1, n))
         system = SetSystem.from_translates(CyclicGroup(n), base)
-        d, _ = vc_dimension(system)
-        assert dual_vc_dimension(system)[0] == d
-        dims.add(d)
-        periodic += 1 < len(system) < n
-    assert dims >= {0, 1, 2, 3, 4} and periodic > 5
+        d, report, dual_rows = vc_and_dual_dimension(system)
+        assert (d, report) == vc_dimension(system)
+        if n < 25:
+            assert (d, dual_rows) == generic_vc.dual_vc_dimension(system)
+            dims.add(d)
+            periodic += 1 < len(system) < n
+            scanned += 1
+    assert dims >= {0, 1, 2, 3, 4} and periodic > 5 and scanned > 250
 
 
 def test_cyclic_search_budget_error_carries_lower_bound():
@@ -228,10 +196,14 @@ def test_cyclic_search_budget_error_carries_lower_bound():
     assert str(err.value) == "vc_dimension budget exceeded at size 2"
     assert err.value.lower_bound == 1
     assert err.value.partial == ShatterReport((0,), {0: 1, 1: 0})
-    with pytest.raises(BudgetExceededError) as err:
-        dual_vc_dimension(system, max_tries=60)
-    assert str(err.value) == "dual_vc_dimension budget exceeded at size 3"
-    assert err.value.lower_bound == 2 and err.value.partial == (0, 1)
+    # The dual rows are read off the same search, so they spend no budget of
+    # their own: 1 point, 49 pairs and 96 triples through 0 are tried.
+    with pytest.raises(BudgetExceededError) as dual_err:
+        vc_and_dual_dimension(system, max_tries=10)
+    assert (str(dual_err.value), dual_err.value.partial) == (str(err.value), err.value.partial)
+    with pytest.raises(BudgetExceededError, match="at size 3"):
+        vc_and_dual_dimension(system, max_tries=145)
+    assert vc_and_dual_dimension(system, max_tries=146)[0] == vc_dimension(system, max_tries=146)[0] == 2
 
 
 @pytest.mark.parametrize("system", [
@@ -240,12 +212,17 @@ def test_cyclic_search_budget_error_carries_lower_bound():
 ], ids=["translate", "explicit"])
 def test_search_certificate_is_rechecked(monkeypatch, system):
     # A mask test that passes every tuple must not reach the report: the
-    # tuple is re-checked by row intersection, the dual rows by a ground scan.
+    # tuple is re-checked by row intersection, and the dual rows read off the
+    # level of such tuples by a ground scan.
     monkeypatch.setattr(vclab.vc, "_venn_witness", lambda masks, n: lambda cand: cand)
-    with pytest.raises(AssertionError, match="independent re-check"):
+    with pytest.raises(AssertionError, match="shattered tuple failed independent re-check"):
         vc_dimension(system, max_tries=100)
-    with pytest.raises(AssertionError, match="independent re-check"):
-        dual_vc_dimension(system, max_tries=100)
+    if system._orbit_base is None:
+        with pytest.raises(ValueError, match="not all translates"):
+            vc_and_dual_dimension(system)
+    else:
+        with pytest.raises(AssertionError, match="dual witness rows failed independent re-check"):
+            vc_and_dual_dimension(system, max_tries=100)
 
 
 def test_sauer_shelah_examples():
