@@ -162,13 +162,6 @@ class ConstructibleSet:
             tuple([Interval(lo + g, hi + g, lc, hc) for lo, hi, lc, hc in self.pieces])
         )
 
-    def r_neighborhood(self, r) -> "ConstructibleSet":
-        """Union of closed balls of radius r around every component."""
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("radius must be positive")
-        return ConstructibleSet.from_pieces(Interval(lo - r, hi + r) for lo, hi, _, _ in self.pieces)
-
     # --------------------------------------------------------------- dunder
 
     def __repr__(self):

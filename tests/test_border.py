@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_border
 from vclab.border import (
     border_decay_experiment,
     boundary_point_count,
@@ -49,6 +50,45 @@ def test_r_border_fat_cantor_stage():
 def test_r_border_requires_positive_radius():
     with pytest.raises(ValueError):
         r_border_measure(ConstructibleSet.interval(0, 1), 0, BIG_WINDOW)
+
+
+def test_r_border_matches_fraction_oracle():
+    # Sets with open ends and isolated points on [-2, 2], so most reach past
+    # the window; interval windows on and off the sets' grid, and multi-piece
+    # ones; the empty set, the whole window and a superset of it; radii from
+    # 2^-64 to 2^64, and multiples of the grid step, where grown pieces touch.
+    rng = random.Random("border-oracle")
+    grid = (F(-2), F(2))
+    for case in range(3000):
+        if case % 3:
+            window = [(F(0), F(1)), (F(-1, 3), F(5, 7))][case // 3 % 2]
+            win = ConstructibleSet.interval(*window)
+        else:
+            window = win = random_constructible(rng, grid)
+        a = random_constructible(rng, grid)
+        a = [ConstructibleSet.empty(), win, win.union(a), a, a][case % 5]
+        r = F(2) ** rng.randrange(-64, 65) if case % 2 else F(rng.randrange(1, 200), 2520)
+        assert r_border_measure(a, r, window) == fraction_border.r_border_measure(a, r, window), (a, r, window)
+
+
+def test_r_border_is_at_most_2r_per_boundary_point():
+    # The module docstring's bound for closed intervals inside an interval
+    # window, met once 2r is at most every gap between the ends of A and W.
+    rng = random.Random("border-2r")
+    top = F(0)
+    for _ in range(400):
+        window = (F(rng.randrange(-9, 0), 7), F(rng.randrange(1, 10), 3))
+        a = random_closed_union(rng, window)
+        ends = [window[0], *(v for piece in a.pieces for v in piece[:2]), window[1]]
+        gap = min(y - x for x, y in zip(ends, ends[1:]))
+        bound_per_r = 2 * boundary_point_count(a)
+        for r in (gap / 2, gap / 3, gap, 2 * gap, F(2) ** rng.randrange(-64, 8)):
+            value = r_border_measure(a, r, window)
+            assert value <= bound_per_r * r
+            if 2 * r <= gap:
+                assert value == bound_per_r * r
+            top = max(top, value / (bound_per_r * r))
+    assert top == 1
 
 
 def test_counterexample_r_border_floor():

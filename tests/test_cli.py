@@ -212,7 +212,8 @@ def test_vcdim_artifact_bytes_are_pinned(tmp_path, group, base, sha256):
 )
 def test_set_algebra_artifact_bytes_are_pinned(tmp_path, argv, sha256):
     # Digests recorded from earlier commits: these commands run the boolean
-    # sweep, closure, interior, r-neighborhoods and hull of vclab.constructible.
+    # sweep, closure, interior and hull of vclab.constructible, and the
+    # integer r-border pass of vclab.border.
     out = tmp_path / "artifact"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

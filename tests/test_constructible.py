@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_sweep
+from fraction_border import r_neighborhood
 from fraction_translate import minkowski_diff
 from vclab.border import random_constructible
 from vclab.cantor import FatCantorSet
@@ -61,7 +62,7 @@ def test_every_result_is_one_canonical_run_of_pieces():
         a, b = rset(rng), rset(rng)
         g, r = F(rng.randrange(-120, 121), 60), F(1, rng.randrange(1, 60))
         for x in (a, b, a.union(b), a.intersection(b), a.difference(b), b.difference(a),
-                  a.closure(), a.interior(), a.border(), a.translate(g), a.r_neighborhood(r),
+                  a.closure(), a.interior(), a.border(), a.translate(g), r_neighborhood(a, r),
                   a.union(b.translate(g)).border()):
             assert_canonical(x)
 
@@ -224,7 +225,7 @@ def test_neighborhood_matches_distance():
         if a.is_empty:
             continue
         r = F(rng.randrange(1, 40), 80)
-        n = a.r_neighborhood(r)
+        n = r_neighborhood(a, r)
         for _ in range(25):
             x = F(rng.randrange(-5000, 5001), 1000)
             assert n.contains(x) == (distance(a, x) <= r)
@@ -232,13 +233,13 @@ def test_neighborhood_matches_distance():
 
 def test_distance_and_neighborhood():
     assert distance(ConstructibleSet.interval(0, 1), F(3, 2)) == F(1, 2)
-    assert ConstructibleSet.from_points([0]).r_neighborhood(F(1, 4)) == ConstructibleSet.interval(
+    assert r_neighborhood(ConstructibleSet.from_points([0]), F(1, 4)) == ConstructibleSet.interval(
         F(-1, 4), F(1, 4)
     )
     fc = FatCantorSet()
     k1 = fc.stage_set(1)
     # stage 1 has 2 components: measure grows by exactly 4r
-    assert k1.r_neighborhood(F(1, 100)).measure() == k1.measure() + 4 * F(1, 100)
+    assert r_neighborhood(k1, F(1, 100)).measure() == k1.measure() + 4 * F(1, 100)
 
 
 def test_density_hypothesis_examples():
