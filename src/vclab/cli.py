@@ -3,8 +3,8 @@
 Every subcommand derives all randomness from the global --seed through
 string-labelled child generators, so identical invocations produce
 byte-identical artifacts, all written by `_write`.  Rationals are "p/q"
-strings (`str(Fraction)`) in JSON and CSV; CSV adds a float column for
-plotting.
+strings in lowest terms ("p" when q = 1, the text `str(Fraction)` gives) in
+JSON and CSV; CSV adds a float column for plotting.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 budget exhaustion.  A command whose budget runs out writes its partial
@@ -282,6 +282,17 @@ def cmd_witness(args) -> int:
     _require_range("depth", args.depth, 1)
     _require_range("stage-budget", args.stage_budget, 0)
     fc = _fat_cantor(args.removed_scale)
+    # Level k needs a stage m_k >= 2 m_(k-1) + 3: a slack is at most half a stage-(m+1) middle,
+    # below 2^-(2m+3), and a stage-m' component is wider than 2^-(m'+1).  So a budget B completes
+    # at most d levels, 3 (2^(d-1) - 1) <= B, at a stage m <= B; and m <= 5/4 2^d (bits of q + 1),
+    # of which 1/3, the costliest scale found, needs 1.16.  A condition takes 3m bytes of text and
+    # m (m + 2000) units, as checking and writing are quadratic in m; 0.02 ns a unit.
+    d = min(args.depth, (args.stage_budget // 3 + 1).bit_length())
+    m = min(args.stage_budget, 5 * (fc.removed_scale.denominator.bit_length() + 1) << d >> 2)
+    flags, size = f"--depth {args.depth} with --stage-budget {args.stage_budget}", 3 * d * m << d
+    _price(flags, (d * m * (m + 2000) << d) // 50, 1)
+    if size > MAX_ROWS * 1000:
+        raise ValueError(f"{flags} would write about {size // 10**6} MB, above the cap of {MAX_ROWS // 1000} MB")
     spent = None
     try:
         witness = construct_witness(fc, args.depth, seed=args.seed, stage_budget=args.stage_budget)

@@ -281,25 +281,6 @@ def vc_and_dual_dimension(system: SetSystem, max_tries: int = MAX_TRIES) -> tupl
     return len(dual), _checked_report(system, level[0]), dual
 
 
-def vc_dimension_naive(system: SetSystem) -> int:
-    """Independent no-pruning oracle: try every subset of every size."""
-    if not system.rows:
-        raise ValueError("empty family has no VC dimension")
-    n = len(system.ground)
-    d = 0
-    for k in range(1, n + 1):
-        found = False
-        for cand in combinations(range(n), k):
-            rep = _shatter_report(system, list(cand), cand)
-            if rep.shattered:
-                found = True
-                break
-        if not found:
-            return d
-        d = k
-    return d
-
-
 def _all_cells_nonempty(system: SetSystem, row_idxs: tuple[int, ...]) -> bool:
     k = len(row_idxs)
     want = 2**k

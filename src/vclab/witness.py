@@ -20,17 +20,20 @@ Per-level slacks shrink by a bounded factor per level (the next level's
 components must fit inside the current slack balls), which keeps stage
 depth singly exponential in the witness depth.
 
-Construction and checking run on integers; Fractions appear only in the
-fields of a ShatterWitness.  Level-lattice lemma: with removed_scale = p/q
-and u_s = 1/(q 2^(2s+1)) as in `vclab.cantor`, let T_m = 1/(q 2^(2m+13)) =
-u_(m+2)/256.  At a level of stage m every point, translator, middle edge,
-value and slack is an integer multiple of T_m, and the level's translator is
-+-min(2p, 8((2q - p) 2^m - p)) r T_m for the drawn ratio r/256.  Proof:
-stages never decrease, and a point placed at stage m' <= m is an edge of a
-stage-(m'+1) or stage-(m'+2) middle, so points and middle edges lie on u_s
-for s <= m + 2, and u_s = 4^(m+2-s) u_(m+2).  Every stage-s middle is
-2p u_s wide, so the pool's narrowest is 2p u_(m+2).  The radius (2f - L)/2
-has f = (1 - p/(2q)) 2^-m = (2q - p) 2^(m+4) u_(m+2) and L = W_m u_m =
+Construction, checking and writing run on integers: a ShatterWitness holds
+each field as an integer n for n/den, den = q 2^e the last level's lattice
+below (for a certificate read from text, the lcm of its denominators), and
+Fractions appear only where text is read and in failure messages.
+Level-lattice lemma: with removed_scale = p/q and u_s = 1/(q 2^(2s+1)) as in
+`vclab.cantor`, let T_m = 1/(q 2^(2m+13)) = u_(m+2)/256.  At a level of stage
+m every point, translator, middle edge, value and slack is an integer
+multiple of T_m, and the level's translator is +-min(2p, 8((2q - p) 2^m - p))
+r T_m for the drawn ratio r/256.  Proof: stages never decrease, and a point
+placed at stage m' <= m is an edge of a stage-(m'+1) or stage-(m'+2) middle,
+so points and middle edges lie on u_s for s <= m + 2, and
+u_s = 4^(m+2-s) u_(m+2).  Every stage-s middle is 2p u_s wide, so the pool's
+narrowest is 2p u_(m+2).  The radius (2f - L)/2 has
+f = (1 - p/(2q)) 2^-m = (2q - p) 2^(m+4) u_(m+2) and L = W_m u_m =
 16 (p + 2^m (2q - p)) u_(m+2), so it is 8((2q - p) 2^m - p) u_(m+2) > 0.
 The smaller of the two times r/256 lies on T_m, earlier translators on
 T_m' = 4^(m-m') T_m, and values and slacks are their sums and differences.
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import attrgetter
 
 from .cantor import FatCantorSet, branch_of_stage
 from .constructible import on_lattice
@@ -56,39 +60,57 @@ from .rational import parse_rational
 
 @dataclass(frozen=True)
 class WitnessCondition:
-    """One exact membership fact: value = g_level + x_pattern lies strictly
-    inside (lo, hi), an interval of branch pattern[level] at `stage`."""
+    """One exact membership fact on its certificate's lattice 1/den: value =
+    g_level + x_pattern lies strictly inside (lo, hi), an interval of branch
+    pattern[level] at `stage`, with slack min(value - lo, hi - value)."""
 
     level: int
     pattern: str
-    value: Fraction
-    lo: Fraction
-    hi: Fraction
+    value: int
+    lo: int
+    hi: int
     stage: int
-    slack: Fraction
+    slack: int
 
 
 @dataclass
 class ShatterWitness:
-    """A depth-n shattering certificate with exact rational data."""
+    """A depth-n shattering certificate: each translator, point, value,
+    middle end and slack is an integer n standing for the rational n/den."""
 
     depth: int
-    translators: tuple[Fraction, ...]
-    points: dict[str, Fraction]
+    den: int
+    translators: tuple[int, ...]
+    points: dict[str, int]
     stage_bound: int
     conditions: tuple[WitnessCondition, ...] = ()
 
     def dumps(self) -> str:
-        """The JSON text `json.dumps(..., sort_keys=True, indent=2)` gives, written
-        directly: rationals as str(Fraction), conditions in (level, pattern) order."""
-        conditions = ",\n".join(
-            f'    {{\n      "hi": "{c.hi!s}",\n      "level": {c.level},\n      "lo": "{c.lo!s}",\n'
-            f'      "pattern": {_quote(c.pattern)},\n      "slack": "{c.slack!s}",\n'
-            f'      "stage": {c.stage},\n      "value": "{c.value!s}"\n    }}'
-            for c in sorted(self.conditions, key=lambda c: (c.level, c.pattern))
-        )
-        points = ",\n".join(f'    {_quote(p)}: "{x!s}"' for p, x in sorted(self.points.items()))
-        translators = ",\n".join(f'    "{g!s}"' for g in self.translators)
+        """The JSON text `json.dumps(..., sort_keys=True, indent=2)` gives with
+        each field n as str(Fraction(n, den)), written directly in lowest terms:
+        the power of two shared by n and den is the lowest set bit of n | den,
+        and the rest of gcd(n, den) is gcd(n, den's odd part), q for den = q 2^e.
+        Each divisor's denominator and each distinct middle are written once,
+        and conditions go in (level, pattern) order."""
+        den, divisors, middles = self.den, {}, {}
+        odd = den // (top := den & -den)
+
+        def write(n: int) -> str:
+            g = gcd(n, odd) * ((b := n | top) & -b)
+            if (tail := divisors.get(g)) is None:
+                tail = divisors[g] = f"/{den // g}" if g < den else ""
+            return f"{n // g}{tail}"
+
+        def row(c: WitnessCondition) -> str:
+            if (ends := middles.get((c.lo, c.hi))) is None:
+                ends = middles[c.lo, c.hi] = (write(c.lo), write(c.hi))
+            return (f'    {{\n      "hi": "{ends[1]}",\n      "level": {c.level},\n      "lo": "{ends[0]}",\n'
+                    f'      "pattern": {_quote(c.pattern)},\n      "slack": "{write(c.slack)}",\n'
+                    f'      "stage": {c.stage},\n      "value": "{write(c.value)}"\n    }}')
+
+        conditions = ",\n".join(map(row, sorted(self.conditions, key=attrgetter("level", "pattern"))))
+        points = ",\n".join(f'    {_quote(p)}: "{write(x)}"' for p, x in sorted(self.points.items()))
+        translators = ",\n".join(f'    "{write(g)}"' for g in self.translators)
         return (
             f'{{\n  "conditions": {_nest("[]", conditions)},\n  "depth": {self.depth},\n'
             f'  "points": {_nest("{}", points)},\n  "stage_bound": {self.stage_bound},\n'
@@ -97,14 +119,16 @@ class ShatterWitness:
 
     @classmethod
     def loads(cls, text: str) -> "ShatterWitness":
-        d, num = json.loads(text), parse_rational
-        conditions = tuple(
-            WitnessCondition(int(c["level"]), str(c["pattern"]), num(c["value"]), num(c["lo"]),
-                             num(c["hi"]), int(c["stage"]), num(c["slack"]))
-            for c in d["conditions"]
-        )
-        return cls(int(d["depth"]), tuple(num(g) for g in d["translators"]),
-                   {p: num(x) for p, x in d["points"].items()}, int(d["stage_bound"]), conditions)
+        """The certificate of a `dumps` text, on the lcm of its denominators."""
+        d = json.loads(text)
+        den, units = on_lattice([parse_rational(v) for v in (*d["translators"], *d["points"].values(), *(
+            c[f] for c in d["conditions"] for f in ("value", "lo", "hi", "slack")))])
+        ints = iter(units)
+        translators = tuple(next(ints) for _ in d["translators"])
+        points = {p: next(ints) for p in d["points"]}
+        conditions = tuple(WitnessCondition(int(c["level"]), str(c["pattern"]), next(ints), next(ints),
+                                            next(ints), int(c["stage"]), next(ints)) for c in d["conditions"])
+        return cls(int(d["depth"]), den, translators, points, int(d["stage_bound"]), conditions)
 
 
 def _nest(brackets: str, items: str) -> str:
@@ -233,22 +257,23 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
     if depth == 0:
-        return ShatterWitness(0, (), {}, 0, ())
+        return ShatterWitness(0, 1, (), {}, 0, ())
 
     p, q = fc.removed_scale.numerator, fc.removed_scale.denominator
     rng = random.Random(f"witness/{seed}")
-    # The completed levels' translators, points and conditions, each computed
-    # once, with every value and slack an integer on the last level's lattice
-    # T_m = 1/(q 2^e), and the stage m.
+    # The completed levels' translators, points and conditions (as field
+    # tuples), each computed once on the last level's lattice T_m = 1/(q 2^e).
     translators, points, conditions, e, m = [], {"": 0}, [], 13, 0
     # Each point as (stage s, address b, right end?): it is that end of the
     # stage-s component b, so its component at every stage is known.
     ends = {"": (0, 0, False)}
     gaps = {}  # pattern prefix -> (lo, hi, stage) of its removed middle on u_stage
 
-    def partial() -> ShatterWitness:
-        # Called before a level replaces the completed levels' data.
-        return _assemble(q, e, translators, points, conditions)
+    def certificate() -> ShatterWitness:
+        # The completed levels, read before a level replaces them.
+        return ShatterWitness(len(translators), q << e, tuple(translators), points,
+                              max((c[5] for c in conditions), default=0),
+                              tuple(WitnessCondition(*c) for c in conditions))
 
     for level in range(depth):
         patterns = sorted(points)
@@ -258,7 +283,7 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
         while True:
             if m > stage_budget:
                 raise BudgetExceededError(f"stage budget exhausted while separating level {level}",
-                                          partial=partial())
+                                          partial=certificate())
             if sigma is None or fc.width(m) << e < sigma << (2 * m + 1):
                 comps = {pat: fc.address(*ends[pat], m) for pat in patterns}
                 if len(set(comps.values())) == len(patterns):
@@ -293,38 +318,26 @@ def construct_witness(fc: FatCantorSet, depth: int, seed: int = 0,
             new_points[pattern] = x << (lattice - 2 * stage - 1)
             gaps[pattern] = (lo, hi, stage)
 
-        # The conditions of every level k <= this one at the new points, as
-        # WitnessCondition fields with the middle as its gap: level k's middle
-        # is the one the pattern's length-(k+1) prefix took.
+        # The conditions of every level k <= this one at the new points: level
+        # k's middle is the one the pattern's length-(k+1) prefix took, put on
+        # the new lattice once.
         new_translators = [g << (lattice - e) for g in translators] + [g_level]
+        middles = {prefix: (lo << (lattice - 2 * s - 1), hi << (lattice - 2 * s - 1), s)
+                   for prefix, (lo, hi, s) in gaps.items()}
         new_conditions = []
         for k, g in enumerate(new_translators):
             for pattern, x in new_points.items():
-                gap = gaps[pattern[: k + 1]]
-                shift, value = lattice - 2 * gap[2] - 1, g + x
-                below, above = value - (gap[0] << shift), (gap[1] << shift) - value
+                lo, hi, stage = middles[pattern[: k + 1]]
+                value = g + x
+                below, above = value - lo, hi - value
                 if below <= 0 or above <= 0:
                     raise BudgetExceededError(f"edge placement failed for pattern {pattern}" if k == level
                                               else "inherited condition broke; budgets too tight",
-                                              partial=partial())
-                new_conditions.append((k, pattern, value, gap, min(below, above)))
+                                              partial=certificate())
+                new_conditions.append((k, pattern, value, lo, hi, stage, min(below, above)))
         translators, points, conditions, e = new_translators, new_points, new_conditions, lattice
 
-    return _assemble(q, e, translators, points, conditions)
-
-
-def _assemble(q, e, translators, points, conditions) -> ShatterWitness:
-    """The certificate's Fractions: translators, points, values and slacks are
-    integers on 1/(q 2^e), and each distinct middle's ends become Fractions once."""
-    middles = {(lo, hi, s): (Fraction(lo, q << (2 * s + 1)), Fraction(hi, q << (2 * s + 1)))
-               for lo, hi, s in {c[3] for c in conditions}}
-    den = q << e
-    built = tuple(WitnessCondition(level, pattern, Fraction(value, den), *middles[gap], gap[2],
-                                   Fraction(slack, den))
-                  for level, pattern, value, gap, slack in conditions)
-    return ShatterWitness(len(translators), tuple(Fraction(g, den) for g in translators),
-                          {pat: Fraction(x, den) for pat, x in points.items()},
-                          max((c.stage for c in built), default=0), built)
+    return certificate()
 
 
 # --------------------------------------------------------------------------
@@ -333,43 +346,38 @@ def _assemble(q, e, translators, points, conditions) -> ShatterWitness:
 
 def verify_witness(witness: ShatterWitness, fc: FatCantorSet) -> VerificationResult:
     """Check every recorded field of a certificate in closed form, with no
-    membership walk, as integers on 1/D for D the lcm of all denominators.
-    Per condition (k, p): value = g_k + x_p, lo < value < hi, slack =
-    min(value - lo, hi - value), and (lo, hi) a removed middle of the recorded
-    stage (`FatCantorSet.middle_defect`, once per distinct middle) feeding
-    branch p[k].  Exactly one condition per (level, pattern), and stage_bound
-    the top stage.  Failures are (level, pattern, message)."""
-    depth, points, translators, conditions = (witness.depth, witness.points, witness.translators,
-                                              witness.conditions)
-    den, units = on_lattice([*translators, *points.values(), *(
-        f for c in conditions for f in (c.value, c.lo, c.hi, c.slack))])
-    ints = iter(units)
-    g, x = [next(ints) for _ in translators], {pattern: next(ints) for pattern in points}
-    failures = []
-    if set(points) != (set(_bitstrings(depth)) if depth else set()):
-        failures.append(("structure", "", "point patterns do not match the depth"))
-    if len(set(x.values())) != len(points):
-        failures.append(("structure", "", "points are not pairwise distinct"))
-    if len(translators) != depth:
-        failures.append(("structure", "", "translator count does not match the depth"))
-    if sorted((c.level, c.pattern) for c in conditions) != [
-            (k, pattern) for k in range(depth) for pattern in sorted(points)]:
-        failures.append(("structure", "", "not exactly one condition per level and pattern"))
+    membership walk, on its integers over den.  Per condition (k, p):
+    value = g_k + x_p, lo < value < hi, slack = min(value - lo, hi - value),
+    and (lo, hi) a removed middle of the recorded stage feeding branch p[k]
+    (`FatCantorSet.middle_defect`, once per distinct middle).  Exactly one
+    condition per (level, pattern), and stage_bound the top stage.  Failures
+    are (level, pattern, message), with rationals as Fractions."""
+    depth, den, points, translators, conditions = (witness.depth, witness.den, witness.points,
+                                                   witness.translators, witness.conditions)
     top = max((c.stage for c in conditions), default=0)
-    if witness.stage_bound != top:
-        failures.append(("structure", "", f"stage bound {witness.stage_bound} is not the top stage {top}"))
+    failures = [("structure", "", why) for bad, why in (
+        (set(points) != (set(_bitstrings(depth)) if depth else set()), "point patterns do not match the depth"),
+        (len(set(points.values())) != len(points), "points are not pairwise distinct"),
+        (len(translators) != depth, "translator count does not match the depth"),
+        (sorted((c.level, c.pattern) for c in conditions) != [
+            (k, pattern) for k in range(depth) for pattern in sorted(points)],
+         "not exactly one condition per level and pattern"),
+        (witness.stage_bound != top, f"stage bound {witness.stage_bound} is not the top stage {top}"),
+    ) if bad]
     if failures:
         return VerificationResult(False, failures)
     middles = {}
-    for c, value, lo, hi, slack in zip(conditions, ints, ints, ints, ints):
-        k, pattern = c.level, c.pattern
-        if value != g[k] + x[pattern]:
-            failures.append((k, pattern, f"value {c.value} is not g_{k} + x_{pattern}"))
+    for c in conditions:
+        k, pattern, value, lo, hi = c.level, c.pattern, c.value, c.lo, c.hi
+        if value != translators[k] + points[pattern]:
+            failures.append((k, pattern, f"value {Fraction(value, den)} is not g_{k} + x_{pattern}"))
         below, above = value - lo, hi - value
         if below <= 0 or above <= 0:
-            failures.append((k, pattern, f"{c.value} is not strictly inside ({c.lo}, {c.hi})"))
-        elif slack != min(below, above):
-            failures.append((k, pattern, f"slack {c.slack} is not {Fraction(min(below, above), den)}"))
+            failures.append((k, pattern, f"{Fraction(value, den)} is not strictly inside "
+                                         f"({Fraction(lo, den)}, {Fraction(hi, den)})"))
+        elif c.slack != min(below, above):
+            failures.append((k, pattern, f"slack {Fraction(c.slack, den)} is not "
+                                         f"{Fraction(min(below, above), den)}"))
         if branch_of_stage(c.stage) != int(pattern[k]):
             failures.append((k, pattern, f"stage {c.stage} feeds the other branch"))
         if (key := (c.stage, lo, hi)) not in middles:

@@ -4,8 +4,11 @@ Each candidate tuple is tested by scanning the family rows (for points) or
 the ground set (for rows), level by level over every increasing index tuple,
 with no Venn-cell masks and no first index fixed at 0.  The tests compare
 `vclab.vc`, which tests Venn cells of bitmasks and fixes the first index of
-a translate family at 0, against this.
+a translate family at 0, against this.  `vc_dimension_naive` goes further:
+it tries every subset of every size, with no hereditary pruning.
 """
+
+from itertools import combinations
 
 from vclab.vc import ShatterReport
 
@@ -44,6 +47,19 @@ def levelwise(n, test):
 def vc_dimension(system):
     d, points = levelwise(len(system.ground), lambda t: shatter_report(system, t).shattered)
     return d, shatter_report(system, points)
+
+
+def vc_dimension_naive(system):
+    """Independent no-pruning oracle: the largest k such that some k-subset,
+    tried among all subsets of every size, is shattered."""
+    if not system.rows:
+        raise ValueError("empty family has no VC dimension")
+    n, d = len(system.ground), 0
+    for k in range(1, n + 1):
+        if not any(shatter_report(system, cand).shattered for cand in combinations(range(n), k)):
+            return d
+        d = k
+    return d
 
 
 def dual_vc_dimension(system):

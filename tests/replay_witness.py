@@ -3,10 +3,13 @@ branch p[k] is re-derived by walking the fat Cantor set's removal schedule
 in plain Fractions (`fraction_cantor.descend`), down to the recorded stage
 bound.
 
-It never reads the recorded conditions and shares no lattice arithmetic with
-`vclab`, so it is independent of `vclab.witness.verify_witness`, which checks
-those conditions in closed form; the tests run both on the same certificates.
+It reads each translator and point n as Fraction(n, den), never reads the
+recorded conditions and shares no lattice arithmetic with `vclab`, so it is
+independent of `vclab.witness.verify_witness`, which checks those conditions
+in closed form; the tests run both on the same certificates.
 """
+
+from fractions import Fraction
 
 import fraction_cantor
 from vclab.cantor import branch_of_stage
@@ -45,10 +48,10 @@ def replay_witness(witness, fc):
     if failures:
         return VerificationResult(False, failures)
     for pattern in sorted(witness.points):
-        x = witness.points[pattern]
+        x = Fraction(witness.points[pattern], witness.den)
         for k in range(witness.depth):
             bit = int(pattern[k])
-            y = witness.translators[k] + x
+            y = Fraction(witness.translators[k], witness.den) + x
             iv = branch_gap_containing(fc, y, bit, witness.stage_bound)
             if iv is None:
                 failures.append((k, pattern, f"{y} is not in branch {bit}"))

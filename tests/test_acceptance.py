@@ -14,6 +14,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
+from generic_vc import vc_dimension_naive
 from vclab.approx import FiniteTranslateFamily, covering_check, hitting_set_for_translates, sample_complexity_sweep
 from vclab.border import border_decay_experiment, density_report, random_closed_union, random_constructible, r_border_measure
 from vclab.cantor import FatCantorSet
@@ -26,7 +27,7 @@ from vclab.counterexample import (
     verify_difference_injective,
 )
 from vclab.groups import CyclicGroup
-from vclab.vc import SetSystem, sauer_shelah_table, vc_dimension, vc_dimension_naive
+from vclab.vc import SetSystem, sauer_shelah_table, vc_dimension
 from vclab.witness import ShatterWitness, construct_witness, verify_witness
 
 F = Fraction

@@ -589,6 +589,10 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "--matched 4 sets its own budgets, so --intervals and --points-per must not be given with it"),
         (["counterexample", "--matched", "4", "--points-per", "0"],
          "--matched 4 sets its own budgets, so --intervals and --points-per must not be given with it"),
+        (["witness", "--depth", "14", "--stage-budget", "100000"],
+         "--depth 14 with --stage-budget 100000 would take about 31537 s, above the bound of 120 s"),
+        (["witness", "--depth", "11", "--stage-budget", "20000"],
+         "--depth 11 with --stage-budget 20000 would write about 692 MB, above the cap of 200 MB"),
     ],
     ids=["border-sweep", "eps-approx", "steinhaus", "reversed-window", "empty-window",
          "theorem5-reversed-window", "translate-vcdim-reversed-window", "one-exponent",
@@ -621,7 +625,8 @@ def test_product_group_with_integer_base_set_exits_2(tmp_path, capsys, argv):
          "negative-exponent-above-cap", "exponent-far-above-cap", "triples-above-cap",
          "triples-far-above-cap", "sample-size-above-cap", "sample-size-far-above-cap",
          "shifts-far-above-cap", "costliest-shifts-above-bound", "shifts-above-row-cap",
-         "eps-entry-above-bound", "matched-with-intervals", "matched-with-points-per"],
+         "eps-entry-above-bound", "matched-with-intervals", "matched-with-points-per",
+         "witness-depth-above-bound", "witness-size-above-cap"],
 )
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -680,6 +685,13 @@ def test_pinned_and_workload_commands_price_far_under_the_bound(monkeypatch):
         ["steinhaus", "--stage", "20", "--removed-scale", "4/5"],
         ["eps-approx", "--group", "cyclic:100003", "--arc", "30000", "--epsilon", "1/20",
          "--trials", "5", "--schedule", "1000,4000", "--seed", "1"],
+        ["witness", "--depth", "9", "--seed", "0"],
+        ["witness", "--depth", "6", "--stage-budget", "40"],
+        # The pinned witnesses of tests/test_witness.py, and the certify workload's job.
+        ["witness", "--depth", "8", "--seed", "0"],
+        ["witness", "--depth", "7", "--seed", "3", "--removed-scale", "5/8"],
+        ["witness", "--depth", "5", "--seed", "3", "--removed-scale", "38/39"],
+        ["witness", "--depth", "6", "--seed", "3", "--removed-scale", "37/38"],
     ]
     for argv in commands:
         with pytest.raises(Reached):
@@ -687,6 +699,24 @@ def test_pinned_and_workload_commands_price_far_under_the_bound(monkeypatch):
     assert len(prices) == len(commands)
     for flags, ns in prices:
         assert 100 * ns <= 1000 * MAX_WORK_US, flags
+
+
+def test_witness_is_priced_before_construction(monkeypatch, capsys):
+    # A stage budget B completes at most bit_length(B // 3 + 1) levels, so
+    # a depth past them is priced at that depth, and a large budget at the
+    # stage the depth needs; runs over a bound stop before construction.
+    monkeypatch.setattr(cli, "construct_witness", reach)
+    for argv in (["--depth", "14"], ["--depth", "3", "--stage-budget", "99999999999"],
+                 ["--depth", "10", "--stage-budget", "20000"]):
+        with pytest.raises(Reached):
+            main(["witness", *argv])
+    for argv in (["--depth", "14", "--stage-budget", "100000"], ["--depth", "11", "--stage-budget", "20000"],
+                 ["--depth", "10", "--stage-budget", "100000", "--removed-scale", "1/1000000"]):
+        start = time.perf_counter()
+        assert main(["witness", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_steinhaus_rows_follow_the_listed_shifts(tmp_path):

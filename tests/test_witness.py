@@ -67,9 +67,11 @@ def test_serialized_certificate_reverifies_bit_identically(fc):
 
 def test_tampered_witness_fails_naming_condition(fc):
     w = construct_witness(fc, 2, seed=4)
-    bad = ShatterWitness.loads(w.dumps())
-    pattern = sorted(bad.points)[0]
-    bad.points[pattern] = bad.points[pattern] + F(1, 9)
+    translators, points, conditions = fraction_witness.rationals(w)
+    pattern = sorted(points)[0]
+    points[pattern] += F(1, 9)
+    bad = fraction_witness.from_rationals(w.depth, translators, points, w.stage_bound, conditions)
+    assert bad.den % 9 == 0
     result = verify_witness(bad, fc)
     assert not result.ok
     assert any(f[1] == pattern for f in result.failures)
@@ -77,7 +79,7 @@ def test_tampered_witness_fails_naming_condition(fc):
 
 def test_structural_checks(fc):
     w = construct_witness(fc, 2, seed=4)
-    missing = ShatterWitness(2, w.translators, dict(list(w.points.items())[:3]), w.stage_bound)
+    missing = ShatterWitness(2, w.den, w.translators, dict(list(w.points.items())[:3]), w.stage_bound)
     assert not verify_witness(missing, fc).ok
     dup = ShatterWitness.loads(w.dumps())
     patterns = sorted(dup.points)
@@ -280,7 +282,7 @@ def test_witness_realizes_all_patterns(fc):
     for pattern, x in w.points.items():
         bits = []
         for g in w.translators:
-            verdict = fraction_cantor.descend(fc.removed_scale, g + x, w.stage_bound)
+            verdict = fraction_cantor.descend(fc.removed_scale, F(g + x, w.den), w.stage_bound)
             assert verdict[0] == "gap"
             bits.append(str(verdict[1] % 2 ^ 1))  # odd stage -> branch 0
         assert "".join(bits) == pattern
@@ -319,9 +321,10 @@ def test_witness_artifact_bytes_are_pinned(tmp_path, argv, code, sha256):
 # the closed-form checker against the replay, and against mutants
 
 
-def unit(fc, stage):
-    """One unit of the stage lattice, 1/(q 2^(2s+1))."""
-    return F(1, fc.removed_scale.denominator << (2 * stage + 1))
+def unit(fc, w, stage):
+    """One unit of the stage lattice, 1/(q 2^(2s+1)), as an integer on the
+    lattice 1/den of a constructed certificate (den = q 2^(2m+13), m >= stage - 2)."""
+    return w.den // (fc.removed_scale.denominator << (2 * stage + 1))
 
 
 def with_condition(w, index, **fields):
@@ -371,7 +374,7 @@ def shifted_middle(scale, units):
     fc = FatCantorSet(scale)
     w = construct_witness(fc, 6, seed=0)
     c = w.conditions[-1]
-    u = units * unit(fc, c.stage) * (1 if c.value - c.lo > units * unit(fc, c.stage) else -1)
+    u = units * unit(fc, w, c.stage) * (1 if c.value - c.lo > units * unit(fc, w, c.stage) else -1)
     lo, hi = c.lo + u, c.hi + u
     return fc, with_condition(w, -1, lo=lo, hi=hi, slack=min(c.value - lo, hi - c.value))
 
@@ -388,7 +391,7 @@ def test_shifted_middle_fools_only_the_replay(scale, units):
     assert c.lo < c.value < c.hi
     assert replay_witness(mutant, fc).ok
     result = verify_witness(mutant, fc)
-    message = f"({c.lo}, {c.hi}) is not a removed middle of stage {c.stage}"
+    message = f"({F(c.lo, mutant.den)}, {F(c.hi, mutant.den)}) is not a removed middle of stage {c.stage}"
     assert result.failures == [(c.level, c.pattern, message)]
 
 
@@ -402,7 +405,7 @@ FIELD_MUTATIONS += [("stage", step) for step in (1, 2, -1, -2)]
 @pytest.mark.parametrize("name, step", FIELD_MUTATIONS, ids=[f"{n}{s:+d}" for n, s in FIELD_MUTATIONS])
 def test_every_recorded_field_is_checked(fc, depth_six, name, step, index):
     c = depth_six.conditions[index]
-    delta = step if name == "stage" else step * unit(fc, c.stage)
+    delta = step if name == "stage" else step * unit(fc, depth_six, c.stage)
     mutant = with_condition(depth_six, index, **{name: getattr(c, name) + delta})
     result = verify_witness(mutant, fc)
     assert not result.ok
@@ -424,9 +427,8 @@ def test_condition_count_and_stage_bound_are_checked(fc, depth_six):
 
 def depth_one(x0, x1, *conditions):
     """A depth-1 certificate at translator 0 with honest slacks."""
-    return ShatterWitness(1, (F(0),), {"0": x0, "1": x1}, 2, tuple(
-        WitnessCondition(0, pattern, x, lo, hi, stage, min(x - lo, hi - x))
-        for pattern, x, lo, hi, stage in conditions))
+    return fraction_witness.from_rationals(1, (F(0),), {"0": x0, "1": x1}, 2, [
+        (0, pattern, x, lo, hi, stage, min(x - lo, hi - x)) for pattern, x, lo, hi, stage in conditions])
 
 
 # At scale 4/5 the stage-1 middle (2/5, 3/5) feeds branch 0 and the stage-2
@@ -454,8 +456,8 @@ def test_huge_stage_is_rejected_without_building_its_lattice(fc, depth_six):
     start = time.perf_counter()
     result = verify_witness(mutant, fc)
     assert time.perf_counter() - start < 1.0
-    c = depth_six.conditions[-1]
-    assert (c.level, c.pattern, f"({c.lo}, {c.hi}) is not as wide as a stage-1000000000 middle") \
+    c, den = depth_six.conditions[-1], depth_six.den
+    assert (c.level, c.pattern, f"({F(c.lo, den)}, {F(c.hi, den)}) is not as wide as a stage-1000000000 middle") \
         in result.failures
 
 
@@ -482,17 +484,19 @@ def mutants(fc, w):
     for index in (0, -1):
         c = w.conditions[index]
         for name, step in FIELD_MUTATIONS:
-            delta = step if name == "stage" else step * unit(fc, c.stage)
+            delta = step if name == "stage" else step * unit(fc, w, c.stage)
             yield with_condition(w, index, **{name: getattr(c, name) + delta})
     yield from (dataclasses.replace(w, conditions=w.conditions[:-1]),
                 dataclasses.replace(w, conditions=w.conditions + w.conditions[-1:]),
                 dataclasses.replace(w, stage_bound=w.stage_bound - 1),
                 dataclasses.replace(w, stage_bound=w.stage_bound + 1),
                 dataclasses.replace(with_condition(w, -1, stage=10**9), stage_bound=10**9),
-                ShatterWitness(w.depth, w.translators, dict(list(w.points.items())[:3]), w.stage_bound))
+                ShatterWitness(w.depth, w.den, w.translators, dict(list(w.points.items())[:3]), w.stage_bound))
     patterns = sorted(w.points)
-    for x in (w.points[patterns[1]], w.points[patterns[0]] + F(1, 9)):
-        yield dataclasses.replace(w, points={**w.points, patterns[0]: x})
+    yield dataclasses.replace(w, points={**w.points, patterns[0]: w.points[patterns[1]]})
+    translators, points, conditions = fraction_witness.rationals(w)
+    points[patterns[0]] += F(1, 9)
+    yield fraction_witness.from_rationals(w.depth, translators, points, w.stage_bound, conditions)
     yield depth_one(F(1, 5), F(1, 2), ("0", F(1, 5), *STAGE2), ("1", F(1, 2), *STAGE1))
     yield depth_one(F(2, 5), F(1, 5), ("0", F(2, 5), *STAGE1), ("1", F(1, 5), *STAGE2))
 
@@ -524,8 +528,8 @@ def test_off_lattice_fields_loaded_from_json_fail_alike(fc, field, delta):
     assert result.failures == fraction_witness.verify_witness(mutant, fc).failures
     if field == "middle":
         # The width is still exact, so only the lattice read can tell.
-        c = mutant.conditions[-1]
-        assert (c.level, c.pattern, f"({c.lo}, {c.hi}) is not a removed middle of stage {c.stage}") \
+        c, den = mutant.conditions[-1], mutant.den
+        assert (c.level, c.pattern, f"({F(c.lo, den)}, {F(c.hi, den)}) is not a removed middle of stage {c.stage}") \
             in result.failures
 
 
@@ -534,16 +538,20 @@ def test_off_lattice_fields_loaded_from_json_fail_alike(fc, field, delta):
 
 
 def old_to_json(w):
-    """The dict that json.dumps(..., sort_keys=True, indent=2) used to write."""
+    """The dict that json.dumps(..., sort_keys=True, indent=2) used to write,
+    each field n as str(Fraction(n, den))."""
+    def text(n):
+        return str(F(n, w.den))
+
     return {
         "depth": w.depth,
         "stage_bound": w.stage_bound,
-        "translators": [str(g) for g in w.translators],
-        "points": {p: str(x) for p, x in sorted(w.points.items())},
+        "translators": [text(g) for g in w.translators],
+        "points": {p: text(x) for p, x in sorted(w.points.items())},
         "conditions": [
-            {"level": c.level, "pattern": c.pattern, "value": str(c.value),
-             "lo": str(c.lo), "hi": str(c.hi), "stage": c.stage,
-             "slack": str(c.slack)}
+            {"level": c.level, "pattern": c.pattern, "value": text(c.value),
+             "lo": text(c.lo), "hi": text(c.hi), "stage": c.stage,
+             "slack": text(c.slack)}
             for c in sorted(w.conditions, key=lambda c: (c.level, c.pattern))
         ],
     }
@@ -551,10 +559,12 @@ def old_to_json(w):
 
 def test_dumps_matches_the_json_module(fc):
     cases = [construct_witness(fc, d, seed=2) for d in range(7)]
-    cases.append(ShatterWitness(0, (), {"": F(0)}, 0, ()))
-    cases.append(ShatterWitness(1, (F(-3, 4),), {"0": F(2), "1": F(-5, 3)}, 7, (
-        WitnessCondition(0, "1", F(5), F(-1, 6), F(9), 2, F(-2)),
-        WitnessCondition(0, "0", F(-7, 2), F(-4), F(3), 7, F(1, 2)),
+    cases.append(ShatterWitness(0, 1, (), {"": 0}, 0, ()))
+    # On den = 12: -3/4, 2, -5/3 and conditions with 5, -1/6, 9, -2 and -7/2,
+    # -4, 3, 1/2.
+    cases.append(ShatterWitness(1, 12, (-9,), {"0": 24, "1": -20}, 7, (
+        WitnessCondition(0, "1", 60, -2, 108, 2, -24),
+        WitnessCondition(0, "0", -42, -48, 36, 7, 6),
     )))
     quoted = 'a"\u00e9'
     cases.append(ShatterWitness.loads(json.dumps({
@@ -564,3 +574,58 @@ def test_dumps_matches_the_json_module(fc):
     })))
     for w in cases:
         assert w.dumps() == json.dumps(old_to_json(w), sort_keys=True, indent=2) + "\n"
+
+
+# --------------------------------------------------------------------------
+# the lowest-terms writer, and no Fraction between construction and the text
+
+
+def written(den, numerators):
+    """The certificate writer's text for each numerator over den, read back
+    from a certificate holding them as translators."""
+    return json.loads(ShatterWitness(len(numerators), den, tuple(numerators), {}, 0).dumps())["translators"]
+
+
+def test_writer_gives_the_lowest_terms_of_fraction():
+    rng = random.Random("lowest-terms")
+    # Level lattices q 2^e for odd and even q, and the off-lattice
+    # denominators of the JSON mutants above.
+    dens = [q << rng.randrange(13, 400) for q in (1, 2, 3, 5, 8, 12, 37, 38, 39)]
+    dens += [7 << 90, 2**127 - 1, 1, 2, 12]
+    for den in dens:
+        numerators = [0, den, -den, 7 * den, -3 * den, 1, -1]
+        numerators += [rng.randint(-den, den) for _ in range(20)]
+        # Numerators sharing twos and odd factors with den, and more twos than den has.
+        numerators += [sign * rng.randrange(1, 10**6) * f << rng.randrange(0, den.bit_length() + 20)
+                       for f in (1, 3, 5, 7, 13, 37) for sign in (1, -1)]
+        assert written(den, numerators) == [str(F(n, den)) for n in numerators], den
+
+
+def test_witness_builds_no_certificate_fraction(tmp_path, monkeypatch):
+    # Construction, checking and writing stay on integers: the only Fractions
+    # of a witness run are the parsed scale and its copy in FatCantorSet.
+    built, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    code = main(["witness", "--depth", "6", "--seed", "0", "--removed-scale", "5/8",
+                 "--out", str(tmp_path / "w.json")])
+    monkeypatch.undo()
+    assert code == 0
+    assert 1 <= len(built) <= 2 and all(F(*args) == F(5, 8) for args in built), built
+
+
+def test_depth_eight_artifact_round_trips_through_both_checkers(tmp_path):
+    out = tmp_path / "witness.json"
+    assert main(["witness", "--depth", "8", "--seed", "0", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "87d65e574e3c7452f52758e9b214aa796e40ff13cd9f170356e3342e20c5daf4"
+    fc = FatCantorSet()
+    w = ShatterWitness.loads(text)
+    assert w.dumps() == text
+    assert verify_witness(w, fc).ok
+    assert fraction_witness.verify_witness(w, fc).failures == []
