@@ -31,11 +31,12 @@ class FiniteTranslateFamily:
     base: tuple
 
     def __post_init__(self):
-        self.base = tuple(sorted({self.model.normalize(v) for v in self.base}))
-        self._arcs = _circular_arcs(self.base, self.model.n)
+        n = self.model.n
+        self.base = tuple(sorted({v % n for v in self.base}))
+        self._arcs = _circular_arcs(self.base, n)
 
     def member_measure(self) -> Fraction:
-        return self.model.haar_measure(self.base)
+        return Fraction(len(self.base), self.model.n)
 
     def member_count(self) -> int:
         return self.model.n
@@ -46,7 +47,7 @@ class FiniteTranslateFamily:
         counter = Counter(sample)
         hist = list(map(counter.get, range(n), repeat(0)))
         if sum(hist) != n_samp:  # some point is not a residue in range(n)
-            counter = Counter(map(self.model.normalize, sample))
+            counter = Counter(p % n for p in sample)
             hist = list(map(counter.get, range(n), repeat(0)))
         # From translate g to g + 1 an arc gains the point after its end and
         # loses its first one: its n steps are one difference of two histogram
@@ -102,15 +103,6 @@ class SweepRow:
     min_deviation: Fraction
     max_deviation: Fraction
 
-    def to_csv(self) -> dict:
-        return {
-            "N": self.n_samples,
-            "trials": self.trials,
-            "successes": self.successes,
-            "min_sup_deviation": str(self.min_deviation),
-            "max_sup_deviation": str(self.max_deviation),
-        }
-
 
 @dataclass
 class SweepResult:
@@ -163,11 +155,12 @@ def hitting_set_for_translates(
     measure-epsilon family to be hit with decent probability per attempt.
     """
     epsilon = Fraction(epsilon)
-    base_vals = sorted({model.normalize(v) for v in base})
-    translators = [model.normalize(g) for g in translators]
+    n = model.n
+    base_vals = sorted({v % n for v in base})
+    translators = [g % n for g in translators]
     if not base_vals:
         raise UnsampleableError("base subset is empty")
-    if model.haar_measure(base_vals) < epsilon:
+    if Fraction(len(base_vals), n) < epsilon:
         raise ValueError("translate measure is below the requested epsilon floor")
     if n_points is None:
         n_points = max(1, math.ceil(math.log(max(len(translators), 2)) / float(epsilon)))
@@ -187,10 +180,10 @@ def covering_check(base: Iterable, points: Sequence, translators: Iterable, mode
     """Exactly verify that every translate g+X contains one of the points
     (equivalently, the translators are covered by the point-shifted reflected
     base sets).  Returns (ok, first failing translator or None)."""
-    base_set = {model.normalize(v) for v in base}
-    vals = [model.normalize(p) for p in points]
+    n = model.n
+    base_set = {v % n for v in base}
+    vals = [p % n for p in points]
     for g in translators:
-        ginv = model.invert(g)
-        if not any(model.compose(ginv, p) in base_set for p in vals):
+        if not any((p - g) % n in base_set for p in vals):
             return False, g
     return True, None

@@ -87,16 +87,6 @@ class BorderDecayRow:
     bound: Fraction
     within_bound: bool
 
-    def to_csv(self) -> dict:
-        return {
-            "set_id": self.set_id,
-            "r": str(self.r),
-            "r_border_measure": str(self.value),
-            "r_border_measure_float": float(self.value),
-            "bound_4r_boundary": str(self.bound),
-            "within_bound": self.within_bound,
-        }
-
 
 def border_decay_experiment(
     sets: Sequence[ConstructibleSet], radii: Iterable, window
@@ -123,15 +113,6 @@ class DensityReport:
     border_measure: Fraction
     identity_holds: bool
     consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_set": self.hypothesis_set,
-            "hypothesis_complement": self.hypothesis_complement,
-            "border_measure": str(self.border_measure),
-            "identity_holds": self.identity_holds,
-            "consistent": self.consistent,
-        }
 
 
 def density_report(x: ConstructibleSet, window=None) -> DensityReport:

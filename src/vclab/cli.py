@@ -2,9 +2,10 @@
 
 Every subcommand derives all randomness from the global --seed through
 string-labelled child generators, so identical invocations produce
-byte-identical artifacts, all written by `_write`.  Rationals are "p/q"
-strings in lowest terms ("p" when q = 1, the text `str(Fraction)` gives) in
-JSON and CSV; CSV adds a float column for plotting.
+byte-identical artifacts, all written by `_write`.  The engines hand over
+plain values, and the key names and columns of each artifact are set here.
+Rationals are "p/q" strings in lowest terms ("p" when q = 1, the text
+`str(Fraction)` gives) in JSON and CSV; CSV adds a float column for plotting.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 budget exhaustion.  A command whose budget runs out writes its partial
@@ -59,11 +60,19 @@ MAX_EPS_ORDER = 10**6
 MAX_EPS_SAMPLES = 10**6
 
 
+def _fraction_text(x) -> str:
+    """A Fraction's JSON value, its `str`; no other type has one."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} {x!r} has no JSON form")
+
+
 def _write(args, name: str, artifact) -> None:
     """Write an artifact to --out, else to $VCLAB_OUT_DIR/name, else to
     stdout.  A str is written as it is; a .csv name takes a nonempty list of
-    row dicts, headed by the first row's keys; anything else is written as
-    sorted, indented JSON."""
+    row dicts, headed by the first row's keys, each value written as its
+    `str`; anything else is written as sorted, indented JSON, a Fraction as
+    its `str`."""
     if isinstance(artifact, str):
         text = artifact
     elif name.endswith(".csv"):
@@ -73,7 +82,7 @@ def _write(args, name: str, artifact) -> None:
         writer.writerows(artifact)
         text = buf.getvalue()
     else:
-        text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(artifact, sort_keys=True, indent=2, default=_fraction_text) + "\n"
     out_dir = os.environ.get("VCLAB_OUT_DIR")
     path = args.out or (out_dir and os.path.join(out_dir, name))
     if path:
@@ -183,13 +192,13 @@ def _parse_exponents(spec: str) -> tuple[int, int]:
 
 
 def _shatter_json(system, report) -> dict:
-    """The report with the translator behind each witnessing row."""
-    out = report.to_json()
-    out["witness_translators"] = {
-        pattern: (None if row is None else system.row_labels[row])
-        for pattern, row in out["witnesses"].items()
-    }
-    return out
+    """The report, each pattern as a bit string over its points, with the
+    translator behind each witnessing row."""
+    width = max(1, len(report.points))
+    witnesses = {format(pattern, f"0{width}b"): row for pattern, row in report.witnesses.items()}
+    translators = {pat: None if row is None else system.row_labels[row] for pat, row in witnesses.items()}
+    return {"points": report.points, "shattered": report.shattered, "witnesses": witnesses,
+            "witness_translators": translators}
 
 
 def cmd_vcdim(args) -> int:
@@ -198,7 +207,7 @@ def cmd_vcdim(args) -> int:
         raise ValueError(f"--group {args.group} is above the cap of cyclic:{MAX_VCDIM_ORDER}")
     base = _parse_base_set(args.set, model.n)
     system = SetSystem.from_translates(model, base)
-    payload = {"group": model.describe(), "base_set": base}
+    payload = {"group": {"kind": "cyclic", "n": model.n}, "base_set": base}
 
     try:
         # One search: a translate family's dual VC dimension is its VC
@@ -232,7 +241,7 @@ def cmd_eps_approx(args) -> int:
     # Units: N + size + 50 per trial of an entry, the 50 for a trial's fixed cost; 0.5 us each.
     _price(f"--trials {args.trials} over {len(schedule)} --schedule entries on --group {args.group}",
            args.trials * (len(schedule) * (model.n + 50) + sum(schedule)), 500, len(schedule))
-    # An arc of K >= N is the whole group, taken without building K elements.
+    # An arc of K >= N is the whole group, taken without building K residues.
     family = FiniteTranslateFamily(model, range(min(args.arc, model.n)))
     if len(family.base) == family.member_count():
         raise ValueError(f"--arc {args.arc} covers all of {args.group}, and so does every translate of it")
@@ -243,7 +252,9 @@ def cmd_eps_approx(args) -> int:
         # No sample deviates from a proper arc's measure by 1 or more.
         raise ValueError(f"--epsilon {args.epsilon!r} must be below 1, or every sample passes")
     sweep = sample_complexity_sweep(model, family, epsilon, schedule, args.trials, args.seed)
-    _write(args, "eps_approx.csv", [r.to_csv() for r in sweep.rows])
+    _write(args, "eps_approx.csv", [{"N": r.n_samples, "trials": r.trials, "successes": r.successes,
+                                     "min_sup_deviation": r.min_deviation, "max_sup_deviation": r.max_deviation}
+                                    for r in sweep.rows])
     if sweep.smallest_passing is None:
         raise BudgetExceededError("no N in the schedule reached a 95% success rate; wrote the table")
     print(f"smallest passing N: {sweep.smallest_passing}")
@@ -262,17 +273,9 @@ def cmd_steinhaus(args) -> int:
     shifts = _flag_value("--shifts", args.shifts, _rationals)
     fc = _fat_cantor(args.removed_scale)
     radius, density = steinhaus_neighborhood(fc)
-    rows = []
-    for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts)):
-        rows.append(
-            {
-                "shift": str(u),
-                "overlap_measure": str(exact),
-                "overlap_measure_float": float(exact),
-                "certified_floor": str(floor),
-                "meets_floor": exact >= floor,
-            }
-        )
+    rows = [{"shift": u, "overlap_measure": exact, "overlap_measure_float": float(exact),
+             "certified_floor": floor, "meets_floor": exact >= floor}
+            for u, (exact, floor) in zip(shifts, core_overlap(fc, args.stage, shifts))]
     _write(args, "steinhaus.csv", rows)
     print(f"neighborhood radius {radius}, density bound {density}")
     return 0 if all(r["meets_floor"] for r in rows) else 1
@@ -328,7 +331,9 @@ def cmd_border_sweep(args) -> int:
     pad = window[1] - window[0]
     outer = (window[0] - pad, window[1] + pad)
     rows = border_decay_experiment(sets, radii, outer)
-    _write(args, "border_sweep.csv", [r.to_csv() for r in rows])
+    _write(args, "border_sweep.csv", [{"set_id": r.set_id, "r": r.r, "r_border_measure": r.value,
+                                       "r_border_measure_float": float(r.value), "bound_4r_boundary": r.bound,
+                                       "within_bound": r.within_bound} for r in rows])
     ok = all(r.within_bound for r in rows)
     print(f"{len(rows)} cells, all within the 4r bound: {ok}")
     return 0 if ok else 1
@@ -355,7 +360,7 @@ def cmd_counterexample(args) -> int:
     _price(f"--triples {args.triples} on {len(cx.points)} points", 50 * args.triples, 400)
     report = no_shatter3_check(cx, args.triples, seed=args.seed)
     payload = {
-        "points": [str(p) for p in cx.points],
+        "points": cx.points,
         "point_count": len(cx.points),
         "difference_injective": True,  # construction verifies before returning
         "pair_uniqueness_ok": report.pair_uniqueness_ok,
@@ -376,7 +381,7 @@ def cmd_theorem5_report(args) -> int:
     x = _parse_set_flag(args.set)
     window = _parse_window(args.window) if args.window else None
     report = density_report(x, window)
-    _write(args, "theorem5_report.json", report.to_json())
+    _write(args, "theorem5_report.json", vars(report))
     print(
         f"hypotheses (set, complement): ({report.hypothesis_set}, {report.hypothesis_complement}); "
         f"border measure {report.border_measure}; consistent: {report.consistent}"
@@ -390,10 +395,10 @@ def cmd_translate_vcdim(args) -> int:
         report = translate_vc_dimension(x, _parse_window(args.window))
     except BudgetExceededError as exc:
         # The spent search still certified its last complete size; write it.
-        _write(args, "translate_vcdim.json", exc.partial.to_json())
+        _write(args, "translate_vcdim.json", vars(exc.partial))
         raise BudgetExceededError(
             f"{exc}; wrote the partial report (certified lower bound {exc.lower_bound})") from None
-    _write(args, "translate_vcdim.json", report.to_json())
+    _write(args, "translate_vcdim.json", vars(report))
     print(f"certified lower bound {report.lower_bound}; {report.upper_bound_status}")
     return 0
 

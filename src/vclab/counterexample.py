@@ -8,6 +8,19 @@ common translate of the set, which is the combinatorial mechanism that caps
 the number of membership patterns any translate family can realize on a
 triple at seven of the eight.
 
+Lemma.  If every nonzero difference of a finite set D occurs once, the
+translates of D shatter no triple, and once |D| >= 2 the translate VC
+dimension of D is exactly 2.  Proof: p < q lie in t + D together iff
+p - t = x and q - t = y for x, y in D with y - x = q - p, and that
+difference occurs once, so t is unique.  Shattering {p, q, r} needs one
+translate holding all three and one holding p and q but not r, and both
+hold p and q.  For x < y in D, with u = y - x, D holds both, D + u holds y
+but not x (else 2x - y and x in D would repeat u), D - u holds x but not y,
+and a far translate holds neither, so {x, y} is shattered.  On a triple of D
+itself, D holds all three, a pair of it lies in no other translate, and
+p - x' + D for x' != p in D holds p alone, so its patterns are exactly
+000, 001, 010, 100 and 111.
+
 Two exact integer mechanisms, sharing no arithmetic, do the work:
 
 - Greedy placement maps each rational n/d to its residue n * d^-1 mod the
@@ -207,14 +220,11 @@ def counterexample_points(
             order += [j, -j]
         here: dict[int, Fraction] = {}
         for j in order:
-            t = base[j]
-            if j >= 0:
-                gap = (base[j + 1] if j + 1 in base else b) - t
-                direction = 1
-            else:
-                gap = t - (base[j - 1] if j - 1 in base else a)
-                direction = -1
-            corridor = gap / 4
+            t, i = base[j], abs(j)
+            # c_-j = a + b - c_j, so the gap from c_-j to its neighbour
+            # toward a equals the gap from c_j to its neighbour toward b.
+            corridor = ((base[i + 1] if i < k else b) - base[i]) / 4
+            direction = 1 if j >= 0 else -1
             point = None
             # First candidate is the base position itself, then inward nudges
             # corridor/2, corridor/3, ... with ever-larger denominators.  The
@@ -307,14 +317,10 @@ def pair_translate_count(points_set: frozenset, p: Fraction, q: Fraction) -> int
 
 def pair_uniqueness_holds(lattice: PointLattice) -> bool:
     """Exhaustive check that every pair lies in at most one common translate:
-    every difference u of a pair has |S_u| <= 1.  With no repeated point the
-    table's C(m, 2) counts are each >= 1, so all are 1 iff it has C(m, 2)
-    keys.  A repeated point is a pair with difference 0, and |S_0| = m, so
-    then uniqueness holds iff m == 1."""
-    m = len(lattice.members)
-    if len(lattice) > m:
-        return m == 1
-    return len(lattice.counts) == comb(m, 2)
+    every difference u of a pair has |S_u| <= 1.  With no repeated point
+    that is difference injectivity.  A repeated point is a pair with
+    difference 0, and |S_0| = m, so then uniqueness holds iff m == 1."""
+    return verify_difference_injective(lattice) or len(lattice.members) == 1
 
 
 @dataclass

@@ -1,8 +1,9 @@
-"""The finite cyclic group Z_n with its Haar measure (normalized counting
-measure) and a seeded uniform sampler.
+"""The finite cyclic group Z_n and a seeded uniform sampler.
 
 This is the one group model of the translate-family commands (`vcdim` and
-`eps-approx`).  Translates on the line are handled directly by
+`eps-approx`).  Elements are plain ints, the group law is + mod n and the
+Haar measure is normalized counting measure, so the engines do that
+arithmetic on ints with `n`.  Translates on the line are handled directly by
 `ConstructibleSet` and `FatCantorSet`, without a group model.
 """
 
@@ -10,43 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
 
 
 @dataclass(frozen=True)
 class CyclicGroup:
-    """Integers mod n under addition, normalized counting measure.
-    Elements are plain ints; any int stands for its residue."""
+    """Integers mod n; any int stands for its residue."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("cyclic order must be >= 1")
-
-    def normalize(self, value) -> int:
-        """The canonical residue of an element."""
-        return int(value) % self.n
-
-    def compose(self, a, b) -> int:
-        """Group operation: a + b mod n."""
-        return (int(a) + int(b)) % self.n
-
-    def invert(self, a) -> int:
-        """Group inverse: -a mod n."""
-        return -int(a) % self.n
-
-    def identity(self) -> int:
-        return 0
-
-    def haar_measure(self, subset: Iterable[int]) -> Fraction:
-        vals = {self.normalize(v) for v in subset}
-        return Fraction(len(vals), self.n)
-
-    def elements(self) -> range:
-        return range(self.n)
 
     def sample(self, rng: random.Random, k: int) -> list[int]:
         """k uniform draws, exactly [rng.randrange(n) for _ in range(k)], with
@@ -60,9 +36,6 @@ class CyclicGroup:
         while len(draws) < k:
             draws += batch(k - len(draws))
         return draws
-
-    def describe(self) -> dict:
-        return {"kind": "cyclic", "n": self.n}
 
 
 def parse_model_spec(spec: str) -> CyclicGroup:

@@ -68,16 +68,16 @@ class SetSystem:
     @classmethod
     def from_translates(cls, model, base: Iterable) -> "SetSystem":
         """Materialize the family of all translates of a base subset of a
-        cyclic group model.  The elements are 0..n-1, so each translate's
+        cyclic group model.  The ground set is range(n), so each translate's
         label (its index) is its translator."""
-        mask = 0
+        n, mask = model.n, 0
         for v in base:
-            mask |= 1 << model.normalize(v)
+            mask |= 1 << v % n
         seen = {}
-        for g in range(model.n):
-            seen.setdefault(_rotate(mask, g, model.n), g)
+        for g in range(n):
+            seen.setdefault(_rotate(mask, g, n), g)
         rows = tuple(sorted(seen))
-        return cls(tuple(model.elements()), rows, tuple(seen[m] for m in rows))
+        return cls(tuple(range(n)), rows, tuple(seen[m] for m in rows))
 
     def __len__(self):
         return len(self.rows)
@@ -125,16 +125,6 @@ class ShatterReport:
                 if bool(row >> index[p] & 1) != bool(pattern >> j & 1):
                     return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "points": [str(p) if isinstance(p, Fraction) else p for p in self.points],
-            "shattered": self.shattered,
-            "witnesses": {
-                format(pattern, f"0{max(1, len(self.points))}b"): w
-                for pattern, w in sorted(self.witnesses.items())
-            },
-        }
 
 
 def _shatter_report(system: SetSystem, idxs: list[int], points: tuple) -> ShatterReport:
@@ -335,15 +325,6 @@ class TranslateVCReport:
     pattern_translators: dict[str, Fraction]
     upper_bound_status: str
     grid_size: int
-
-    def to_json(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "points": [str(p) for p in self.points],
-            "pattern_translators": {pat: str(g) for pat, g in sorted(self.pattern_translators.items())},
-            "upper_bound_status": self.upper_bound_status,
-            "grid_size": self.grid_size,
-        }
 
 
 def interesting_grid(

@@ -18,20 +18,19 @@ F = Fraction
 
 def hit_oracle(model, base, points, g):
     # independent check that the translate g+X contains one of the points
-    translate = {model.compose(g, v) for v in base}
-    return any(model.normalize(p) in translate for p in points)
+    translate = {(g + v) % model.n for v in base}
+    return any(p % model.n in translate for p in points)
 
 
 def sup_deviation_naive(family, sample):
     """Independent recount of `FiniteTranslateFamily.sup_deviation`: a
     translate-by-translate membership loop."""
-    model, mu = family.model, family.member_measure()
-    vals = [model.normalize(p) for p in sample]
+    n, mu = family.model.n, family.member_measure()
+    vals = [p % n for p in sample]
     base = set(family.base)
     best = Fraction(0)
-    for g in model.elements():
-        ginv = model.invert(g)
-        hits = sum(1 for p in vals if model.compose(ginv, p) in base)
+    for g in range(n):
+        hits = sum(1 for p in vals if (p - g) % n in base)
         best = max(best, abs(Fraction(hits, len(sample)) - mu))
     return best
 

@@ -728,6 +728,17 @@ def test_steinhaus_rows_follow_the_listed_shifts(tmp_path):
     assert [row.split(",")[0] for row in rows] == [str(u) for u in shifts]
 
 
+def test_json_writer_renders_fractions_and_refuses_other_types(tmp_path):
+    # A Fraction anywhere in a JSON artifact is written as its str; any other
+    # value JSON has no form for is a bug, never written as some str of it.
+    out = tmp_path / "a.json"
+    args = build_parser().parse_args(["vcdim", "--out", str(out)])
+    cli._write(args, "a.json", {"r": Fraction(6, 4), "rows": [(Fraction(3), 2, None, True)]})
+    assert json.loads(out.read_text()) == {"r": "3/2", "rows": [["3", 2, None, True]]}
+    with pytest.raises(TypeError, match="set"):
+        cli._write(args, "a.json", {"points": {1, 2}})
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("VCLAB_OUT_DIR", str(tmp_path))
     assert main(["witness", "--depth", "1", "--seed", "0"]) == 0

@@ -232,6 +232,33 @@ def test_every_triple_of_the_stage_3_truncation_matches_fraction_oracle():
         assert realized_patterns(cx.lattice, triple) == ref.realized_patterns(pset, triple)
 
 
+# The patterns the lemma of the `vclab.counterexample` docstring leaves on a
+# triple of a difference-injective set: none, each single point, and all three.
+LEMMA_PATTERNS = {0b000, 0b001, 0b010, 0b100, 0b111}
+
+
+def lattice_patterns(ints, triple):
+    """The patterns of an integer triple over the translators p - x, p in the
+    triple and x in the set, plus the empty one, by plain membership."""
+    members = set(ints)
+    patterns = {0}
+    for t in {p - x for p in triple for x in ints}:
+        patterns.add(sum(1 << j for j, p in enumerate(triple) if p - t in members))
+    return patterns
+
+
+@pytest.mark.parametrize("scale", [F(4, 5), F(7, 9), F(38, 39)], ids=str)
+def test_every_triple_of_a_truncation_realizes_the_lemma_patterns(scale):
+    fc = FatCantorSet(scale)
+    truncations = [counterexample_points(fc, 1, 1), *(matched_budget_points(fc, m) for m in (1, 2, 3))]
+    assert [len(cx.points) for cx in truncations] == [3, 3, 11, 25]
+    for cx in truncations:
+        lattice = cx.lattice
+        for triple, ints in zip(combinations(cx.points, 3), combinations(lattice.ints, 3)):
+            assert realized_patterns(lattice, triple) == LEMMA_PATTERNS
+            assert lattice_patterns(lattice.ints, ints) == LEMMA_PATTERNS
+
+
 @pytest.mark.parametrize(
     "points, triple",
     [

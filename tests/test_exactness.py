@@ -18,7 +18,7 @@ FLOAT_MATH = {"inf", "nan", "e", "pi", "tau", "exp", "log", "log2", "log10", "sq
 ALLOWED = Counter({
     # the *_float CSV columns, for plotting only
     ("cli.py", "cmd_steinhaus", "float()"): 1,
-    ("border.py", "BorderDecayRow.to_csv", "float()"): 1,
+    ("cli.py", "cmd_border_sweep", "float()"): 1,
     # the hitting-set point count ceil(ln|U| / epsilon)
     ("approx.py", "hitting_set_for_translates", "math.log"): 1,
     ("approx.py", "hitting_set_for_translates", "float()"): 1,

@@ -1,53 +1,17 @@
+import json
 import random
-from fractions import Fraction
 
 import pytest
 
+from vclab.cli import main
 from vclab.groups import CyclicGroup, parse_model_spec
-
-MODELS = [CyclicGroup(5), CyclicGroup(12)]
-
-
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: str(m.describe()))
-def test_group_axioms_randomized(model):
-    rng = random.Random(f"axioms/{model.describe()}")
-    op, e = model.compose, model.identity()
-    draws = model.sample(rng, 30_000)
-    for g, h, k in zip(draws[0::3], draws[1::3], draws[2::3]):
-        assert all(model.normalize(x) == x for x in (g, h, k))
-        assert op(op(g, h), k) == op(g, op(h, k))
-        assert op(g, e) == g and op(e, g) == g
-        assert op(g, model.invert(g)) == e
-
-
-def test_multiply_examples():
-    z5 = CyclicGroup(5)
-    assert z5.compose(3, 4) == 2
-
-
-def test_inverse_examples():
-    z10 = CyclicGroup(10)
-    assert z10.invert(3) == 7
-    assert z10.invert(z10.identity()) == z10.identity()
-
-
-def test_haar_measure_counting_and_invariance():
-    z10 = CyclicGroup(10)
-    assert z10.haar_measure({1, 2, 3}) == Fraction(3, 10)
-    z12 = CyclicGroup(12)
-    assert z12.haar_measure({z12.compose(7, v) for v in (0, 1, 2)}) == Fraction(3, 12)
-    rng = random.Random("inv")
-    for _ in range(300):
-        subset = [rng.randrange(12) for _ in range(rng.randrange(1, 9))]
-        g = rng.randrange(12)
-        assert z12.haar_measure({z12.compose(g, v) for v in subset}) == z12.haar_measure(subset)
 
 
 def test_sampler_deterministic():
     z = CyclicGroup(97)
     a = z.sample(random.Random("s"), 50)
     b = z.sample(random.Random("s"), 50)
-    assert a == b and len(a) == 50 and all(z.normalize(v) == v for v in a)
+    assert a == b and len(a) == 50 and all(0 <= v < 97 for v in a)
     # one generator shared by two calls continues where the first call stopped
     rng1, rng2 = random.Random(123), random.Random(123)
     assert z.sample(rng1, 80) + z.sample(rng1, 120) == z.sample(rng2, 200)
@@ -76,6 +40,10 @@ def test_uniformity_three_sigma():
         assert abs(c - 10_000) <= 285
 
 
-def test_descriptor_roundtrip():
-    assert CyclicGroup(12).describe() == {"kind": "cyclic", "n": 12}
-    assert parse_model_spec("cyclic:12") == CyclicGroup(12)
+def test_descriptor_roundtrip(tmp_path, capsys):
+    # The group descriptor of a vcdim artifact names the group it was run on.
+    out = tmp_path / "vcdim.json"
+    assert main(["vcdim", "--group", "cyclic:12", "--out", str(out)]) == 0
+    group = json.loads(out.read_text())["group"]
+    assert group == {"kind": "cyclic", "n": 12}
+    assert parse_model_spec(f"{group['kind']}:{group['n']}") == CyclicGroup(12)

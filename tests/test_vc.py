@@ -56,6 +56,19 @@ def test_vc_dimension_examples():
     assert generic_vc.vc_dimension_naive(arc) == 2
 
 
+def test_verify_refuses_a_row_that_does_not_cut_its_pattern():
+    # Each witness row is re-checked point by point: a row moved to another
+    # pattern fails, also when it cuts that pattern on all but the last
+    # point, while a pattern without a witness claims nothing.
+    arc = SetSystem.from_translates(CyclicGroup(12), range(3))
+    _, rep = vc_dimension(arc)
+    w = rep.witnesses
+    assert len(rep.points) == 2 and rep.verify(arc)
+    assert not ShatterReport(rep.points, {**w, 0b01: w[0b10]}).verify(arc)
+    assert not ShatterReport(rep.points, {**w, 0b11: w[0b01]}).verify(arc)
+    assert ShatterReport(rep.points, {**w, 0b11: None}).verify(arc)
+
+
 def test_vc_matches_naive_oracle_randomized():
     rng = random.Random("oracle")
     for _ in range(60):
@@ -100,8 +113,8 @@ def test_vc_budget_error_carries_lower_bound():
 
 
 def cyclic_translate(model, base, g):
-    """The translate g + base, through the group's own operation."""
-    return frozenset(model.compose(g, v) for v in base)
+    """The translate g + base in Z_N."""
+    return frozenset((g + v) % model.n for v in base)
 
 
 def random_translate_base(rng):
@@ -135,7 +148,7 @@ def test_cyclic_search_matches_generic_oracle():
             bases = [rng.sample(range(model.n), rng.randint(1, model.n)) for _ in range(2)]
             single = len(SetSystem.from_translates(model, bases[0]))
             system = SetSystem.from_sets(
-                model.elements(), (cyclic_translate(model, b, g) for b in bases for g in model.elements())
+                range(model.n), (cyclic_translate(model, b, g) for b in bases for g in range(model.n))
             )
             two_orbit += len(system) > single
             assert (system._orbit_base is None) == (len(system) > single)
@@ -144,12 +157,12 @@ def test_cyclic_search_matches_generic_oracle():
             model = CyclicGroup(n)
             system = SetSystem.from_translates(model, base)
             assert system == SetSystem.from_sets(
-                model.elements(), (cyclic_translate(model, base, g) for g in model.elements())
+                range(model.n), (cyclic_translate(model, base, g) for g in range(model.n))
             )
             if i % 4 == 2:
-                labels = [f"p{v}" for v in model.elements()]
+                labels = [f"p{v}" for v in range(model.n)]
                 system = SetSystem.from_sets(
-                    labels, ([labels[v] for v in cyclic_translate(model, base, g)] for g in model.elements())
+                    labels, ([labels[v] for v in cyclic_translate(model, base, g)] for g in range(model.n))
                 )
             assert system._orbit_base is not None
             d, report, dual_rows = vc_and_dual_dimension(system)
