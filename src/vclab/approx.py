@@ -1,11 +1,12 @@
 """Sampling-based epsilon-approximations with exact verification, and the
 hitting-set / covering pattern for translate families in a cyclic group.
 
-The sup-deviation over all translates is exact integer arithmetic on whole
-lists: one `Counter` pass gives the sample's histogram, each circular arc of
-the base adds one difference of two histogram rotations to the steps between
-neighbouring translates, and their running sums are all n sample counts, so
-max(count*n - |X|*N, |X|*N - count*n) is compared before any Fraction is formed.
+One kernel, `FiniteTranslateFamily.translate_counts`, counts the sample points
+in all n translates g + X in whole-list integer passes: a `Counter` histogram
+of the sample, per circular arc of the base one difference of two histogram
+rotations as the steps between neighbouring translates, and running sums. The
+sup-deviation compares max(count*n - |X|*N, |X|*N - count*n) before any
+Fraction is formed; the covering check looks each translator's count up.
 """
 
 from __future__ import annotations
@@ -35,30 +36,33 @@ class FiniteTranslateFamily:
         self.base = tuple(sorted({v % n for v in self.base}))
         self._arcs = _circular_arcs(self.base, n)
 
-    def member_measure(self) -> Fraction:
-        return Fraction(len(self.base), self.model.n)
-
     def member_count(self) -> int:
         return self.model.n
 
-    def sup_deviation(self, sample: Sequence) -> Fraction:
-        """Exact sup over every translate of |Av(sample) - measure|."""
-        n, n_samp = self.model.n, len(sample)
+    def translate_counts(self, sample: Sequence) -> list[int]:
+        """For each g in range(n), the number of sample points in g + X,
+        repeats counted and every int read as its residue."""
+        n = self.model.n
         counter = Counter(sample)
         hist = list(map(counter.get, range(n), repeat(0)))
-        if sum(hist) != n_samp:  # some point is not a residue in range(n)
+        if sum(hist) != len(sample):  # some point is not a residue in range(n)
             counter = Counter(p % n for p in sample)
             hist = list(map(counter.get, range(n), repeat(0)))
         # From translate g to g + 1 an arc gains the point after its end and
-        # loses its first one: its n steps are one difference of two histogram
-        # rotations, and the n translates' counts are running sums from g = 0.
+        # loses its first one: its steps are one difference of two histogram
+        # rotations, and the n counts are running sums of the first n - 1 steps.
         steps = repeat(0, n)
         for start, length in self._arcs:
             end = (start + length) % n
             gained = islice(chain(hist, hist), end, end + n)
             lost = islice(chain(hist, hist), start, start + n)
             steps = list(map(add, steps, map(sub, gained, lost)))
-        counts = list(accumulate(steps, initial=sum(map(hist.__getitem__, self.base))))
+        return list(accumulate(islice(steps, n - 1), initial=sum(map(hist.__getitem__, self.base))))
+
+    def sup_deviation(self, sample: Sequence) -> Fraction:
+        """Exact sup over every translate of |Av(sample) - measure|."""
+        n, n_samp = self.model.n, len(sample)
+        counts = self.translate_counts(sample)
         expected = len(self.base) * n_samp
         best_num = max(max(counts) * n - expected, expected - min(counts) * n)
         return Fraction(best_num, n * n_samp)
@@ -71,28 +75,6 @@ def _circular_arcs(vals: Sequence[int], n: int) -> list[tuple[int, int]]:
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
         runs[-1] += runs.pop(0)
     return [(run[0], len(run)) for run in runs]
-
-
-@dataclass
-class ApproxResult:
-    points: list
-    sup_deviation: Fraction
-    success: bool
-
-
-def epsilon_approximation(
-    model: CyclicGroup, family, epsilon, n_samples: int, rng: random.Random
-) -> ApproxResult:
-    """Draw n i.i.d. uniform points and measure the exact sup-deviation over
-    the family; success iff it is strictly below epsilon."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    points = model.sample(rng, n_samples)
-    dev = family.sup_deviation(points)
-    return ApproxResult(points, dev, dev < epsilon)
 
 
 @dataclass
@@ -118,22 +100,22 @@ def sample_complexity_sweep(
     trials: int,
     seed: int = 0,
 ) -> SweepResult:
-    """Empirical success rates over a schedule of sample sizes; reports the
-    first N in the schedule whose success rate reaches 95%, which is also
-    where the running maximum of the rates first does."""
+    """Empirical success rates over a schedule of sample sizes, a trial of N
+    i.i.d. uniform points passing iff its exact sup-deviation is below epsilon;
+    reports the first N in the schedule whose success rate reaches 95%, which
+    is also where the running maximum of the rates first does."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if any(n_samples < 1 for n_samples in schedule):
+        raise ValueError("need at least one sample")
     result = SweepResult()
     if trials <= 0:
         return result
-    epsilon = Fraction(epsilon)
     for n_samples in schedule:
-        successes, lo, hi = 0, None, None
-        for t in range(trials):
-            rng = random.Random(f"{seed}/eps/{n_samples}/{t}")
-            res = epsilon_approximation(model, family, epsilon, n_samples, rng)
-            successes += res.success
-            dev = res.sup_deviation
-            lo, hi = (dev, dev) if lo is None else (min(lo, dev), max(hi, dev))
-        result.rows.append(SweepRow(n_samples, trials, successes, lo, hi))
+        devs = [family.sup_deviation(model.sample(random.Random(f"{seed}/eps/{n_samples}/{t}"), n_samples))
+                for t in range(trials)]
+        result.rows.append(SweepRow(n_samples, trials, sum(dev < epsilon for dev in devs), min(devs), max(devs)))
     result.smallest_passing = next(
         (row.n_samples for row in result.rows if 20 * row.successes >= 19 * row.trials), None)
     return result
@@ -180,10 +162,5 @@ def covering_check(base: Iterable, points: Sequence, translators: Iterable, mode
     """Exactly verify that every translate g+X contains one of the points
     (equivalently, the translators are covered by the point-shifted reflected
     base sets).  Returns (ok, first failing translator or None)."""
-    n = model.n
-    base_set = {v % n for v in base}
-    vals = [p % n for p in points]
-    for g in translators:
-        if not any((p - g) % n in base_set for p in vals):
-            return False, g
-    return True, None
+    counts, n = FiniteTranslateFamily(model, base).translate_counts(points), model.n
+    return next(((False, g) for g in translators if counts[g % n] == 0), (True, None))

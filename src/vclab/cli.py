@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct and verify a shattering certificate")
     common(p)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--stage-budget", type=int, default=2000)
+    p.add_argument("--stage-budget", type=int, default=2000,
+                   help="the highest stage m a level may separate at; its conditions reach stage m + 2")
     p.add_argument("--removed-scale", default="4/5")
     p.set_defaults(fn=cmd_witness)
 

@@ -5,8 +5,8 @@ import pytest
 
 from vclab.approx import (
     FiniteTranslateFamily,
+    _circular_arcs,
     covering_check,
-    epsilon_approximation,
     hitting_set_for_translates,
     sample_complexity_sweep,
 )
@@ -25,7 +25,8 @@ def hit_oracle(model, base, points, g):
 def sup_deviation_naive(family, sample):
     """Independent recount of `FiniteTranslateFamily.sup_deviation`: a
     translate-by-translate membership loop."""
-    n, mu = family.model.n, family.member_measure()
+    n = family.model.n
+    mu = Fraction(len(family.base), n)
     vals = [p % n for p in sample]
     base = set(family.base)
     best = Fraction(0)
@@ -38,12 +39,11 @@ def sup_deviation_naive(family, sample):
 def test_trivial_families():
     z = CyclicGroup(100)
     whole = FiniteTranslateFamily(z, range(100))
-    res = epsilon_approximation(z, whole, F(1, 2), 1, random.Random(0))
-    assert res.sup_deviation == 0 and res.success
+    assert whole.sup_deviation(z.sample(random.Random(0), 1)) == 0
     # every translate of the empty set is empty, so no sample deviates
     empty = FiniteTranslateFamily(z, [])
-    res = epsilon_approximation(z, empty, F(1, 2), 7, random.Random(0))
-    assert res.sup_deviation == 0 == sup_deviation_naive(empty, res.points)
+    sample = z.sample(random.Random(0), 7)
+    assert empty.sup_deviation(sample) == 0 == sup_deviation_naive(empty, sample)
 
 
 def test_fast_path_matches_naive_recount():
@@ -91,15 +91,26 @@ def test_fast_path_matches_naive_recount_edge_cases(kind):
             assert len(fam._arcs) > 1 and any(start + length > n for start, length in fam._arcs)
         dev = fam.sup_deviation(sample)
         assert dev == sup_deviation_naive(fam, sample)
+        base_set = set(fam.base)
+        assert fam.translate_counts(sample) == [
+            sum(1 for p in sample if (p - g) % n in base_set) for g in range(n)]
         if kind in ("empty", "full") or n == 1:
             assert dev == 0  # every translate holds no point, or all of them
+
+
+def test_circular_arcs_are_maximal_and_merge_the_wrap():
+    assert _circular_arcs((), 10) == []
+    assert _circular_arcs((1, 2, 5), 10) == [(1, 2), (5, 1)]
+    assert _circular_arcs((0, 9), 10) == [(9, 2)]
+    assert _circular_arcs((0, 1, 8, 9), 10) == [(8, 4)]
+    assert _circular_arcs((0, 1, 2), 3) == [(0, 3)]
 
 
 def test_epsilon_one_always_succeeds_at_one_sample():
     z = CyclicGroup(1000)
     fam = FiniteTranslateFamily(z, range(300))
-    res = epsilon_approximation(z, fam, F(1), 1, random.Random(5))
-    assert res.success  # deviation is max(mu, 1-mu) < 1 for a proper arc
+    row, = sample_complexity_sweep(z, fam, F(1), [1], 20, seed=5).rows
+    assert row.successes == 20  # deviation is max(mu, 1-mu) < 1 for a proper arc
 
 
 def test_sweep_monotone_trend_and_empty():
@@ -109,6 +120,32 @@ def test_sweep_monotone_trend_and_empty():
     sweep = sample_complexity_sweep(z, fam, F(1, 20), [10, 400], 25, seed=1)
     rates = [F(r.successes, r.trials) for r in sweep.rows]
     assert rates[0] < rates[1]
+
+
+def test_sweep_checks_epsilon_and_sample_sizes():
+    z = CyclicGroup(50)
+    fam = FiniteTranslateFamily(z, range(10))
+    for epsilon, schedule in ((F(0), [10]), (F(-1, 2), [10]), (F(1, 5), [10, 0]), (F(1, 5), [-1])):
+        with pytest.raises(ValueError):
+            sample_complexity_sweep(z, fam, epsilon, schedule, 3)
+    for trials in (0, -3):
+        sweep = sample_complexity_sweep(z, fam, F(1, 5), [10, 20], trials)
+        assert sweep.rows == [] and sweep.smallest_passing is None
+    assert [r.trials for r in sample_complexity_sweep(z, fam, F(1, 5), [10, 20], 1).rows] == [1, 1]
+
+
+def test_sweep_pass_rules_at_their_boundaries():
+    # One point against a half of Z_4 deviates by exactly 1/2, which does not pass 1/2.
+    z = CyclicGroup(4)
+    half = FiniteTranslateFamily(z, [0, 1])
+    assert sample_complexity_sweep(z, half, F(1, 2), [1], 5).rows[0].successes == 0
+    # Seed 2 passes 92 and then exactly 95 of 100 trials: a rate of exactly 95% passes.
+    z = CyclicGroup(30)
+    fam = FiniteTranslateFamily(z, range(10))
+    sweep = sample_complexity_sweep(z, fam, F(1, 4), [28, 32], 100, seed=2)
+    assert [r.successes for r in sweep.rows] == [92, 95] and sweep.smallest_passing == 32
+    assert sample_complexity_sweep(z, fam, F(1, 4), [28], 3) == sample_complexity_sweep(
+        z, fam, F(1, 4), [28], 3, seed=0)
 
 
 def test_sweep_finds_passing_n():
@@ -157,19 +194,25 @@ def test_covering_check_failure_names_translator():
 
 
 def test_hitting_covering_equivalence_randomized():
-    # covering_check true exactly when every translate is hit (independent loop)
+    # covering_check true exactly when every translate is hit, and the missed
+    # translator is the first one the independent loop misses; every list is
+    # drawn from range(-3n, 3n), so most values are not residues, and may be empty
     rng = random.Random("equiv")
-    z = CyclicGroup(40)
-    for _ in range(50):
-        base = [v for v in range(40) if rng.random() < 0.3] or [0]
-        points = [rng.randrange(40) for _ in range(rng.randrange(0, 6))]
-        translators = range(40)
-        ok, _ = covering_check(base, points, translators, z)
-        assert ok == all(hit_oracle(z, base, points, g) for g in translators)
+    n = 40
+    z = CyclicGroup(n)
+
+    def draw(most):
+        return [rng.randrange(-3 * n, 3 * n) for _ in range(rng.randrange(0, most))]
+
+    cases = [([], [], []), ([], [7], draw(40)), (draw(40), [], [-120, 119]), (draw(40), draw(6), [])]
+    cases += [(draw(40), draw(6), draw(80)) for _ in range(300)]
+    for base, points, translators in cases:
+        missed = next((g for g in translators if not hit_oracle(z, base, points, g)), None)
+        assert covering_check(base, points, translators, z) == (missed is None, missed)
 
 
 def test_success_recomputed_independently():
     z = CyclicGroup(500)
     fam = FiniteTranslateFamily(z, range(150))
-    res = epsilon_approximation(z, fam, F(1, 10), 600, random.Random("dual-route"))
-    assert res.sup_deviation == sup_deviation_naive(fam, res.points)
+    sample = z.sample(random.Random("dual-route"), 600)
+    assert fam.sup_deviation(sample) == sup_deviation_naive(fam, sample)
