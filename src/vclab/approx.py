@@ -1,12 +1,9 @@
 """Sampling-based epsilon-approximations with exact verification, and the
 hitting-set / covering pattern for translate families in a cyclic group.
 
-One kernel, `FiniteTranslateFamily.translate_counts`, counts the sample points
-in all n translates g + X in whole-list integer passes: a `Counter` histogram
-of the sample, per circular arc of the base one difference of two histogram
-rotations as the steps between neighbouring translates, and running sums. The
-sup-deviation compares max(count*n - |X|*N, |X|*N - count*n) before any
-Fraction is formed; the covering check looks each translator's count up.
+One kernel, `FiniteTranslateFamily.translate_counts`, gives the number of
+sample points in every translate g + X as exact integers; the sup-deviation,
+the sample-complexity sweep and the covering check all read it.
 """
 
 from __future__ import annotations
@@ -44,10 +41,9 @@ class FiniteTranslateFamily:
         repeats counted and every int read as its residue."""
         n = self.model.n
         counter = Counter(sample)
-        hist = list(map(counter.get, range(n), repeat(0)))
-        if sum(hist) != len(sample):  # some point is not a residue in range(n)
-            counter = Counter(p % n for p in sample)
-            hist = list(map(counter.get, range(n), repeat(0)))
+        hist = list(map(counter.pop, range(n), repeat(0)))
+        for p, repeats in counter.items():  # the points that are not residues in range(n)
+            hist[p % n] += repeats
         # From translate g to g + 1 an arc gains the point after its end and
         # loses its first one: its steps are one difference of two histogram
         # rotations, and the n counts are running sums of the first n - 1 steps.
@@ -57,7 +53,8 @@ class FiniteTranslateFamily:
             gained = islice(chain(hist, hist), end, end + n)
             lost = islice(chain(hist, hist), start, start + n)
             steps = list(map(add, steps, map(sub, gained, lost)))
-        return list(accumulate(islice(steps, n - 1), initial=sum(map(hist.__getitem__, self.base))))
+        first = sum(map(hist.__getitem__, self.base))
+        return list(accumulate(islice(steps, n - 1), initial=first))
 
     def sup_deviation(self, sample: Sequence) -> Fraction:
         """Exact sup over every translate of |Av(sample) - measure|."""
@@ -113,9 +110,13 @@ def sample_complexity_sweep(
     if trials <= 0:
         return result
     for n_samples in schedule:
-        devs = [family.sup_deviation(model.sample(random.Random(f"{seed}/eps/{n_samples}/{t}"), n_samples))
-                for t in range(trials)]
-        result.rows.append(SweepRow(n_samples, trials, sum(dev < epsilon for dev in devs), min(devs), max(devs)))
+        devs = []
+        for t in range(trials):
+            rng = random.Random(f"{seed}/eps/{n_samples}/{t}")
+            sample = model.sample(rng, n_samples)
+            devs.append(family.sup_deviation(sample))
+        successes = sum(dev < epsilon for dev in devs)
+        result.rows.append(SweepRow(n_samples, trials, successes, min(devs), max(devs)))
     result.smallest_passing = next(
         (row.n_samples for row in result.rows if 20 * row.successes >= 19 * row.trials), None)
     return result
@@ -159,8 +160,9 @@ def hitting_set_for_translates(
 
 
 def covering_check(base: Iterable, points: Sequence, translators: Iterable, model: CyclicGroup):
-    """Exactly verify that every translate g+X contains one of the points
-    (equivalently, the translators are covered by the point-shifted reflected
-    base sets).  Returns (ok, first failing translator or None)."""
-    counts, n = FiniteTranslateFamily(model, base).translate_counts(points), model.n
+    """Exactly verify that every translate g+X contains one of the points; returns
+    (ok, first failing translator or None).  It counts all n translates, O(n)
+    per circular arc of the base, however few the translators."""
+    n = model.n
+    counts = FiniteTranslateFamily(model, base).translate_counts(points)
     return next(((False, g) for g in translators if counts[g % n] == 0), (True, None))

@@ -10,14 +10,15 @@ site per mutant:
 - an integer constant is bumped by one.
 
 Each mutant is written, as `ast.unparse` of the mutated module, into a copy of
-`src/` and `tests/` in a scratch directory (the checkout is never touched), and
-the kernel's test module runs against it under a timeout. A mutant is killed
-when the tests fail or time out, and survives when they pass. Every survivor
-is either a missing test or code that changes nothing, a deletion candidate.
+`src/` and `tests/` in a temporary directory (the checkout is never touched,
+and the copy is removed at the end), and the kernel's test module runs against
+it for at most TIMEOUT seconds. A mutant is killed when the tests fail or time
+out, and survives when they pass. Every survivor is either a missing test or
+code that changes nothing, a deletion candidate.
 
 Run from the repository root; it takes about a second per mutant:
 
-    python tests/mutation_audit.py [--timeout 60] [--workdir DIR]
+    python tests/mutation_audit.py
 
 The name keeps pytest from collecting it, and CI does not run it. It exits 1
 if the unmutated copy fails its tests, and 0 otherwise, survivors or not.
@@ -25,7 +26,6 @@ if the unmutated copy fails its tests, and 0 otherwise, survivors or not.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 60  # seconds per test run; a mutant that loops forever is killed
 
 # module -> (kernels as qualified names, the test module that guards them)
 AUDITS = {
@@ -101,37 +102,36 @@ def sites(tree: ast.Module, kernels) -> list:
     return [(kernel, f"{where[1]}:{where[2]}", what, apply) for where, kernel, what, apply in found]
 
 
-def run_tests(work: Path, test_module: str, timeout: float) -> tuple[str, float]:
+def run_tests(work: Path, test_module: str) -> tuple[str, float]:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_module],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout)
+            timeout=TIMEOUT)
         status = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         status = "timeout"
     return status, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per test run")
-    parser.add_argument("--workdir", help="scratch directory for the copy (default: a new temporary one)")
-    args = parser.parse_args(argv)
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutation-audit-") as work:
+        work = Path(work)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        return audit(work)
 
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="mutation-audit-"))
-    for part in ("src", "tests"):
-        shutil.rmtree(work / part, ignore_errors=True)
-        shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+
+def audit(work: Path) -> int:
     survivors, total_killed, total = [], 0, 0
     for module, (kernels, test_module) in AUDITS.items():
         source = (ROOT / module).read_text()
         count = len(sites(ast.parse(source), kernels))
         target = work / module
         target.write_text(ast.unparse(ast.parse(source)))
-        status, _ = run_tests(work, test_module, args.timeout)
+        status, _ = run_tests(work, test_module)
         if status != "survived":
             print(f"{module}: the unmutated copy does not pass {test_module} ({status})")
             return 1
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
             kernel, line, what, apply = sites(tree, kernels)[i]
             apply()
             target.write_text(ast.unparse(tree))
-            status, seconds = run_tests(work, test_module, args.timeout)
+            status, seconds = run_tests(work, test_module)
             tally[kernel][0] += status != "survived"
             tally[kernel][1] += 1
             print(f"  {status:8} {kernel:40} {line:>7}  {what:16} {seconds:5.1f} s", flush=True)
