@@ -39,6 +39,22 @@ later stage: the left end of b is the left end of child 2b, the right end the
 right end of child 2b + 1.  So the stage-m component holding an end of
 stage-s component b is b >> (s - m) for m <= s, and for m > s it is
 b << (m - s), plus 2^(m-s) - 1 for a right end.
+
+Decode lemma: whether an integer r is L_n(b) for some address b < 2^n can
+be decided without spread4, a run of low bits of b at a time.  Write 3p =
+2^t a with a odd, take h >= 1 with 2h + t <= n, and split b = b0 + 2^h b1
+with b0 < 2^h.  As spread4(b) = spread4(b0) + 4^h spread4(b1),
+L_n(b) = 3p spread4(b0) + (2q - p) 2^n b0 + 4^h L_(n-h)(b1).  Modulo
+2^(t+2h), which divides both 2^n and 3p 4^h, this is 2^t a spread4(b0), and
+spread4(b0) < 4^h.  So r = L_n(b) for some b < 2^n if and only if r is
+divisible by 2^t, x = (r / 2^t) a^(-1) mod 4^h has every base-4 digit 0
+or 1 (then x = spread4(b0) and those digits are the binary digits of b0),
+and (r - 3p x - (2q - p) 2^n b0) / 4^h, an integer by the congruence, is
+L_(n-h)(b1) for some b1 < 2^(n-h).  Taking h = floor((n - t)/2) fixes
+about half the remaining bits per round, so about log2(n) rounds of
+big-integer operations leave a short address.  That one is read greedily:
+bit i of b adds c_i = 3p 4^i + (2q - p) 2^(n+i), more than all lower c_j
+together, so b decodes top bit first.
 """
 
 from __future__ import annotations
@@ -52,6 +68,32 @@ from .constructible import ConstructibleSet, Interval
 def branch_of_stage(stage: int) -> int:
     """Which of the two open branches a stage's removed middles feed."""
     return 0 if stage % 2 == 1 else 1
+
+
+def _is_left_end(p: int, q: int, n: int, rest: int) -> bool:
+    """Whether rest = L_n(b) = 3p spread4(b) + (2q - p) 2^n b for an address
+    b < 2^n, by the decode lemma of the module docstring: while n >= 16 and
+    h = floor((n - t)/2) >= 1, a round fixes the low h bits of b from rest
+    mod 2^(t + 2h) and leaves L_(n-h) of the high bits; the last bits are
+    read greedily, top bit first.  The base-2 `format` and `int` are exempt
+    from Python's int-string digit limit, which covers only bases that are
+    not powers of two, so a stage-5,000 address converts."""
+    t = (3 * p & -3 * p).bit_length() - 1
+    while n >= 16 and (h := (n - t) // 2) > 0:
+        mask = (1 << 2 * h) - 1
+        spread = (rest >> t & mask) * pow(3 * p >> t, -1, mask + 1) & mask
+        if rest & ((1 << t) - 1) or spread & mask // 3 * 2:
+            return False
+        low = int(format(spread, "b")[::2], 2)
+        rest = (rest - 3 * p * spread - ((2 * q - p) * low << n)) >> 2 * h
+        n -= h
+    spread, step = 3 * p << 2 * n, (2 * q - p) << 2 * n
+    for _ in range(n):
+        spread >>= 2
+        step >>= 1
+        if rest >= spread + step:
+            rest -= spread + step
+    return rest == 0
 
 
 @dataclass(frozen=True)
@@ -114,26 +156,25 @@ class FatCantorSet:
 
     def middle_defect(self, stage: int, lo: int, hi: int, den: int):
         """Why (lo/den, hi/den) is not a removed middle of the stage, or None.
-        A stage-s middle is p/(q 4^s) wide, a denominator above 4^s, so
-        den <= 4^s refuses the stage before its lattice u_s is built.  The
-        address is decoded on its own, not through `left`: the stage-s middles
-        are (4L + 2W_(s-1) - p, 4L + 2W_(s-1) + p) on u_s, L = L_(s-1)(b) for
-        b < 2^(s-1).  Bit i of b adds c_i = 3p 4^i + (2q - p) 2^(s-1+i), more
-        than all lower c_j together, so b decodes top bit first."""
+        A stage-s middle is p/(q 4^s) wide, whose reduced denominator
+        q 4^s / gcd(p, 4^s) exceeds 4^s as q > p, so a den < 4^s refuses the
+        stage before its lattice u_s is built.  Once the width holds, lo/den
+        is 2p lo/(hi - lo) units of u_s.  The stage-s middles are
+        (4L + W_s, 4L + W_s + 2p) on u_s with L = L_n(b), n = s - 1, b < 2^n,
+        and `_is_left_end` decodes L on its own, not through `left`.  With
+        3p = 2^t a, a odd, and 2h + t <= n, L_n(b) = 2^t a spread4(b mod 2^h)
+        modulo 2^(t+2h), as (2q - p) 2^n b and 3p 4^h spread4(b >> h) vanish
+        there; so the low h bits of b are the base-4 digits, each 0 or 1, of
+        (L / 2^t) a^(-1) mod 4^h, and what is left is 4^h L_(n-h)(b >> h)
+        (the decode lemma of the module docstring)."""
         p, q = self.removed_scale.numerator, self.removed_scale.denominator
         if stage < 1:
             return f"stage {stage} removes no middle"
         wide = den.bit_length() > 2 * stage and (hi - lo) * (q << 2 * stage + 1) == 2 * p * den
         if wide:
-            left, off = divmod(lo * (q << 2 * stage + 1), den)
-            rest, off4 = divmod(left - 2 * self.width(stage - 1) + p, 4)
-            spread, step = 3 * p << 2 * (stage - 1), (2 * q - p) << (2 * stage - 2)
-            for _ in range(stage - 1):
-                spread >>= 2
-                step >>= 1
-                if rest >= spread + step:
-                    rest -= spread + step
-            if not (off or off4 or rest):
+            left, off = divmod(2 * p * lo, hi - lo)
+            rest, off4 = divmod(left - self.width(stage), 4)
+            if not (off or off4) and _is_left_end(p, q, stage - 1, rest):
                 return None
         why = f"a removed middle of stage {stage}" if wide else f"as wide as a stage-{stage} middle"
         return f"({Fraction(lo, den)}, {Fraction(hi, den)}) is not {why}"

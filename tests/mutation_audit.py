@@ -12,9 +12,10 @@ site per mutant:
 Each mutant is written, as `ast.unparse` of the mutated module, into a copy of
 `src/` and `tests/` in a temporary directory (the checkout is never touched,
 and the copy is removed at the end), and the kernel's test module runs against
-it for at most TIMEOUT seconds. A mutant is killed when the tests fail or time
-out, and survives when they pass. Every survivor is either a missing test or
-code that changes nothing, a deletion candidate.
+it for at most TIMEOUT seconds and MEMORY bytes of address space. A mutant is
+killed when the tests fail, time out or run out of memory, and survives when
+they pass. Every survivor is either a missing test or code that changes
+nothing, a deletion candidate.
 
 Run from the repository root; it takes about a second per mutant:
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -37,9 +39,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 60  # seconds per test run; a mutant that loops forever is killed
+MEMORY = 2 << 30  # bytes per test run; a mutant that allocates without bound is killed
 
 # module -> (kernels as qualified names, the test module that guards them)
 AUDITS = {
+    "src/vclab/cantor.py": (
+        ("_is_left_end", "FatCantorSet.middle_defect"),
+        "tests/test_cantor_lattice.py",
+    ),
     "src/vclab/approx.py": (
         ("FiniteTranslateFamily.translate_counts", "FiniteTranslateFamily.sup_deviation",
          "_circular_arcs", "covering_check", "sample_complexity_sweep"),
@@ -109,7 +116,7 @@ def run_tests(work: Path, test_module: str) -> tuple[str, float]:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_module],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT)
+            timeout=TIMEOUT, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)))
         status = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         status = "timeout"

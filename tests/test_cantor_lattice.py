@@ -1,6 +1,8 @@
 """Differential tests: the closed-form lattice addresses of vclab.cantor
 against the plain Fraction reference walk in fraction_cantor.py, on even and
-odd denominators of the removal scale, down to stage 301."""
+odd denominators of the removal scale, down to stage 301; and the removed-
+middle decode `FatCantorSet.middle_defect` against the Fraction checker's
+greedy decode in fraction_witness.py, down to stage 2,557."""
 
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_cantor as ref
+import fraction_witness
 from vclab.cantor import FatCantorSet
 
 F = Fraction
@@ -89,3 +92,56 @@ def test_child_gaps_match_reference(scale):
         got = [(s, *(fc.value(s, v) for v in fc.middle(s, (address << k) + j)))
                for k, s in enumerate(range(stage + 1, stage + 4)) for j in range(2**k)]
         assert got == ref.child_gaps(scale, lo, hi, stage, 3)
+
+
+# 3p has 2-adic valuation t = 0, 1, 2, 6 and 16: the decode's rounds start at
+# bit t, and at t = 16 they leave 16 or 17 address bits with none to fix, so
+# the greedy loop must take over.
+DECODE_SCALES = [F(7, 8), F(2, 3), F(4, 5), F(64, 65), F(2**16, 2**16 + 1)]
+DECODE_STAGES = (17, 33, 173, 1280, 2557)
+
+
+def defects(fc, stage, lo, hi):
+    """The lattice decode's and the Fraction decode's verdicts on (lo, hi),
+    given in units of u_s and put on 12 u_s, so off-lattice inputs exist."""
+    den = 12 * fc.removed_scale.denominator << 2 * stage + 1
+    return (fc.middle_defect(stage, 12 * lo, 12 * hi, den),
+            fraction_witness.middle_defect(fc, stage, F(12 * lo, den), F(12 * hi, den)))
+
+
+def assert_refused(fc, stage, lo, hi):
+    mine, oracle = defects(fc, stage, lo, hi)
+    assert mine is not None and mine == oracle, (stage, lo, hi)
+
+
+@pytest.mark.parametrize("scale", DECODE_SCALES, ids=str)
+def test_decode_accepts_every_shallow_middle(scale):
+    fc = FatCantorSet(scale)
+    for s in range(1, 11):
+        for b in range(1 << (s - 1)):
+            lo, hi = fc.middle(s, b)
+            assert defects(fc, s, lo, hi) == (None, None), (s, b)
+            for shift in (1, -1, 4, -4):
+                assert_refused(fc, s, lo + shift, hi + shift)
+        assert_refused(fc, s, lo, hi + 1)
+        assert_refused(fc, s, *fc.middle(s, 1 << (s - 1)))
+    assert_refused(fc, 0, *fc.middle(1, 0))
+
+
+@pytest.mark.parametrize("scale", DECODE_SCALES, ids=str)
+def test_decode_matches_the_fraction_decode_deep(scale):
+    # A shift of 4 * 2^(t+2h) units of u_s moves L by 2^(t+2h), for the h of
+    # the decode's first round: that round reads the true low bits, and only
+    # a later round or the greedy tail refuses it.
+    fc = FatCantorSet(scale)
+    t = (3 * scale.numerator & -3 * scale.numerator).bit_length() - 1
+    rng = random.Random(f"decode/{scale}")
+    for s in DECODE_STAGES:
+        n = s - 1
+        later = 4 << t + 2 * ((n - t) // 2)
+        for b in (0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(3))):
+            lo, hi = fc.middle(s, b)
+            assert defects(fc, s, lo, hi) == (None, None), (s, b)
+            for shift in (1, -1, 4, -4, later, -later):
+                assert_refused(fc, s, lo + shift, hi + shift)
+        assert_refused(fc, s, *fc.middle(s, 1 << n))
