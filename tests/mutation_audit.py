@@ -116,7 +116,8 @@ def run_tests(work: Path, test_module: str) -> tuple[str, float]:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_module],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)))
+            timeout=TIMEOUT,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)))
         status = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         status = "timeout"
