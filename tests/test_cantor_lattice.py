@@ -103,7 +103,7 @@ DECODE_STAGES = (17, 33, 173, 1280, 2557)
 
 def defects(fc, stage, lo, hi):
     """The lattice decode's and the Fraction decode's verdicts on (lo, hi),
-    given in units of u_s and put on 12 u_s, so off-lattice inputs exist."""
+    given in units of u_s and put on the finer lattice u_s / 12."""
     den = 12 * fc.removed_scale.denominator << 2 * stage + 1
     return (fc.middle_defect(stage, 12 * lo, 12 * hi, den),
             fraction_witness.middle_defect(fc, stage, F(12 * lo, den), F(12 * hi, den)))
