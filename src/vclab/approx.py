@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
@@ -40,29 +39,30 @@ class FiniteTranslateFamily:
         """For each g in range(n), the number of sample points in g + X,
         repeats counted and every int read as its residue."""
         n = self.model.n
-        counter = Counter(sample)
-        hist = list(map(counter.pop, range(n), repeat(0)))
-        for p, repeats in counter.items():  # the points that are not residues in range(n)
-            hist[p % n] += repeats
+        hist = [0] * n
+        for p in sample:
+            hist[p % n] += 1
         # From translate g to g + 1 an arc gains the point after its end and
         # loses its first one: its steps are one difference of two histogram
         # rotations, and the n counts are running sums of the first n - 1 steps.
-        steps = repeat(0, n)
+        steps = None
         for start, length in self._arcs:
             end = (start + length) % n
-            gained = islice(chain(hist, hist), end, end + n)
-            lost = islice(chain(hist, hist), start, start + n)
-            steps = list(map(add, steps, map(sub, gained, lost)))
+            arc = map(sub, hist[end:] + hist[:end], hist[start:] + hist[:start])
+            steps = arc if steps is None else list(map(add, steps, arc))
         first = sum(map(hist.__getitem__, self.base))
-        return list(accumulate(islice(steps, n - 1), initial=first))
+        return list(accumulate(islice(repeat(0, n) if steps is None else steps, n - 1), initial=first))
+
+    def sup_deviation_units(self, sample: Sequence) -> int:
+        """The exact `sup_deviation` times n·len(sample), an integer."""
+        n = self.model.n
+        counts = self.translate_counts(sample)
+        expected = len(self.base) * len(sample)
+        return max(max(counts) * n - expected, expected - min(counts) * n)
 
     def sup_deviation(self, sample: Sequence) -> Fraction:
         """Exact sup over every translate of |Av(sample) - measure|."""
-        n, n_samp = self.model.n, len(sample)
-        counts = self.translate_counts(sample)
-        expected = len(self.base) * n_samp
-        best_num = max(max(counts) * n - expected, expected - min(counts) * n)
-        return Fraction(best_num, n * n_samp)
+        return Fraction(self.sup_deviation_units(sample), self.model.n * len(sample))
 
 
 def _circular_arcs(vals: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -110,13 +110,12 @@ def sample_complexity_sweep(
     if trials <= 0:
         return result
     for n_samples in schedule:
-        devs = []
-        for t in range(trials):
-            rng = random.Random(f"{seed}/eps/{n_samples}/{t}")
-            sample = model.sample(rng, n_samples)
-            devs.append(family.sup_deviation(sample))
-        successes = sum(dev < epsilon for dev in devs)
-        result.rows.append(SweepRow(n_samples, trials, successes, min(devs), max(devs)))
+        scale = family.model.n * n_samples  # a trial's sup-deviation is its units over scale
+        units = [family.sup_deviation_units(model.sample(random.Random(f"{seed}/eps/{n_samples}/{t}"), n_samples))
+                 for t in range(trials)]
+        successes = sum(u * epsilon.denominator < epsilon.numerator * scale for u in units)
+        result.rows.append(SweepRow(n_samples, trials, successes,
+                                    Fraction(min(units), scale), Fraction(max(units), scale)))
     result.smallest_passing = next(
         (row.n_samples for row in result.rows if 20 * row.successes >= 19 * row.trials), None)
     return result

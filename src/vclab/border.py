@@ -31,23 +31,14 @@ def _window_set(window) -> ConstructibleSet:
 
 
 def r_border_measure(a: ConstructibleSet, r, window) -> Fraction:
-    """Exact measure of N_r(A) ∩ N_r(window \\ A), clipped to the window: one
-    integer pass on the lattice of r and the ends of A, window \\ A and the
-    window, as every end of N_r is an end ± r."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    win = _window_set(window)
-    rest = win.difference(a)
-    den, units = on_lattice([r, *(v for s in (a, rest, win) for piece in s.pieces for v in piece[:2])])
-    i, j = 1 + 2 * len(a.pieces), 1 + 2 * (len(a.pieces) + len(rest.pieces))
-    near = _overlaps(_overlaps(_grown(units[1:i], units[0]), _grown(units[i:j], units[0])), units[j:])
-    return Fraction(sum(near[1::2]) - sum(near[::2]), den)
+    """Exact measure of N_r(A) ∩ N_r(window \\ A), clipped to the window: the
+    one-cell call of `border_decay_experiment`."""
+    return border_decay_experiment([a], [r], window)[0].value
 
 
 def _grown(ends: list[int], r: int) -> list[int]:
     """Sorted ranges lo, hi, lo, hi, ... widened by r, so merged across each gap of at most 2r."""
-    gaps = [v for hi, lo in zip(ends[1:-1:2], ends[2::2]) if lo - hi > 2 * r for v in (hi + r, lo - r)]
+    gaps = [v for hi, lo in zip(ends[1::2], ends[2::2]) if lo - hi > 2 * r for v in (hi + r, lo - r)]
     return [ends[0] - r, *gaps, ends[-1] + r] if ends else []
 
 
@@ -70,12 +61,12 @@ def boundary_point_count(a: ConstructibleSet) -> int:
 def random_closed_union(rng: random.Random, window: tuple[Fraction, Fraction]) -> ConstructibleSet:
     """A random union of one to six disjoint closed intervals strictly inside
     the window (margins keep window-edge artifacts out of decay bounds), with
-    ends on a grid of 720720 steps."""
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    inner_lo, inner_span = lo + (hi - lo) / 8, (hi - lo) * 3 / 4
+    ends lo + (hi - lo)(1/8 + (3/4)t/grid) for ticks t on a grid of 720720."""
+    (ln, ld), (hn, hd) = Fraction(window[0]).as_integer_ratio(), Fraction(window[1]).as_integer_ratio()
     grid = 720720
     ticks = sorted(rng.sample(range(1, grid), 2 * rng.randrange(1, 7)))
-    ends = [inner_lo + inner_span * Fraction(t, grid) for t in ticks]
+    base, span, den = 8 * grid * ln * hd, hn * ld - ln * hd, 8 * grid * ld * hd
+    ends = [Fraction(base + span * (grid + 6 * t), den) for t in ticks]
     return ConstructibleSet.from_pieces(Interval(a, b) for a, b in zip(ends[::2], ends[1::2]))
 
 
@@ -93,16 +84,25 @@ def border_decay_experiment(
 ) -> list[BorderDecayRow]:
     """r-border values against the 4r * (boundary point count) bound for
     every (set, r) cell; values are monotone in r so the decay to 0 is
-    visible directly in the table."""
+    visible directly in the table.  Every radius is checked before any cell.
+    Per set, window \\ A is one sweep and one lattice holds the radii and the
+    ends of A, window \\ A and the window (every end of N_r is an end ± r), so
+    each cell is one integer pass."""
     rows = []
-    win = _window_set(window)
+    radii = [Fraction(r) for r in radii]
+    if any(r <= 0 for r in radii):
+        raise ValueError("radius must be positive")
+    win, k = _window_set(window), len(radii)
     for set_id, a in enumerate(sets):
-        count = boundary_point_count(a)
-        for r in radii:
-            r = Fraction(r)
-            value = r_border_measure(a, r, win)
-            bound = 4 * r * count
-            rows.append(BorderDecayRow(set_id, r, value, bound, value <= bound))
+        rest = win.difference(a)
+        den, units = on_lattice([*radii, *(v for s in (a, rest, win) for piece in s.pieces for v in piece[:2])])
+        i, j = k + 2 * len(a.pieces), k + 2 * (len(a.pieces) + len(rest.pieces))
+        a_ends, rest_ends, win_ends = units[k:i], units[i:j], units[j:]
+        slope = 4 * boundary_point_count(a)
+        for r, r_unit in zip(radii, units):
+            near = _overlaps(_overlaps(_grown(a_ends, r_unit), _grown(rest_ends, r_unit)), win_ends)
+            total, bound = sum(near[1::2]) - sum(near[::2]), slope * r_unit
+            rows.append(BorderDecayRow(set_id, r, Fraction(total, den), Fraction(bound, den), total <= bound))
     return rows
 
 

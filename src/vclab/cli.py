@@ -322,7 +322,8 @@ def cmd_border_sweep(args) -> int:
     _require_range("sets", args.sets, 1)
     window = _parse_window(args.window)
     lo_exp, hi_exp = _parse_exponents(args.r_exponents)
-    # Units: one (set, radius) cell, about 55 us at the costliest |j| = 64; priced at 0.4 ms.
+    # Units: one (set, radius) cell, about 20 us in a sweep of many radii at |j| <= 64 and up to
+    # 180 us at one radius 2^-64, where a set's draw and lattice fall on one cell; priced at 0.4 ms.
     cells = args.sets * (hi_exp - lo_exp + 1)
     _price(f"--sets {args.sets} over {hi_exp - lo_exp + 1} radii", cells, 400_000, cells)
     rng = random.Random(f"{args.seed}/border-sweep")

@@ -17,12 +17,15 @@ killed when the tests fail, time out or run out of memory, and survives when
 they pass. Every survivor is either a missing test or code that changes
 nothing, a deletion candidate.
 
-Run from the repository root; it takes about a second per mutant:
+Run from the repository root; it takes about a second per mutant. Name
+modules of AUDITS to audit only those:
 
     python tests/mutation_audit.py
+    python tests/mutation_audit.py src/vclab/border.py
 
-The name keeps pytest from collecting it, and CI does not run it. It exits 1
-if the unmutated copy fails its tests, and 0 otherwise, survivors or not.
+The name keeps pytest from collecting it, and CI does not run it. It exits 2
+for a module not in AUDITS, 1 if the unmutated copy fails its tests, and 0
+otherwise, survivors or not.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ AUDITS = {
         "tests/test_cantor_lattice.py",
     ),
     "src/vclab/approx.py": (
-        ("FiniteTranslateFamily.translate_counts", "FiniteTranslateFamily.sup_deviation",
-         "_circular_arcs", "covering_check", "sample_complexity_sweep"),
+        ("FiniteTranslateFamily.translate_counts", "FiniteTranslateFamily.sup_deviation_units",
+         "FiniteTranslateFamily.sup_deviation", "_circular_arcs", "covering_check",
+         "sample_complexity_sweep"),
         "tests/test_approx.py",
+    ),
+    "src/vclab/border.py": (
+        ("r_border_measure", "_grown", "_overlaps", "random_closed_union", "border_decay_experiment"),
+        "tests/test_border.py",
     ),
 }
 
@@ -124,17 +132,22 @@ def run_tests(work: Path, test_module: str) -> tuple[str, float]:
     return status, time.perf_counter() - start
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    unknown = [module for module in argv if module not in AUDITS]
+    if unknown:
+        print(f"not in AUDITS: {', '.join(unknown)}; choose from {', '.join(AUDITS)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="mutation-audit-") as work:
         work = Path(work)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-        return audit(work)
+        return audit(work, argv or list(AUDITS))
 
 
-def audit(work: Path) -> int:
+def audit(work: Path, modules: list[str]) -> int:
     survivors, total_killed, total = [], 0, 0
-    for module, (kernels, test_module) in AUDITS.items():
+    for module in modules:
+        kernels, test_module = AUDITS[module]
         source = (ROOT / module).read_text()
         count = len(sites(ast.parse(source), kernels))
         target = work / module
@@ -168,4 +181,4 @@ def audit(work: Path) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -148,6 +148,25 @@ def test_sweep_pass_rules_at_their_boundaries():
         z, fam, F(1, 4), [28], 3, seed=0)
 
 
+def test_sweep_rows_recomputed_from_sup_deviation():
+    # Each trial recomputed through sup_deviation on the sweep's own seeding.
+    # Epsilon is the median deviation of the middle row, so some trials there
+    # deviate by exactly epsilon, and they must not pass.
+    z = CyclicGroup(30)
+    fam = FiniteTranslateFamily(z, [0, 1, 2, 7, 8, 20])
+    schedule, trials, seed = [5, 12, 28], 40, 7
+    devs = {n_samples: [fam.sup_deviation(z.sample(random.Random(f"{seed}/eps/{n_samples}/{t}"), n_samples))
+                        for t in range(trials)] for n_samples in schedule}
+    epsilon = sorted(devs[12])[trials // 2]
+    assert devs[12].count(epsilon) > 1
+    sweep = sample_complexity_sweep(z, fam, epsilon, schedule, trials, seed)
+    for row in sweep.rows:
+        row_devs = devs[row.n_samples]
+        assert (row.min_deviation, row.max_deviation) == (min(row_devs), max(row_devs))
+        assert row.successes == sum(dev < epsilon for dev in row_devs)
+    assert sweep.rows[1].successes < sum(dev <= epsilon for dev in devs[12])
+
+
 def test_sweep_finds_passing_n():
     z = CyclicGroup(200)
     fam = FiniteTranslateFamily(z, range(60))

@@ -6,6 +6,8 @@ import pytest
 
 import fraction_border
 from vclab.border import (
+    _grown,
+    _overlaps,
     border_decay_experiment,
     boundary_point_count,
     density_report,
@@ -113,6 +115,44 @@ def test_decay_experiment_bound_and_monotonicity():
         assert values[-1] <= values[0]
 
 
+def test_decay_rows_match_fraction_oracle_cell_by_cell():
+    # Seeded sets with open ends and isolated points, and closed unions, on an
+    # off-grid window; radii from 2^4, wider than the window, down to 2^-64.
+    rng = random.Random("decay-oracle")
+    window = (F(-1, 3), F(5, 7))
+    sets = [random_constructible(rng, (F(-1), F(1))) for _ in range(12)]
+    sets += [random_closed_union(rng, window) for _ in range(6)] + [ConstructibleSet.empty()]
+    radii = [F(2) ** -j for j in range(-4, 65)]
+    rows = border_decay_experiment(sets, radii, window)
+    assert [(row.set_id, row.r) for row in rows] == [(i, r) for i in range(len(sets)) for r in radii]
+    for row in rows:
+        a = sets[row.set_id]
+        assert row.value == fraction_border.r_border_measure(a, row.r, window), (a, row.r)
+        assert row.bound == 4 * row.r * boundary_point_count(a)
+        assert row.within_bound == (row.value <= row.bound)
+
+
+def test_decay_radii_are_checked_before_any_row():
+    def untouched():
+        raise AssertionError("a set was read before the radii were checked")
+        yield
+
+    for radii in ([F(1), F(1, 2), F(0)], [F(-1, 8)], (F(j, 8) for j in (3, 1, 0))):
+        with pytest.raises(ValueError):
+            border_decay_experiment(untouched(), radii, BIG_WINDOW)
+    assert border_decay_experiment([], [F(1)], BIG_WINDOW) == []
+
+
+def test_grown_and_overlaps_return_canonical_ranges():
+    # Grown ranges merge across a gap of exactly 2r, and two ranges that only
+    # touch meet in no range.
+    assert _grown([0, 1, 3, 4], 1) == [-1, 5]
+    assert _grown([0, 1, 4, 5, 9, 9], 1) == [-1, 2, 3, 6, 8, 10]
+    assert _grown([], 1) == []
+    assert _overlaps([0, 2, 5, 7], [2, 5]) == []
+    assert _overlaps([0, 3, 4, 6], [2, 5]) == [2, 3, 4, 5]
+
+
 def test_boundary_point_count():
     assert boundary_point_count(parse_set("[0,1/2] u {2}")) == 3
     assert boundary_point_count(ConstructibleSet.empty()) == 0
@@ -157,9 +197,16 @@ def test_density_reports_randomized():
 
 def test_random_closed_union_is_closed_and_inside():
     rng = random.Random("gen")
-    for _ in range(50):
-        s = random_closed_union(rng, (F(0), F(1)))
+    for window in [(F(0), F(1))] * 50 + [(F(-1, 3), F(5, 7)), (F(-7, 2), F(-3, 11)), (F(2), F(9, 4))] * 10:
+        state = rng.getstate()
+        s = random_closed_union(rng, window)
         assert not s.points
         assert all(iv.lo_closed and iv.hi_closed for iv in s.intervals)
         hull = s.hull()
-        assert F(0) < hull[0] and hull[1] < F(1)
+        assert window[0] < hull[0] and hull[1] < window[1]
+        # Each end is lo + (hi - lo)/8 + (3/4)(hi - lo)·t/720720 for a sorted drawn tick t.
+        rng.setstate(state)
+        ticks = sorted(rng.sample(range(1, 720720), 2 * rng.randrange(1, 7)))
+        lo, span = window[0], window[1] - window[0]
+        assert [v for piece in s.pieces for v in piece[:2]] == [
+            lo + span / 8 + span * 3 / 4 * F(t, 720720) for t in ticks]
